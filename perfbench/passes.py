@@ -6,8 +6,9 @@ MODE is `setup` (import and input generation only), `plain` or `traced`.
 The pass prints `ready <t>` when set-up ends, t being time.monotonic() just
 before its first timed call, and then, as its last line, a JSON object with
 the pass's wall time, its checks, and (traced) its spans.  Every check
-compares a result with an oracle outside the code path under test; an
-exception inside a check counts as a failed check.
+compares a result with an oracle computed here, outside the code path
+under test, or recorded in ref/; an exception inside a check counts as a
+failed check.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import math
 import random
 import sys
 import time
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
@@ -70,6 +72,21 @@ def load_refs() -> dict:
 # workloads: inputs(seed) -> inputs, run(inputs, tracer, checks)
 # ---------------------------------------------------------------------------
 
+def orbit_size(idx) -> int:
+    """Number of distinct permutations of idx: n! / prod(multiplicity!)."""
+    size = math.factorial(len(idx))
+    for mult in Counter(idx).values():
+        size //= math.factorial(mult)
+    return size
+
+
+def orbit_sizes(p: int, n: int, s: int) -> list[int]:
+    """orbit_size of every base tuple, in the order of its code
+    sum(idx[k] * q^k), q = p^s, which is the order of scan.cardinalities."""
+    q = p ** s
+    return [orbit_size([code // q ** k % q for k in range(n)]) for code in range(q ** n)]
+
+
 def scan_inputs(seed: int):
     rng = random.Random(seed)
     return [((p, n, s), [tuple(rng.randrange(p ** s) for _ in range(n))
@@ -90,11 +107,20 @@ def scan_run(inputs, tr, ck):
                     syzygy.syzygy_set_nonarch(cell_tuple(field, scale, idx)).member_indices)
                     == set(permutations(idx)))
 
+            scans = []
+
             def scan_ok():
                 scan = syzygy.scan_strong_diagonal(p, n, s)
-                return (scan.all_match_permutations and scan.bases == p ** (s * n)
+                scans.append(scan)
+                return (scan.all_match_permutations and not scan.mismatches
+                        and scan.bases == p ** (s * n)
                         and scan.max_cardinality <= math.factorial(n))
             ck.check(f"scan {cfg_tag(p, n, s)}", scan_ok)
+        # Outside the span: the oracle's time is not the layer's.  The scan
+        # compares its member sets with permutations itself; this check does
+        # not rely on that comparison.
+        ck.check(f"scan {cfg_tag(p, n, s)} cardinalities equal orbit sizes",
+                 lambda: list(scans[0].cardinalities) == orbit_sizes(p, n, s))
         syzygy.clear_index_cache()
 
 

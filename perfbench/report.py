@@ -6,8 +6,7 @@
 A summary groups records by workload and trace mode and gives, per metric,
 the median, quartiles and spread (q3 - q1) / median over the records, as
 statistics.quantiles(values, n=4) gives them, plus the environment stamp
-of the records and, per record, the share of the CPUs other processes kept
-busy while it ran.  `compare` prints NEW's median over OLD's per metric, and
+of the records.  `compare` prints NEW's median over OLD's per metric, and
 says so when the two were measured with different numpy or Python versions
 or on a different CPU.
 """
@@ -34,15 +33,13 @@ def summary(paths: list[str]) -> dict:
             metrics[name] = {"median": med, "q1": q1, "q3": q3,
                              "spread": (q3 - q1) / abs(med) if med else None,
                              "unit": recs[0]["metrics"][name]["unit"], "runs": len(values)}
-        per_run = ("git_sha", "others_cpu_frac")
-        envs = {json.dumps({k: v for k, v in r["env"].items() if k not in per_run},
+        envs = {json.dumps({k: v for k, v in r["env"].items() if k != "git_sha"},
                            sort_keys=True) for r in recs}
         out[key] = {"seeds": [r["seed"] for r in recs],
                     "failed": sum(r["failed"] for r in recs),
                     "attempted": sum(r["attempted"] for r in recs),
                     "env": [json.loads(e) for e in sorted(envs)],
                     "git_sha": sorted({str(r["env"]["git_sha"]) for r in recs}),
-                    "others_cpu_frac": [r["env"].get("others_cpu_frac") for r in recs],
                     "metrics": metrics}
     return out
 

@@ -1,6 +1,6 @@
 """Benchmark of momentsq's exact experiments, end to end and layer by layer.
 
-    python3 perfbench/run.py --workload scan --seed 1 --seconds 22 --trace 0
+    python3 perfbench/run.py --workload scan --seed 1 --seconds 35 --trace 0
 
 Workloads: scan, count, qp_norms, real_norms (see perfbench/README.md).
 Run from anywhere; the package is imported from src/ next to perfbench/.
@@ -49,7 +49,7 @@ CLI_COMMANDS = {
 }
 STARTUP_COMMAND = ["bounds", "--table", "theorem1", "--n-max", "2"]
 CLI_THREADS = 2
-SETUP_PROBES = 4       # set-up-only processes per untraced run
+SETUP_PROBES = 4       # set-up-only processes before the first measured run
 CLI_PROBES = 3         # import / startup probes per traced run
 RUN_LIMIT_S = 170.0    # no new process is started after this
 WARM_MB = 1536         # above the largest peak RSS of any pass (count: 1.2 GB)
@@ -179,10 +179,13 @@ def warm_memory():
 
 def end_to_end(workload: str, seconds: float, run: Run) -> tuple[dict, dict]:
     setups, walls, rss, cli = [], [], [], []
-    for _ in range(SETUP_PROBES):
+
+    def probe_setup():
         res = run.run_pass(workload, "setup")
         if res:
             setups.append(res["setup_s"])
+    for _ in range(SETUP_PROBES):
+        probe_setup()
     deadline = run.start + seconds
     last = {"pass": 0.0, "cli": 0.0}
     spent = {"pass": 0.0, "cli": 0.0}
@@ -208,6 +211,9 @@ def end_to_end(workload: str, seconds: float, run: Run) -> tuple[dict, dict]:
                 cli.append(wall)
         last[kind] = time.monotonic() - start
         spent[kind] += last[kind]
+        # The host's speed drifts over tens of seconds; one set-up probe
+        # after each measured run spreads the set-up samples over the run.
+        probe_setup()
     metrics = {
         "wall_s": (median(walls), "s"),
         "cli_wall_s": (median(cli), "s"),
@@ -314,17 +320,6 @@ def per_layer(workload: str, run: Run) -> tuple[dict, dict]:
 
 # ---------------------------------------------------------------------------
 
-def cpu_seconds() -> tuple[float, float]:
-    """(CPU seconds busy on the whole machine, CPU seconds of this process
-    and its reaped children).  The difference over a run is the CPU time
-    other processes took while it measured."""
-    with open("/proc/stat", encoding="ascii") as fh:
-        user, nice, system, _, _, irq, softirq, steal = map(int, fh.readline().split()[1:9])
-    t = os.times()
-    return ((user + nice + system + irq + softirq + steal) / os.sysconf("SC_CLK_TCK"),
-            t.user + t.system + t.children_user + t.children_system)
-
-
 def environment() -> dict:
     digest = hashlib.sha256()
     for path in sorted((ROOT / "src" / "momentsq").glob("*.py")):
@@ -352,10 +347,8 @@ def main(argv=None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", choices=list(WORKLOADS), required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=22.0)
+    ap.add_argument("--seconds", type=float, default=35.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--out", type=Path, default=None,
-                    help="record file (default perfbench/out/WORKLOAD-seedN-traceT.json)")
     args = ap.parse_args(argv)
     if not (ROOT / "src" / "momentsq" / "__init__.py").is_file():
         print(f"error: no momentsq sources under {ROOT / 'src'}", file=sys.stderr)
@@ -364,16 +357,10 @@ def main(argv=None) -> int:
     env = environment()
     warm_memory()
     run = Run(args.seed, Tracer("parent") if args.trace else NullTracer())
-    busy0, own0 = cpu_seconds()
     if args.trace:
         metrics, samples = per_layer(args.workload, run)
     else:
         metrics, samples = end_to_end(args.workload, args.seconds, run)
-    busy1, own1 = cpu_seconds()
-    # Other tenants of the machine slow the memory-bound passes; record how
-    # busy they kept it, as a share of all its CPUs, to read noisy runs by.
-    env["others_cpu_frac"] = max(0.0, (busy1 - busy0) - (own1 - own0)) / (
-        env["nproc"] * (time.monotonic() - run.start))
     # a metric with no sample (every pass failed) is left out, not printed as NaN
     metrics = {k: (v, u) for k, (v, u) in metrics.items() if math.isfinite(v)}
     run.spans += run.tracer.spans
@@ -383,13 +370,12 @@ def main(argv=None) -> int:
               "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
               "samples": samples, "attempted": run.attempted, "failed": failed,
               "failures": run.failures, "spans": run.spans}
-    out = args.out or HERE / "out" / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
+    out = HERE / "out" / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
     print(f"env: python {env['python']}, numpy {env['numpy']}, nproc {env['nproc']}, "
-          f"cpu {env['cpu']!r}, git {env['git_sha']}, src sha256 {env['src_sha256'][:16]}, "
-          f"other processes kept {env['others_cpu_frac']:.0%} of the CPUs busy")
+          f"cpu {env['cpu']!r}, git {env['git_sha']}, src sha256 {env['src_sha256'][:16]}")
     for name, (value, unit) in metrics.items():
         print(f"{args.workload:<10} {name:<34} {value:>14.6g} {unit}")
     print(f"{args.workload:<10} {'failed_frac':<34} {failed / max(1, run.attempted):>14.6g} "
