@@ -4,10 +4,10 @@ E_I f(x) = integral over I of f(xi) e(gamma(xi) . x) d xi along the moment
 curve, S_delta f(x) the l2 aggregate of |E_J f(x)| over the scale-delta
 partition, and the L^{2n} norm ratio that the cardinality bounds control.
 
-Over Q_p the computation is exact: a locally constant f makes the
-integrand locally constant at precision n*s over the ball |x - c| <= p^{ns},
-so the norm integral is a finite average over coset representatives, and
-that grid sum is a lattice character sum evaluated with an FFT.  Over R
+Over Q_p the computation is exact: the integrands are constant on the
+Z_p^n cosets of the ball |x - c| <= p^{ns}, so the norm integral is a
+finite sum over coset representatives, and Parseval turns that sum into
+sum_k |B(k)|^2 over power-sum groups of residue n-tuples mod p^{ns}.  Over R
 the xi-integrals use composite Gauss-Legendre panels sized to the phase
 bandwidth, and the norm quadrature is the midpoint rule on the weighted
 box; step 1/4 resolves every frequency the quartic integrand contains.
@@ -15,6 +15,7 @@ box; step 1/4 resolves every frequency the quartic integrand contains.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budget import DEFAULT_ENUMERATION_BUDGET, check_budget
+from . import syzygy
+from .budget import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, check_budget
 from .local_field import (REAL, Cell, FieldKind, FieldSpec, Scale,
                           padic_fractional_part, padic_valuation, real_scale)
 
@@ -249,66 +251,62 @@ def square_function(f: TestFunction, scale: Scale, x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Q_p norms: exact coset-grid quadrature via FFT
+# Q_p norms: exact, by Parseval over power-sum groups
 # ---------------------------------------------------------------------------
 
-def _padic_cell_fields(f: LocallyConstant, scale: Scale, center, n: int):
-    p = f.field.prime
-    s = scale.exponent
-    q = p ** (n * s)
-    m_eval = max(f.precision, n * s, 1)
-    reps = np.arange(p ** m_eval, dtype=np.int64)
-    g = np.asarray(f.values, dtype=complex)[reps % (p ** f.precision)]
-    if any(Fraction(c) != 0 for c in center):
-        phases = np.empty(len(reps), dtype=complex)
-        for a in reps:
-            ph = Fraction(0)
-            tp = 1
-            for k in range(n):
-                tp *= int(a)
-                if center[k]:
-                    ph += padic_fractional_part(tp * Fraction(center[k]), p)
-            phases[a] = cmath.exp(2j * cmath.pi * (ph % 1))
-        g = g * phases
-    coords = []
-    acc = np.ones(len(reps), dtype=np.int64)
-    for _ in range(n):
-        acc = (acc * (reps % q)) % q
-        coords.append(acc.copy())
-    cells = reps % (p ** s)
-    return q, m_eval, g, coords, cells
+@functools.lru_cache(maxsize=4)
+def _parseval_groups(p: int, n: int, s: int):
+    """Residue n-tuples mod q = p^{ns}, grouped by (power-sum key, cell tuple).
 
-
-def _padic_extensions_on_grid(f: LocallyConstant, scale: Scale, center, n: int,
-                              budget: int):
-    """E_J f on the coset grid of the ball |x - c| <= p^{ns}, for every J.
-
-    The grid point (j_1, ..., j_n)/q + c represents its Z_p^n coset; the
-    character sum over representatives is an n-dimensional inverse DFT.
+    fine[t] is the group of the t-th tuple in row-major order and
+    fine_key[g] the key group of group g; both number groups in sorted order.
     """
-    p = f.field.prime
-    s = scale.exponent
-    q = p ** (n * s)
-    check_budget(q ** n, budget, "p-adic norm grid")
-    _, m_eval, g, coords, cells = _padic_cell_fields(f, scale, center, n)
+    q, tables = syzygy._power_tables(p, n, s)
     ncells = p ** s
-    stack = np.zeros((ncells,) + (q,) * n, dtype=complex)
-    for J in range(ncells):
-        mask = cells == J
-        np.add.at(stack[J], tuple(c[mask] for c in coords), g[mask])
-    axes = tuple(range(1, n + 1))
-    stack = np.fft.ifftn(stack, axes=axes) * (q ** n) / (p ** m_eval)
-    return stack  # stack[J] = E_J f on the grid
+    cell = np.arange(q, dtype=np.int64) % ncells
+    sums, tup = tables, cell
+    for _ in range(n - 1):
+        sums = [np.add.outer(acc, t).ravel() for acc, t in zip(sums, tables)]
+        tup = np.add.outer(tup * ncells, cell).ravel()
+    codes = syzygy._pack_keys(sums, q) * ncells ** n + tup  # < q^{n+1}
+    groups = syzygy._sorted_unique(codes)
+    group_keys = groups // ncells ** n
+    return (np.searchsorted(groups, codes),
+            np.searchsorted(syzygy._sorted_unique(group_keys), group_keys))
 
 
 def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
                           budget: int) -> NormRatio:
-    stack = _padic_extensions_on_grid(f, scale, center, n, budget)
-    e_full = stack.sum(axis=0)
-    sq = np.sum(np.abs(stack) ** 2, axis=0)
-    # each grid point carries Haar measure 1 and indicator weight 1
-    lhs = float(np.sum(np.abs(e_full) ** (2 * n))) ** (1 / (2 * n))
-    rhs = float(np.sum(sq ** n)) ** (1 / (2 * n))
+    """Parseval over the cosets c + j/q of the ball, j in (Z/q)^n:
+    sum_j |E f|^{2n} = q^n p^{-2nm} sum_k |B(k)|^2, where B(k) sums
+    prod_i g(a_i), g = f e(gamma . c), over the n-tuples a mod p^m with power
+    sums k mod q; the square function splits each B(k) by cell tuple.  Key
+    and cells depend on a mod q only, so g is first folded mod q.
+    """
+    p, s = f.field.prime, scale.exponent
+    q = p ** (n * s)
+    check_budget(q ** n, budget, f"power-sum grouping of (Z/{q})^{n}")
+    if q ** (n + 1) >= 2 ** 62:
+        raise BudgetExceededError("packed keys would overflow 64-bit integers")
+    # m covers f, q and the center's denominators, so g is exact on a mod p^m
+    m_eval = max(f.precision, n * s, 1, *(-padic_valuation(c, p) for c in center if c))
+    reps = np.arange(p ** m_eval, dtype=np.int64)
+    g = np.asarray(f.values, dtype=complex)[reps % (p ** f.precision)]
+    if any(center):
+        phases = [sum((padic_fractional_part(int(a) ** k * Fraction(c), p)
+                       for k, c in enumerate(center[:n], 1) if c), Fraction(0)) % 1
+                  for a in reps]
+        g = g * np.array([cmath.exp(2j * cmath.pi * ph) for ph in phases])
+    h = np.bincount(reps % q, g.real, q) + 1j * np.bincount(reps % q, g.imag, q)
+    w = h
+    for _ in range(n - 1):
+        w = np.multiply.outer(w, h).ravel()
+    fine, fine_key = _parseval_groups(p, n, s)
+    b_fine = np.bincount(fine, w.real) + 1j * np.bincount(fine, w.imag)
+    b_key = np.bincount(fine_key, b_fine.real) + 1j * np.bincount(fine_key, b_fine.imag)
+    c = q ** n / p ** (2 * n * m_eval)  # each coset: Haar measure 1, weight 1
+    lhs = float(c * np.sum(np.abs(b_key) ** 2)) ** (1 / (2 * n))
+    rhs = float(c * np.sum(np.abs(b_fine) ** 2)) ** (1 / (2 * n))
     return NormRatio(lhs, rhs)
 
 

@@ -121,10 +121,10 @@ def _check_symmetric(seed: int, trials: int = 300) -> list[CheckResult]:
     return out
 
 
-def _check_syzygy(seed: int) -> list[CheckResult]:
+def _check_syzygy(seed: int, threads: int = 1) -> list[CheckResult]:
     out = []
     for p, n, s in [(5, 2, 1), (7, 2, 1), (5, 3, 1)]:
-        scan = syzygy.scan_strong_diagonal(p, n, s)
+        scan = syzygy.scan_strong_diagonal(p, n, s, threads=threads)
         out.append(CheckResult(
             "syzygy", f"strong_diagonal_p{p}_n{n}_s{s}",
             scan.all_match_permutations and scan.within_bound,
@@ -206,10 +206,11 @@ def _check_extension(seed: int, trials: int = 25) -> list[CheckResult]:
     return out
 
 
-def _check_theorem1(seed: int, trials: int = 25) -> list[CheckResult]:
+def _check_theorem1(seed: int, trials: int = 25, threads: int = 1) -> list[CheckResult]:
     out = []
     field = padic(5)
-    s_gamma = max(syzygy.scan_strong_diagonal(5, 2, s).max_cardinality for s in (1, 2))
+    s_gamma = max(syzygy.scan_strong_diagonal(5, 2, s, threads=threads).max_cardinality
+                  for s in (1, 2))
     enumerated_limit = s_gamma ** (1 / 4)
     thm_limit = bounds.theorem1_constant(field, 2)
     for s in (1, 2):
@@ -274,11 +275,11 @@ def _check_bounds(seed: int) -> list[CheckResult]:
 
 _SUITES = {
     "local_field": lambda seed, trials, threads: _check_partitions(seed),
-    "symmetric": lambda seed, trials, threads: _check_symmetric(seed),
-    "syzygy": lambda seed, trials, threads: _check_syzygy(seed),
+    "symmetric": lambda seed, trials, threads: _check_symmetric(seed, trials or 300),
+    "syzygy": lambda seed, trials, threads: _check_syzygy(seed, threads),
     "vinogradov": lambda seed, trials, threads: _check_vinogradov(seed, threads),
     "extension": lambda seed, trials, threads: _check_extension(seed, trials or 25),
-    "theorem1": lambda seed, trials, threads: _check_theorem1(seed, trials or 25),
+    "theorem1": lambda seed, trials, threads: _check_theorem1(seed, trials or 25, threads),
     "bounds": lambda seed, trials, threads: _check_bounds(seed),
 }
 

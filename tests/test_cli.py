@@ -90,6 +90,20 @@ def test_verify_all_suites():
     assert out.strip().endswith("checks passed")
 
 
+def test_verify_honours_threads_and_trials(monkeypatch):
+    from momentsq import syzygy, verify
+    seen = []
+    scan = syzygy.scan_strong_diagonal
+    monkeypatch.setattr(syzygy, "scan_strong_diagonal",
+                        lambda *a, **kw: seen.append(kw.get("threads")) or scan(*a, **kw))
+    verify.run_suite("theorem1", trials=1, threads=3)
+    assert seen == [3, 3]
+    details = {r.name: r.detail for r in verify.run_suite("symmetric", trials=4)}
+    assert details["permutation_invariance"] == "4 shuffles, exact"
+    details = {r.name: r.detail for r in verify.run_suite("symmetric")}
+    assert details["permutation_invariance"] == "300 shuffles, exact"
+
+
 def test_verify_unknown_suite_is_usage_error():
     run("verify", "--suite", "bogus", expect=1)
 

@@ -1,13 +1,16 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentsq import (REAL, AtomicComb, Cell, LocallyConstant, QuadratureSpec,
-                      comb_ratio, extension_op, padic, padic_scale,
+from momentsq import (REAL, AtomicComb, BudgetExceededError, Cell, LocallyConstant,
+                      QuadratureSpec, comb_ratio, extension_op, padic, padic_scale,
                       random_locally_constant, real_scale, square_function,
                       weighted_norms)
-from momentsq.extension import (_padic_extensions_on_grid, fejer_weight)
+from momentsq.extension import fejer_weight
 
 
 def indicator(field, precision):
@@ -70,18 +73,52 @@ def test_pointwise_cauchy_schwarz():
             assert abs(extension_op(f, None, x)) <= 5 ** 0.5 * square_function(f, sc, x) + 1e-12
 
 
-def test_grid_route_matches_pointwise():
-    # the FFT coset-grid evaluation agrees with direct pointwise summation
-    f5 = padic(5)
-    sc = padic_scale(5, 1)
-    f = random_locally_constant(f5, 2, seed=9)
-    stack = _padic_extensions_on_grid(f, sc, (Fraction(0), Fraction(0)), 2, 10 ** 8)
-    e_full = stack.sum(axis=0)
-    for j1, j2 in [(0, 0), (3, 7), (24, 1), (13, 19)]:
-        x = (Fraction(j1, 25), Fraction(j2, 25))
-        assert abs(e_full[j1, j2] - extension_op(f, None, x)) < 1e-9
-        cell = Cell(f5, sc, 2)
-        assert abs(stack[2][j1, j2] - extension_op(f, cell, x)) < 1e-9
+def _pointwise_norms(f, scale, center):
+    """L^{2n} norms summed pointwise over every coset representative
+    c + j/q, j in (Z/q)^n, of the ball of radius q = p^{ns}."""
+    n = len(center)
+    q = f.field.prime ** (n * scale.exponent)
+    lhs = rhs = 0.0
+    for j in product(range(q), repeat=n):
+        x = tuple(c + Fraction(jk, q) for c, jk in zip(center, j))
+        lhs += abs(extension_op(f, None, x)) ** (2 * n)
+        rhs += square_function(f, scale, x) ** (2 * n)
+    return lhs ** (1 / (2 * n)), rhs ** (1 / (2 * n))
+
+
+@given(st.data())
+@settings(max_examples=12, deadline=None)
+def test_weighted_norms_match_pointwise_property(data):
+    # the Parseval grouped sum against direct pointwise sums, over random
+    # primes, precisions and centers (denominators up to p^3 > p^{ns})
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    precision = data.draw(st.integers(1, 3))
+    center = tuple(Fraction(data.draw(st.integers(-50, 50)), p ** data.draw(st.integers(0, 3)))
+                   for _ in range(2))
+    f = random_locally_constant(padic(p), precision, seed=data.draw(st.integers(0, 10 ** 6)))
+    sc = padic_scale(p, 1)
+    fast = weighted_norms(f, sc, center=center)
+    lhs, rhs = _pointwise_norms(f, sc, center)
+    assert fast.lhs == pytest.approx(lhs, rel=1e-12)
+    assert fast.rhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_weighted_norms_match_pointwise_n3():
+    f2 = padic(2)
+    sc = padic_scale(2, 1)
+    f = random_locally_constant(f2, 2, seed=5)
+    center = (Fraction(1, 2), Fraction(-3, 16), Fraction(5))
+    fast = weighted_norms(f, sc, center=center)
+    lhs, rhs = _pointwise_norms(f, sc, center)
+    assert fast.lhs == pytest.approx(lhs, rel=1e-12)
+    assert fast.rhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_weighted_norms_budget_checked_before_allocating():
+    # Q_5, n = 3, s = 2 would group (Z/5^6)^3, about 3.8e12 tuples
+    f = random_locally_constant(padic(5), 1, seed=0)
+    with pytest.raises(BudgetExceededError, match="enumeration steps"):
+        weighted_norms(f, padic_scale(5, 2), n=3)
 
 
 def test_weighted_norms_match_pointwise_oracle():
