@@ -249,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; every engine runs "
+                             "single-threaded and output is identical at any value")
         sp.add_argument("--output", help="write to this path instead of stdout")
         sp.add_argument("--format", dest="fmt", choices=["json", "csv", "text"],
                         default=None)
@@ -295,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the invariant suite")
     sp.add_argument("--suite", default="all")
     sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--trials", type=int, default=None)
+    sp.add_argument("--trials", type=int, default=None,
+                    help="random draws per check; a usage error with a single "
+                         "suite that draws none (vinogradov, bounds)")
     common(sp)
     return parser
 

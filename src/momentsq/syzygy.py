@@ -12,15 +12,18 @@ decide membership exactly.  Over R the decision is sampled on a rational
 grid, which gives a sound lower approximation (every reported member has
 an exact rational witness).
 
-The p-adic engine enumerates all residue tuples mod p^{ns} once per
-(p, n, s), grouping them by their power-sum vector; tuples sharing a group
-are exactly the mutually related ones.  The index is cached, so scanning
-every base tuple (the strong-diagonal experiment) costs one enumeration.
+Power sums and cell multisets are symmetric, so the p-adic engine
+enumerates only the C(q+n-1, n) nondecreasing residue n-tuples mod
+q = p^{ns}, once per (p, n, s), and keeps their distinct (power-sum key,
+cell multiset) pairs.  S(I) is every ordering of every multiset sharing a
+key with that of I, and |S(I)| the sum of their orbit sizes, so the
+strong-diagonal scan is one vectorised pass over that table.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -119,28 +122,6 @@ def _decode(code: int, ncells: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass
-class _KeyIndex:
-    """All residue tuples mod q = p^{ns}, grouped by power-sum vector.
-
-    keys:    sorted distinct packed power-sum vectors
-    offsets: group boundaries into `tuples`
-    tuples:  cell-tuple codes, grouped by key
-    """
-
-    p: int
-    n: int
-    s: int
-    q: int
-    ncells: int
-    keys: np.ndarray
-    offsets: np.ndarray
-    tuples: np.ndarray
-
-
-_INDEX_CACHE: dict[tuple[int, int, int], _KeyIndex] = {}
-
-
 def _power_tables(p: int, n: int, s: int):
     q = p ** (n * s)
     r = np.arange(q, dtype=np.int64)
@@ -169,8 +150,7 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     input (no return_index/inverse/counts) takes a hash-table path,
     `_unique_hash`, and sorts its output afterwards.  On 26M random int64
     keys that path is about 100x slower than sorting and masking the run
-    boundaries (47 s against 0.48 s on 2 cores with numpy 2.4.6), and the
-    strong-diagonal scan at (7,3,1) groups that many keys.
+    boundaries (47 s against 0.48 s on 2 cores with numpy 2.4.6).
     """
     a = np.sort(a, axis=None)
     mask = np.empty(a.shape, dtype=bool)
@@ -179,63 +159,68 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[mask]
 
 
-def _build_key_index(p: int, n: int, s: int, threads: int = 1,
-                     budget: int = DEFAULT_ENUMERATION_BUDGET) -> _KeyIndex:
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(start, start + length) over the pairs."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _sorted_tuples(m: int, n: int) -> list[np.ndarray]:
+    """Index columns of every nondecreasing n-tuple over range(m), in
+    lexicographic order: C(m+n-1, n) rows, one per orbit of ordered tuples
+    under permutation (`_orbit_sizes` gives each orbit's size)."""
+    cols = [np.arange(m, dtype=np.int64)]
+    for _ in range(n - 1):
+        width = m - cols[-1]  # a row ending in v continues with v, ..., m-1
+        row = np.repeat(np.arange(width.size), width)
+        cols = [c[row] for c in cols] + [_ranges(cols[-1], width)]
+    return cols
+
+
+def _orbit_sizes(cols) -> np.ndarray:
+    """n!/prod(mult!) for each row of nondecreasing columns: the number of
+    distinct orderings of the row."""
+    run = np.ones(cols[0].shape, dtype=np.int64)  # equal values ending here
+    denom = run.copy()
+    for a, b in zip(cols, cols[1:]):
+        run += 1
+        run[a != b] = 1
+        denom *= run
+    return np.floor_divide(math.factorial(len(cols)), denom, out=denom)
+
+
+@functools.lru_cache(maxsize=4)
+def _key_table(p: int, n: int, s: int) -> np.ndarray:
+    """Sorted distinct codes key * q + multiset over the sorted residue
+    n-tuples mod q = p^{ns}: key packs the power sums mod q, multiset the
+    cells in nondecreasing order (digit i the i-th smallest, base p^s)."""
+    q, tables = _power_tables(p, n, s)
+    ncells = p ** s
+    per_cell = q // ncells
+    # Number residues cell by cell: a nondecreasing tuple of positions then
+    # has nondecreasing cells, so its multiset needs no per-row sort.
+    pos = np.arange(q, dtype=np.int64)
+    cell = pos // per_cell
+    tables = [t[cell + ncells * (pos % per_cell)] for t in tables]
+    cols = _sorted_tuples(q, n)
+    key = _pack_keys([sum(t[c] for c in cols) for t in tables], q)
+    multiset = sum(cell[c] * ncells ** i for i, c in enumerate(cols))
+    del cols
+    return _sorted_unique(key * q + multiset)
+
+
+def _get_index(p: int, n: int, s: int,
+               budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
     q = p ** (n * s)
-    check_budget(q ** n, budget, f"enumeration of (Z/{q})^{n}")
+    check_budget(math.comb(q + n - 1, n), budget,
+                 f"enumeration of the sorted {n}-tuples over Z/{q}")
     if q ** (n + 1) >= 2 ** 62:
         raise BudgetExceededError("packed keys would overflow 64-bit integers")
-    ncells = p ** s
-    _, tables = _power_tables(p, n, s)
-    cell = (np.arange(q, dtype=np.int64) % ncells)
-
-    # Sums and cell codes over the trailing n-1 coordinates, built once.
-    # Power-sum keys are symmetric in the coordinates, so the pair set is
-    # closed under coordinate permutation and any fixed axis->digit
-    # assignment enumerates it; the one used here keeps each newly added
-    # axis in the low digit.
-    tails = [t.copy() for t in tables]
-    tail_tup = cell.copy()
-    for _ in range(n - 2):
-        tails = [np.add.outer(t, tt).ravel() for t, tt in zip(tables, tails)]
-        tail_tup = np.add.outer(cell, tail_tup * ncells).ravel()
-
-    def slab(r1: int) -> np.ndarray:
-        comps = [t[r1] + tt for t, tt in zip(tables, tails)]
-        key = _pack_keys(comps, q)
-        tup = cell[r1] + ncells * tail_tup
-        return _sorted_unique(tup * np.int64(q ** n) + key)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(slab, range(q)))
-    else:
-        chunks = [slab(r1) for r1 in range(q)]
-    codes = _sorted_unique(np.concatenate(chunks))
-    del chunks
-
-    key = codes % (q ** n)
-    tup = codes // (q ** n)
-    del codes
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    tup = tup[order]
-    boundary = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    keys = key[boundary]
-    offsets = np.concatenate((boundary, [len(key)])).astype(np.int64)
-    return _KeyIndex(p, n, s, q, ncells, keys, offsets, tup)
-
-
-def _get_index(p: int, n: int, s: int, threads: int = 1,
-               budget: int = DEFAULT_ENUMERATION_BUDGET) -> _KeyIndex:
-    key = (p, n, s)
-    if key not in _INDEX_CACHE:
-        _INDEX_CACHE[key] = _build_key_index(p, n, s, threads=threads, budget=budget)
-    return _INDEX_CACHE[key]
+    return _key_table(p, n, s)
 
 
 def clear_index_cache():
-    _INDEX_CACHE.clear()
+    _key_table.cache_clear()
 
 
 def _tuple_keys(indices, p: int, n: int, s: int,
@@ -275,40 +260,61 @@ def is_syzygy_nonarch(base: CellTuple, other: CellTuple, curve: Curve | None = N
     return bool(np.intersect1d(kt, ks, assume_unique=True).size)
 
 
-def _gather_groups(index: _KeyIndex, keys: np.ndarray) -> np.ndarray:
-    """Union of the tuple groups attached to the given (present) keys."""
-    pos = np.searchsorted(index.keys, keys)
-    starts = index.offsets[pos]
-    lengths = index.offsets[pos + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out_idx = (np.arange(total, dtype=np.int64)
-               - np.repeat(np.cumsum(lengths) - lengths, lengths)
-               + np.repeat(starts, lengths))
-    return _sorted_unique(index.tuples[out_idx])
-
-
 def syzygy_set_nonarch(base: CellTuple, curve: Curve | None = None,
                        threads: int = 1,
                        budget: int = DEFAULT_ENUMERATION_BUDGET) -> SyzygyReport:
     """Enumerate S(delta, I; delta^n) exactly over Q_p.
 
-    Members are every tuple sharing a power-sum vector mod p^{ns} with the
-    base, read off the cached global index; sorted by index vector.
+    Members are every ordering of every cell multiset that shares a
+    power-sum vector mod p^{ns} with a point tuple of the base, read off the
+    cached key table; sorted by index vector.  The computation is
+    single-threaded: `threads` is accepted and does not change the result.
     """
     _require_padic_moment(base, curve)
     p, n, s = base.field.prime, base.n, base.scale.exponent
-    index = _get_index(p, n, s, threads=threads, budget=budget)
+    ncells = p ** s
+    q = ncells ** n
+    codes = _get_index(p, n, s, budget=budget)
     keys = _tuple_keys(base.indices, p, n, s, budget=budget)
-    member_codes = _gather_groups(index, keys)
-    members = sorted(_decode(int(c), index.ncells, n) for c in member_codes)
+    lo = np.searchsorted(codes, keys * q)
+    hi = np.searchsorted(codes, keys * q + q)
+    multisets = _sorted_unique(codes[_ranges(lo, hi - lo)] % q)
+    members = sorted({perm for code in multisets.tolist()
+                      for perm in itertools.permutations(_decode(code, ncells, n))})
     return SyzygyReport(
         base=base,
         epsilon=base.scale.delta ** n,
         members=tuple(cell_tuple(base.field, base.scale, m) for m in members),
         method=SyzygyMethod.CONGRUENCE_EXACT,
     )
+
+
+def _scan_table(codes: np.ndarray, n: int, ncells: int) -> tuple[np.ndarray, np.ndarray]:
+    """|S(delta, I; delta^n)| for every base tuple I in code order, and
+    whether S(I) is larger than the orbit of I, from a `_key_table`.
+
+    S(I) holds every ordering of every multiset that shares a key with the
+    multiset of I, so |S(I)| is the sum of those multisets' orbit sizes.
+    """
+    q = ncells ** n
+    base = np.arange(q, dtype=np.int64)
+    digits = np.sort([base // ncells ** k % ncells for k in range(n)], axis=0)
+    multiset = sum(d * ncells ** i for i, d in enumerate(digits))
+    orbit = _orbit_sizes(list(digits))  # a multiset's code is one of its bases
+    key = codes // q
+    shared = key[1:] == key[:-1]
+    extra = np.zeros(q, dtype=np.int64)
+    if shared.any():  # some key holds two multisets
+        start = np.flatnonzero(np.concatenate(([True], ~shared)))
+        size = np.diff(np.append(start, key.size))
+        start, size = start[size > 1], size[size > 1]
+        # every ordered pair (a, b) of multisets in one shared group
+        lengths = np.repeat(size, size)
+        a = np.repeat(codes[_ranges(start, size)] % q, lengths)
+        b = codes[_ranges(np.repeat(start, size), lengths)] % q
+        a, b = np.divmod(_sorted_unique((a * q + b)[a != b]), q)
+        extra = np.bincount(a, weights=orbit[b], minlength=q).astype(np.int64)
+    return orbit + extra[multiset], extra[multiset] > 0
 
 
 @dataclass(frozen=True)
@@ -334,28 +340,20 @@ class StrongDiagonalScan:
 def scan_strong_diagonal(p: int, n: int, s: int, threads: int = 1,
                          budget: int = DEFAULT_ENUMERATION_BUDGET) -> StrongDiagonalScan:
     """Enumerate S(delta, I; delta^n) for every I in P_delta^n and compare
-    with the permutation oracle."""
+    with the permutation oracle, in one pass over the cached key table.
+    The computation is single-threaded: `threads` is accepted and does not
+    change the result."""
     field = FieldSpec(FieldKind.PADIC, p)
-    index = _get_index(p, n, s, threads=threads, budget=budget)
-    ncells = index.ncells
-    cards = []
-    mismatches = []
-    for code in range(ncells ** n):
-        idx = _decode(code, ncells, n)
-        keys = _tuple_keys(idx, p, n, s, budget=budget)
-        member_codes = _gather_groups(index, keys)
-        members = {_decode(int(c), ncells, n) for c in member_codes}
-        oracle = set(itertools.permutations(idx))
-        cards.append(len(members))
-        if members != oracle:
-            mismatches.append(idx)
+    ncells = p ** s
+    cards, mismatch = _scan_table(_get_index(p, n, s, budget=budget), n, ncells)
+    mismatches = tuple(_decode(int(c), ncells, n) for c in np.flatnonzero(mismatch))
     return StrongDiagonalScan(
         p=p, n=n, s=s,
         bases=ncells ** n,
         all_match_permutations=not mismatches,
-        mismatches=tuple(mismatches),
-        max_cardinality=max(cards),
-        cardinalities=tuple(cards),
+        mismatches=mismatches,
+        max_cardinality=int(cards.max()),
+        cardinalities=tuple(cards.tolist()),
         bound=syzygy_bound(field, n),
     )
 

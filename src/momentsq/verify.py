@@ -30,7 +30,7 @@ def _rational(rng: random.Random, max_num=20, max_den=12) -> Fraction:
     return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
 
 
-def _check_partitions(seed: int) -> list[CheckResult]:
+def _check_partitions(seed: int, trials: int) -> list[CheckResult]:
     out = []
     for p, s in [(5, 1), (3, 2), (2, 3)]:
         field = padic(p)
@@ -42,7 +42,7 @@ def _check_partitions(seed: int) -> list[CheckResult]:
                                f"{len(cells)} cells, {len(reps)} representatives at precision {m}"))
     rng = random.Random(seed)
     ok = True
-    for _ in range(200):
+    for _ in range(trials):
         p = rng.choice([2, 3, 5, 7])
         field = padic(p)
         x = Fraction(rng.randint(-60, 60), p ** rng.randint(0, 3))
@@ -53,10 +53,10 @@ def _check_partitions(seed: int) -> list[CheckResult]:
         if x != 0:
             ok &= (abs_value(field, x) <= 1) == (abs(character(field, x) - 1) < 1e-12)
     out.append(CheckResult("local_field", "character_homomorphism", bool(ok),
-                           "200 random rational pairs, tolerance 1e-12"))
+                           f"{trials} random rational pairs, tolerance 1e-12"))
     rng = random.Random(seed + 1)
     ok = True
-    for _ in range(200):
+    for _ in range(trials):
         p = rng.choice([2, 3, 5, 7])
         field = padic(p)
         x, y = _rational(rng), _rational(rng)
@@ -121,7 +121,7 @@ def _check_symmetric(seed: int, trials: int = 300) -> list[CheckResult]:
     return out
 
 
-def _check_syzygy(seed: int, threads: int = 1) -> list[CheckResult]:
+def _check_syzygy(seed: int, trials: int, threads: int = 1) -> list[CheckResult]:
     out = []
     for p, n, s in [(5, 2, 1), (7, 2, 1), (5, 3, 1)]:
         scan = syzygy.scan_strong_diagonal(p, n, s, threads=threads)
@@ -132,7 +132,7 @@ def _check_syzygy(seed: int, threads: int = 1) -> list[CheckResult]:
     rng = random.Random(seed)
     field, scale = padic(5), padic_scale(5, 1)
     ok_sym = ok_refl = True
-    for _ in range(30):
+    for _ in range(trials):
         idx_i = tuple(rng.randrange(5) for _ in range(2))
         idx_j = tuple(rng.randrange(5) for _ in range(2))
         ti = cell_tuple(field, scale, idx_i)
@@ -140,7 +140,7 @@ def _check_syzygy(seed: int, threads: int = 1) -> list[CheckResult]:
         ok_sym &= (syzygy.is_syzygy_nonarch(ti, tj) == syzygy.is_syzygy_nonarch(tj, ti))
         ok_refl &= syzygy.is_syzygy_nonarch(ti, ti)
     out.append(CheckResult("syzygy", "membership_symmetry_reflexivity",
-                           ok_sym and ok_refl, "30 random pairs over Q_5"))
+                           ok_sym and ok_refl, f"{trials} random pairs over Q_5"))
     curve = Curve.moment(2)
     base = cell_tuple(REAL, real_scale(8), (2, 5))
     rep = syzygy.syzygy_set_real(curve, base)
@@ -273,26 +273,40 @@ def _check_bounds(seed: int) -> list[CheckResult]:
     return out
 
 
+# Suites that draw random inputs, with the number of draws when --trials is
+# not given.  The other suites take no trials.
+_DEFAULT_TRIALS = {"local_field": 200, "symmetric": 300, "syzygy": 30,
+                   "extension": 25, "theorem1": 25}
+
 _SUITES = {
-    "local_field": lambda seed, trials, threads: _check_partitions(seed),
-    "symmetric": lambda seed, trials, threads: _check_symmetric(seed, trials or 300),
-    "syzygy": lambda seed, trials, threads: _check_syzygy(seed, threads),
+    "local_field": lambda seed, trials, threads: _check_partitions(seed, trials),
+    "symmetric": lambda seed, trials, threads: _check_symmetric(seed, trials),
+    "syzygy": lambda seed, trials, threads: _check_syzygy(seed, trials, threads),
     "vinogradov": lambda seed, trials, threads: _check_vinogradov(seed, threads),
-    "extension": lambda seed, trials, threads: _check_extension(seed, trials or 25),
-    "theorem1": lambda seed, trials, threads: _check_theorem1(seed, trials or 25, threads),
+    "extension": lambda seed, trials, threads: _check_extension(seed, trials),
+    "theorem1": lambda seed, trials, threads: _check_theorem1(seed, trials, threads),
     "bounds": lambda seed, trials, threads: _check_bounds(seed),
 }
 
 
 def run_suite(suite: str = "all", seed: int = 7, trials: int | None = None,
               threads: int = 1) -> list[CheckResult]:
+    """Run one suite, or every suite for "all".  trials sets the number of
+    random draws of each suite that takes it; naming a single suite that
+    takes none together with trials is an error."""
     if suite == "all":
         names = list(_SUITES)
     elif suite in _SUITES:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from all, {', '.join(_SUITES)}")
+    if trials is not None:
+        if trials < 1:
+            raise ValueError("trials must be at least 1")
+        if suite != "all" and suite not in _DEFAULT_TRIALS:
+            raise ValueError(f"suite {suite!r} takes no trials")
     results = []
     for name in names:
-        results.extend(_SUITES[name](seed, trials, threads))
+        draws = _DEFAULT_TRIALS.get(name) if trials is None else trials
+        results.extend(_SUITES[name](seed, draws, threads))
     return results

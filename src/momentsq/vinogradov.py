@@ -2,16 +2,17 @@
 
 J(N) counts the tuples (s_1, t_1, ..., s_n, t_n) in (Z intersect [1, N])^2n
 with sum_i gamma(t_i) = sum_i gamma(s_i).  For the moment curve this is
-sum_v m(v)^2 over the level sets m(v) = #{t : sum_i gamma(t_i) = v}, which
-the hash join computes in N^n work instead of N^2n; the brute-force path
-compares all pairs of tuples and is the oracle the fast paths are checked
-against.
+sum_v m(v)^2 over the level sets m(v) = #{t : sum_i gamma(t_i) = v}.  The
+power-sum vector is symmetric, so the join enumerates only the C(N+n-1, n)
+nondecreasing tuples, each standing for its orbit of n!/prod(mult!)
+orderings: m(v) is the sum of the orbit sizes of the sorted tuples with key
+v.  The brute-force path compares all pairs of tuples and is the oracle the
+fast paths are checked against.
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,6 +22,7 @@ import numpy as np
 
 from .budget import DEFAULT_COUNT_BUDGET, check_budget
 from .curves import Curve
+from .syzygy import _orbit_sizes, _sorted_tuples
 
 
 class CountMethod(Enum):
@@ -81,8 +83,19 @@ def permutation_count(n: int, N: int) -> int:
     return total
 
 
-def _moment_keys_int64(n: int, N: int, threads: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct packed power-sum keys with multiplicities over [1,N]^n.
+def _orbit_join(keys: np.ndarray, orbit: np.ndarray) -> int:
+    """sum over distinct keys v of (sum of orbit over the rows with key v)^2."""
+    ordered = np.sort(keys)
+    distinct = ordered[1:] != ordered[:-1]
+    if distinct.all():
+        return int(np.dot(orbit, orbit))  # one row per key: no argsort needed
+    start = np.flatnonzero(np.concatenate(([True], distinct)))
+    weight = np.add.reduceat(orbit[np.argsort(keys)], start)
+    return int(np.dot(weight, weight))
+
+
+def _moment_join(n: int, N: int) -> int:
+    """J(N) for the moment curve from the sorted n-tuples over [1, N].
 
     Packing: since the k-th component sum is below R_k = n*N^k + 1, the
     digits sum without carrying and the packed key of a tuple is the sum of
@@ -96,38 +109,21 @@ def _moment_keys_int64(n: int, N: int, threads: int) -> tuple[np.ndarray, np.nda
         power = power * t
         phi += prefix * power
         prefix *= n * N ** k + 1
-    acc = phi.copy()
-    for _ in range(n - 2):
-        acc = np.add.outer(phi, acc).ravel()
-
-    def shard(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keys = np.add.outer(chunk, acc).ravel() if n >= 2 else chunk
-        return np.unique(keys, return_counts=True)
-
-    chunks = np.array_split(phi, max(1, min(threads * 4, N))) if n >= 2 else [phi]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(shard, chunks))
-    else:
-        parts = [shard(c) for c in chunks]
-    keys = np.concatenate([p[0] for p in parts])
-    counts = np.concatenate([p[1] for p in parts])
-    order = np.argsort(keys, kind="stable")
-    keys, counts = keys[order], counts[order]
-    boundary = np.concatenate(([True], keys[1:] != keys[:-1]))
-    starts = np.flatnonzero(boundary)
-    merged = np.add.reduceat(counts, starts)
-    return keys[starts], merged
+    cols = _sorted_tuples(N, n)
+    orbit = _orbit_sizes(cols)
+    keys = phi[cols.pop()]
+    while cols:  # popping frees each column once it is summed
+        keys += phi[cols.pop()]
+    return _orbit_join(keys, orbit)
 
 
-def _hash_join_count(curve: Curve, n: int, N: int, threads: int, budget: int) -> int:
+def _hash_join_count(curve: Curve, n: int, N: int, budget: int) -> int:
     check_budget(N ** n, budget, f"hash join over [1,{N}]^{n}")
     packed_max = 1
     for k in range(1, n + 1):
         packed_max *= n * N ** k + 1
     if curve.is_moment and packed_max < 2 ** 62:
-        _, counts = _moment_keys_int64(n, N, threads)
-        return int(np.dot(counts, counts))
+        return _moment_join(n, N)
     # big-integer fallback: exact for any N and any rational-coefficient curve
     freq: dict[tuple, int] = {}
     for t in product(range(1, N + 1), repeat=n):
@@ -146,7 +142,9 @@ def _brute_force_count(curve: Curve, n: int, N: int, budget: int) -> int:
 def count_solutions(curve: Curve, n: int, N: int,
                     method: CountMethod | None = None, threads: int = 1,
                     budget: int = DEFAULT_COUNT_BUDGET) -> CountResult:
-    """Count J(N) exactly.  Non-moment curves go through BRUTE_FORCE only."""
+    """Count J(N) exactly.  Non-moment curves go through BRUTE_FORCE only.
+    The computation is single-threaded: `threads` is accepted and does not
+    change the result."""
     if N < 1:
         raise ValueError("N >= 1")
     if curve.n != n:
@@ -157,7 +155,7 @@ def count_solutions(curve: Curve, n: int, N: int,
         raise ValueError("the permutation formula is proven for the moment curve only")
     start = time.perf_counter()
     if method is CountMethod.HASH_JOIN:
-        count = _hash_join_count(curve, n, N, threads, budget)
+        count = _hash_join_count(curve, n, N, budget)
     elif method is CountMethod.BRUTE_FORCE:
         count = _brute_force_count(curve, n, N, budget)
     else:

@@ -104,6 +104,19 @@ def test_verify_honours_threads_and_trials(monkeypatch):
     assert details["permutation_invariance"] == "300 shuffles, exact"
 
 
+def test_verify_trials_honoured_or_rejected():
+    from momentsq import verify
+    details = {r.name: r.detail for r in verify.run_suite("local_field", trials=5)}
+    assert details["character_homomorphism"] == "5 random rational pairs, tolerance 1e-12"
+    details = {r.name: r.detail for r in verify.run_suite("syzygy", trials=4)}
+    assert details["membership_symmetry_reflexivity"] == "4 random pairs over Q_5"
+    details = {r.name: r.detail for r in verify.run_suite("syzygy")}
+    assert details["membership_symmetry_reflexivity"] == "30 random pairs over Q_5"
+    for suite in ("vinogradov", "bounds"):
+        run("verify", "--suite", suite, "--trials", "3", expect=1)
+    run("verify", "--suite", "symmetric", "--trials", "0", expect=1)
+
+
 def test_verify_unknown_suite_is_usage_error():
     run("verify", "--suite", "bogus", expect=1)
 

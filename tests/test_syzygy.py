@@ -9,7 +9,9 @@ from momentsq import (REAL, BudgetExceededError, Curve, cell_tuple,
                       permutation_predicate, real_scale, scan_strong_diagonal,
                       syzygy_bound, syzygy_set_nonarch, syzygy_set_real)
 from momentsq.bounds import bezout_syzygy_bound
-from momentsq.syzygy import SyzygyMethod, _sorted_unique
+from momentsq import syzygy
+from momentsq.syzygy import (SyzygyMethod, _orbit_sizes, _scan_table, _sorted_tuples,
+                             _sorted_unique)
 
 
 def q5_tuple(*idx, s=1):
@@ -101,6 +103,77 @@ def test_sorted_unique_matches_np_unique():
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
         assert np.array_equal(a, before)  # the input is left as it was
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (4, 1), (1, 3), (5, 2), (4, 3), (3, 5)])
+def test_sorted_tuples_and_orbit_sizes(m, n):
+    cols = _sorted_tuples(m, n)
+    rows = list(zip(*(c.tolist() for c in cols)))
+    assert rows == list(itertools.combinations_with_replacement(range(m), n))
+    assert _orbit_sizes(cols).tolist() == [len(set(itertools.permutations(r))) for r in rows]
+
+
+BRUTE_CONFIGS = [(p, n, s) for p in (2, 3, 5) for n in (2, 3) for s in (1, 2)
+                 if p ** (n * s * n) <= 2 * 10 ** 5]
+
+
+@pytest.mark.parametrize("p,n,s", BRUTE_CONFIGS)
+def test_scan_and_sets_match_brute_force(p, n, s):
+    # group every ordered residue tuple mod q by its power sums mod q
+    q, ncells = p ** (n * s), p ** s
+    groups: dict[tuple, set] = {}
+    for a in itertools.product(range(q), repeat=n):
+        key = tuple(sum(x ** k for x in a) % q for k in range(1, n + 1))
+        groups.setdefault(key, set()).add(tuple(x % ncells for x in a))
+    scan = scan_strong_diagonal(p, n, s)
+    mismatches = []
+    for code, card in enumerate(scan.cardinalities):
+        idx = tuple(code // ncells ** k % ncells for k in range(n))
+        members = set().union(*(g for g in groups.values() if idx in g))
+        assert card == len(members)
+        if members != set(itertools.permutations(idx)):
+            mismatches.append(idx)
+        base = cell_tuple(padic(p), padic_scale(p, s), idx)
+        assert syzygy_set_nonarch(base).member_indices == sorted(members)
+    assert list(scan.mismatches) == mismatches
+    assert scan.all_match_permutations == (not mismatches)
+
+
+def test_key_shared_by_two_multisets(monkeypatch):
+    # Every real configuration tried is strongly diagonal, so this branch is
+    # fed a synthetic table: n = 2, 3 cells, codes key * 9 + multiset, where a
+    # multiset (c0 <= c1) is c0 + 3 * c1.
+    ms = {(0, 0): 0, (0, 1): 3, (1, 1): 4, (0, 2): 6, (1, 2): 7, (2, 2): 8}
+    groups = [[(0, 1), (2, 2)], [(0, 0), (0, 2)], [(0, 2)], [(1, 1)], [(1, 2)],
+              [(0, 1), (1, 2)], [(2, 2), (0, 1)]]  # the last repeats a pair
+    codes = np.array(sorted(key * 9 + ms[m] for key, g in enumerate(groups) for m in g))
+    cards, mismatch = _scan_table(codes, 2, 3)
+    # base code c is the tuple (c % 3, c // 3)
+    assert cards.tolist() == [3, 5, 3, 5, 1, 4, 3, 4, 3]
+    assert mismatch.tolist() == [True, True, True, True, False, True, True, True, True]
+
+    monkeypatch.setattr(syzygy, "_get_index", lambda *a, **kw: codes)
+    monkeypatch.setattr(syzygy, "_tuple_keys", lambda *a, **kw: np.array([0]))
+    assert syzygy_set_nonarch(q3_tuple(1, 0)).member_indices == [(0, 1), (1, 0), (2, 2)]
+    monkeypatch.setattr(syzygy, "_tuple_keys", lambda *a, **kw: np.array([0, 5]))
+    assert syzygy_set_nonarch(q3_tuple(1, 0)).member_indices == [
+        (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)]
+
+
+def test_scan_budget_counts_sorted_tuples(monkeypatch):
+    # (5,2,1) enumerates C(25 + 1, 2) = 325 sorted tuples, not 25^2 = 625
+    assert scan_strong_diagonal(5, 2, 1, budget=325).bases == 25
+    with pytest.raises(BudgetExceededError, match="325 enumeration steps"):
+        scan_strong_diagonal(5, 2, 1, budget=324)  # checked on a cached table too
+
+    def enumerate_nothing(m, n):
+        raise AssertionError("enumerated before the budget check")
+    monkeypatch.setattr(syzygy, "_sorted_tuples", enumerate_nothing)
+    syzygy.clear_index_cache()
+    with pytest.raises(BudgetExceededError, match="enumeration steps"):
+        scan_strong_diagonal(7, 3, 2)  # C(7^6 + 2, 3), about 2.7e14 tuples
+    with pytest.raises(BudgetExceededError, match="overflow"):
+        scan_strong_diagonal(2, 2, 16, budget=10 ** 30)  # keys up to 2^96
 
 
 def test_budget_guard():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from momentsq import (BudgetExceededError, CountMethod, Curve,
                       asymptotic_report, count_solutions, diagonal_count,
                       permutation_count)
+from momentsq.vinogradov import _orbit_join
 
 def oracle(curve, n, N):
     """Independent 2n-fold enumeration."""
@@ -22,6 +24,13 @@ def test_examples_against_oracle():
         assert oracle(curve, n, N) == expected
         assert count_solutions(curve, n, N, CountMethod.BRUTE_FORCE).count == expected
         assert count_solutions(curve, n, N, CountMethod.HASH_JOIN).count == expected
+
+
+def test_orbit_join_sums_orbits_sharing_a_key():
+    # the moment curve never puts two orbits on one key, so feed keys directly
+    keys, orbit = np.array([5, 3, 5, 9]), np.array([1, 2, 3, 6])
+    assert _orbit_join(keys, orbit) == (1 + 3) ** 2 + 2 ** 2 + 6 ** 2
+    assert _orbit_join(keys[1:], orbit[1:]) == 2 ** 2 + 3 ** 2 + 6 ** 2
 
 
 def test_closed_forms_small_n():
