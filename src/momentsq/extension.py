@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -117,7 +118,6 @@ class WeightSpec:
 @dataclass(frozen=True)
 class QuadratureSpec:
     grid_step: Fraction = Fraction(1, 4)   # R: midpoint step for the x-grid
-    precision: int | None = None           # Q_p: forced to n*s when None
 
     def __post_init__(self):
         if self.grid_step > Fraction(1, 4):
@@ -271,8 +271,11 @@ def _parseval_groups(p: int, n: int, s: int):
     codes = syzygy._pack_keys(sums, q) * ncells ** n + tup  # < q^{n+1}
     groups = syzygy._sorted_unique(codes)
     group_keys = groups // ncells ** n
-    return (np.searchsorted(groups, codes),
-            np.searchsorted(syzygy._sorted_unique(group_keys), group_keys))
+    fine = np.searchsorted(groups, codes)
+    fine_key = np.searchsorted(syzygy._sorted_unique(group_keys), group_keys)
+    fine.setflags(write=False)  # shared by every caller through the cache
+    fine_key.setflags(write=False)
+    return fine, fine_key
 
 
 def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
@@ -302,8 +305,10 @@ def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
     for _ in range(n - 1):
         w = np.multiply.outer(w, h).ravel()
     fine, fine_key = _parseval_groups(p, n, s)
-    b_fine = np.bincount(fine, w.real) + 1j * np.bincount(fine, w.imag)
-    b_key = np.bincount(fine_key, b_fine.real) + 1j * np.bincount(fine_key, b_fine.imag)
+    # np.add.at, not bincount: bincount copies a read-only index array
+    b_fine, b_key = np.zeros(fine_key.size, complex), np.zeros(fine_key[-1] + 1, complex)
+    np.add.at(b_fine, fine, w)
+    np.add.at(b_key, fine_key, b_fine)
     c = q ** n / p ** (2 * n * m_eval)  # each coset: Haar measure 1, weight 1
     lhs = float(c * np.sum(np.abs(b_key) ** 2)) ** (1 / (2 * n))
     rhs = float(c * np.sum(np.abs(b_fine) ** 2)) ** (1 / (2 * n))
@@ -311,84 +316,93 @@ def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
 
 
 # ---------------------------------------------------------------------------
-# R norms: Gauss-Legendre kernels + weighted midpoint box quadrature
+# R norms: one matrix product per cell over cached factor matrices
 # ---------------------------------------------------------------------------
 
-def _real_grids(center, radius: float, step: float, n: int, budget: int):
-    counts = int(round(radius / step))
-    check_budget(counts ** n, budget, "real norm grid")
-    return [np.asarray(center[k], dtype=float) + (np.arange(counts) + 0.5) * step
-            for k in range(n)]
+def _real_axes(axes):
+    """The midpoints origin + (i + 1/2) step, i < count, of each axis (origin, step, count)."""
+    return [lo + (np.arange(m) + 0.5) * h for lo, h, m in axes]
 
 
-def _real_extensions_on_grid(f: TestFunction, scale: Scale, grids):
-    """Per-cell E_J f on the tensor grid, each as a list of rank-1 factors."""
-    n = len(grids)
-    if isinstance(f, AtomicComb):
-        ncells = scale.delta.denominator
-        factors = {J: [] for J in range(ncells)}
-        for atom in f.atoms:
-            J = min(int(atom / scale.delta), ncells - 1)
-            fac = [np.exp(-2j * np.pi * float(atom) ** (k + 1) * grids[k])
-                   for k in range(n)]
-            factors[J].append((1.0 + 0j, fac))
-        return factors
-    res = f.precision
-    ncells = scale.delta.denominator
-    per = res * scale.delta
-    if per.denominator != 1:
-        raise ValueError("f resolution must refine the partition")
-    per = int(per)
-    rate = sum((k + 1) * float(np.max(np.abs(g))) for k, g in enumerate(grids)) + 1.0
-    panels = max(1, math.ceil(rate / (4.0 * res)))
-    nodes, wts = np.polynomial.legendre.leggauss(16)
-    factors = {J: [] for J in range(ncells)}
-    for j in range(res):
-        a = j / res
-        width = 1.0 / res
-        xi = np.concatenate([a + (i + (nodes + 1) / 2) * width / panels
-                             for i in range(panels)])
-        ww = np.tile(wts * width / (2 * panels), panels)
-        J = j // per
-        for t, w in zip(xi, ww):
-            fac = [np.exp(-2j * np.pi * t ** (k + 1) * grids[k]) for k in range(n)]
-            factors[J].append((f.values[j] * w, fac))
-    return factors
+def _real_panels(res: int, grid) -> int:
+    """GL-16 panels per f-cell: at most ~4 phase cycles each on the grid."""
+    rate = sum((k + 1) * float(np.max(np.abs(g))) for k, g in enumerate(grid)) + 1.0
+    return max(1, math.ceil(rate / (4.0 * res)))
 
 
-def _assemble(factors_list, shape):
-    out = np.zeros(shape, dtype=complex)
-    n = len(shape)
-    for coeff, fac in factors_list:
-        term = fac[0] * coeff
-        for k in range(1, n):
-            term = np.multiply.outer(term, fac[k])
-        out += term
-    return out
+@functools.lru_cache(maxsize=4)
+def _real_factors(count: int, comb: bool, delta: Fraction, axes: tuple):
+    """(fine, bounds, weights, factors) for the comb's atoms t = i/count, or GL-16
+    panels on the count cells of f: node t lies in f-cell fine[t] and in cell J
+    for bounds[J] <= t < bounds[J + 1], and F_k[t, x] = e(-t^(k+1) x_k) on the
+    grid.  Every caller with the same grid shares these arrays: read-only."""
+    grid = _real_axes(axes)
+    if comb:
+        t = np.arange(1, count + 1) / count
+        fine, w = np.arange(count), np.ones(count)
+        cell = np.minimum((fine + 1) * delta.denominator // (count * delta.numerator),
+                          delta.denominator - 1)
+    else:
+        per = count * delta
+        if per.denominator != 1:
+            raise ValueError("f resolution must refine the partition")
+        panels = _real_panels(count, grid)
+        nodes, wts = np.polynomial.legendre.leggauss(16)
+        width = 1.0 / count
+        t = (np.arange(count)[:, None, None] / count
+             + (np.arange(panels)[:, None] + (nodes + 1) / 2) * width / panels).ravel()
+        fine = np.repeat(np.arange(count), panels * nodes.size)
+        w = np.tile(wts * width / (2 * panels), count * panels)
+        cell = fine // int(per)
+    bounds = np.searchsorted(cell, np.arange(delta.denominator + 1))
+    factors = [np.exp(np.multiply.outer(-2j * np.pi * t ** (k + 1), x))
+               for k, x in enumerate(grid)]
+    for a in (fine, bounds, w, *factors):
+        a.setflags(write=False)
+    return fine, bounds, w, factors
+
+
+def _cell_extensions(f: TestFunction, scale: Scale, axes: tuple, budget: int):
+    """Yield E_J f on the grid of `axes`, cell by cell: one matrix product
+    E_J = F_0[J]^T @ KhatriRao(c_J, F_1[J], ..., F_{n-1}[J]) over the cell's
+    nodes t (rows), with c_t = f(t) w_t.  The budget counts the factor entries
+    and a cell's Khatri-Rao entries before any is built."""
+    comb = isinstance(f, AtomicComb)
+    count = f.atom_count if comb else f.precision
+    shape = tuple(m for _, _, m in axes)
+    check_budget(math.prod(shape), budget, "real norm grid")
+    nodes = count if comb else count * 16 * _real_panels(count, _real_axes(axes))
+    check_budget(nodes * (sum(shape) + math.prod(shape[1:])), budget, "real factor matrices")
+    fine, bounds, w, factors = _real_factors(count, comb, scale.delta, axes)
+    c = w if comb else np.asarray(f.values, dtype=complex)[fine] * w
+    for lo, hi in itertools.pairwise(bounds):
+        kr = c[lo:hi, None]
+        for fk in factors[1:]:
+            kr = (kr[:, :, None] * fk[lo:hi, None]).reshape(hi - lo, kr.shape[1] * fk.shape[1])
+        yield (factors[0][lo:hi].T @ kr).reshape(shape)
+
+
+def _real_integrands(f: TestFunction, scale: Scale, axes: tuple, budget: int):
+    """|E_O f|^{2n} and (S_delta f)^{2n} on the grid of `axes`."""
+    cells = _cell_extensions(f, scale, axes, budget)
+    e_full = next(cells)  # the budget checks run before this first allocation
+    sq = np.abs(e_full) ** 2
+    for ej in cells:
+        e_full += ej
+        sq += np.abs(ej) ** 2
+    return np.abs(e_full) ** (2 * len(axes)), sq ** len(axes)
 
 
 def _weighted_norms_real(f: TestFunction, scale: Scale, center, n: int,
                          quad: QuadratureSpec, budget: int) -> NormRatio:
     radius = float(Fraction(1) / scale.delta ** n)
     step = float(quad.grid_step)
-    grids = _real_grids(center, radius, step, n, budget)
-    shape = tuple(len(g) for g in grids)
-    factors = _real_extensions_on_grid(f, scale, grids)
-    e_full = np.zeros(shape, dtype=complex)
-    sq = np.zeros(shape, dtype=float)
-    for J, fl in factors.items():
-        ej = _assemble(fl, shape)
-        e_full += ej
-        sq += np.abs(ej) ** 2
-    w = np.ones(shape)
-    for k in range(n):
-        u = (grids[k] - float(center[k])) / radius
-        wk = fejer_weight(u)
-        w = w * wk.reshape((1,) * k + (-1,) + (1,) * (n - k - 1))
-    vol = step ** n
-    lhs = float(np.sum(np.abs(e_full) ** (2 * n) * w) * vol) ** (1 / (2 * n))
-    rhs = float(np.sum(sq ** n * w) * vol) ** (1 / (2 * n))
-    return NormRatio(lhs, rhs)
+    axes = tuple((float(c), step, int(round(radius / step))) for c in center[:n])
+    lhs, rhs = _real_integrands(f, scale, axes, budget)
+    w = functools.reduce(np.multiply.outer, [fejer_weight((x - float(c)) / radius)
+                                             for x, c in zip(_real_axes(axes), center)])
+    return NormRatio(float(np.sum(lhs * w) * step ** n) ** (1 / (2 * n)),
+                     float(np.sum(rhs * w) * step ** n) ** (1 / (2 * n)))
 
 
 def weighted_norms(f: TestFunction, scale: Scale, center=None,
@@ -455,24 +469,9 @@ def comb_ratio(n: int, N: int, quad: QuadratureSpec | None = None,
     if quad is None:
         quad = QuadratureSpec()
     step = float(quad.grid_step)
-    per_axis = [int(round(N ** k / step)) for k in range(1, n + 1)]
-    check_budget(math.prod(per_axis), budget, "comb period-cell grid")
-    grids = [(np.arange(m) + 0.5) * step for m in per_axis]
-    f = AtomicComb(REAL, N)
-    scale = real_scale(N)
-    shape = tuple(per_axis)
-    factors = _real_extensions_on_grid(f, scale, grids)
-    e_full = np.zeros(shape, dtype=complex)
-    sq = np.zeros(shape, dtype=float)
-    for J, fl in factors.items():
-        if not fl:
-            continue
-        ej = _assemble(fl, shape)
-        e_full += ej
-        sq += np.abs(ej) ** 2
-    lhs = float(np.mean(np.abs(e_full) ** (2 * n))) ** (1 / (2 * n))
-    rhs = float(np.mean(sq ** n)) ** (1 / (2 * n))
-    return lhs / rhs
+    axes = tuple((0.0, step, int(round(N ** k / step))) for k in range(1, n + 1))
+    lhs, rhs = _real_integrands(AtomicComb(REAL, N), real_scale(N), axes, budget)
+    return float(np.mean(lhs)) ** (1 / (2 * n)) / float(np.mean(rhs)) ** (1 / (2 * n))
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,9 @@ def _key_table(p: int, n: int, s: int) -> np.ndarray:
     key = _pack_keys([sum(t[c] for c in cols) for t in tables], q)
     multiset = sum(cell[c] * ncells ** i for i, c in enumerate(cols))
     del cols
-    return _sorted_unique(key * q + multiset)
+    table = _sorted_unique(key * q + multiset)
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
 
 
 def _get_index(p: int, n: int, s: int,

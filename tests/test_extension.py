@@ -166,21 +166,62 @@ def test_weighted_norms_ratio_bound_other_prime():
         assert weighted_norms(f, sc, n=2).ratio <= 2 ** 0.25 + 1e-9
 
 
-def test_real_grid_route_matches_pointwise():
-    import numpy as np
-    from momentsq.extension import _assemble, _real_extensions_on_grid
-    f = random_locally_constant(REAL, 8, seed=17)  # finer than the partition
-    scale = real_scale(4)
-    grids = [np.array([0.5, 3.25]), np.array([1.0, 7.75])]
-    factors = _real_extensions_on_grid(f, scale, grids)
-    shape = (2, 2)
-    for j in range(4):
-        ej = _assemble(factors[j], shape)
+def _assert_cells_match_pointwise(f, scale, axes):
+    from momentsq.extension import _cell_extensions
+    grid = [lo + (np.arange(m) + 0.5) * h for lo, h, m in axes]
+    cells = list(_cell_extensions(f, scale, axes, budget=10 ** 6))
+    assert len(cells) == scale.delta.denominator
+    for j, ej in enumerate(cells):
         cell = Cell(REAL, scale, j)
-        for a, x1 in enumerate(grids[0]):
-            for b, x2 in enumerate(grids[1]):
-                direct = extension_op(f, cell, (x1, x2))
-                assert abs(ej[a, b] - direct) < 1e-9
+        for idx in product(*(range(len(g)) for g in grid)):
+            x = tuple(g[i] for g, i in zip(grid, idx))
+            assert abs(ej[idx] - extension_op(f, cell, x)) < 1e-9
+    return cells
+
+
+def test_real_grid_route_matches_pointwise():
+    # axes are (origin, step, count); these give the points {0.5, 3.25} x {1.0, 7.75}
+    f = random_locally_constant(REAL, 8, seed=17)  # finer than the partition
+    axes = ((-0.875, 2.75, 2), (-2.375, 6.75, 2))
+    _assert_cells_match_pointwise(f, real_scale(4), axes)
+    # n = 3 around a nonzero centre
+    f = random_locally_constant(REAL, 4, seed=3)
+    _assert_cells_match_pointwise(f, real_scale(2), ((1.5, 0.75, 3), (-2.0, 0.5, 2), (0.25, 1.25, 2)))
+
+
+def test_real_grid_route_matches_pointwise_comb():
+    # atoms 1/4, 1/2, 3/4, 1: cell 0 is empty, the last cell holds 3/4 and 1
+    cells = _assert_cells_match_pointwise(AtomicComb(REAL, 4), real_scale(4),
+                                          ((0.0, 0.25, 3), (-1.0, 0.5, 3)))
+    assert not np.any(cells[0])
+    assert np.allclose(np.abs(cells[1]), 1) and not np.allclose(np.abs(cells[3]), 1)
+
+
+def test_cached_tables_are_read_only():
+    # the lru_cache builders hand the same arrays to every caller
+    from momentsq.extension import _parseval_groups, _real_factors
+    from momentsq.syzygy import _key_table
+    fine, bounds, w, factors = _real_factors(8, False, Fraction(1, 4), ((0.0, 0.25, 4),) * 2)
+    arrays = [_key_table(2, 2, 1), *_parseval_groups(2, 2, 1), fine, bounds, w, *factors]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+        with pytest.raises(ValueError, match="read-only"):
+            a += a[0]
+
+
+def test_real_norms_budget_counts_factor_entries():
+    # n = 2 at scale 1/32: 4096^2 grid points pass the grid check, but the
+    # 12,800 nodes need ~1.6e8 factor and Khatri-Rao entries
+    import tracemalloc
+    f = random_locally_constant(REAL, 32, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="real factor matrices"):
+            weighted_norms(f, real_scale(32), n=2)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_weighted_norms_single_cell_ratio_one():
