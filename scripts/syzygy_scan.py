@@ -16,7 +16,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--configs", nargs="+", default=["5,2,1", "5,2,2", "7,2,1", "5,3,1"],
                     help="p,n,s triples")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
 
@@ -24,7 +23,7 @@ def main():
     for spec in args.configs:
         p, n, s = (int(t) for t in spec.split(","))
         t0 = time.perf_counter()
-        scan = scan_strong_diagonal(p, n, s, threads=args.threads)
+        scan = scan_strong_diagonal(p, n, s)
         rows.append({
             "p": p, "n": n, "s": s,
             "bases": scan.bases,

@@ -13,11 +13,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=3)
     ap.add_argument("--N", type=int, nargs="+", default=[10, 20, 50, 100, 200])
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--csv", action="store_true")
     args = ap.parse_args()
 
-    rows = asymptotic_report(args.n, args.N, threads=args.threads)
+    rows = asymptotic_report(args.n, args.N)
     if args.csv:
         print("N,count,leading,residual,residual_over_N_pow_n_minus_1,method")
         for r in rows:

@@ -6,7 +6,7 @@ exceed 2^53 is serialized as a decimal string.  Identical configuration
 and seed give byte-identical output regardless of --threads.
 
 Exit codes: 0 success, 1 usage/input error, 2 enumeration budget exceeded,
-3 invariant failure (verify).
+3 invariant failure (verify).  A flag a command would ignore is a usage error.
 """
 from __future__ import annotations
 
@@ -23,9 +23,12 @@ from .curves import Curve
 from .extension import QuadratureSpec, comb_ratio
 from .local_field import REAL, FieldKind, FieldSpec, cell_tuple, padic, padic_scale, real_scale
 from .syzygy import scan_strong_diagonal, syzygy_bound, syzygy_set_nonarch, syzygy_set_real
-from .vinogradov import CountMethod, count_solutions, diagonal_count, permutation_count
+from .vinogradov import (CountMethod, asymptotic_report, count_solutions, diagonal_count,
+                         permutation_count)
 
 SCHEMA = "1"
+_FORMATS = {"syzygy": ["json"], "vino": ["json", "csv"], "bounds": ["csv"],  # default first
+            "ratio": ["json"], "verify": ["text", "json"]}
 
 
 @dataclass
@@ -41,7 +44,7 @@ class RunConfig:
     N_list: tuple[int, ...] = ()
     tuple_indices: tuple[int, ...] = ()
     scan: bool = False
-    delta_inv: int = 8
+    delta_inv: int | None = None  # None: 8 over R; rejected over Q_p
     epsilon: Fraction | None = None
     grid_step: Fraction | None = None
     method: str | None = None
@@ -85,13 +88,16 @@ def _field_of(config: RunConfig) -> FieldSpec:
 
 def cmd_syzygy(config: RunConfig) -> int:
     field = _field_of(config)
+    if field.kind is FieldKind.PADIC and any(
+            v is not None for v in (config.epsilon, config.grid_step, config.delta_inv)):
+        raise ValueError("--epsilon, --grid-step and --delta-inv apply over R only")
     if not config.scan and len(config.tuple_indices) != config.n:
         raise ValueError("--tuple must list exactly n cell indices")
     if config.scan and field.kind is not FieldKind.PADIC:
         raise ValueError("--scan enumerates every base tuple over Q_p only")
     if field.kind is FieldKind.PADIC:
         if config.scan:
-            scan = scan_strong_diagonal(config.p, config.n, config.s, threads=config.threads)
+            scan = scan_strong_diagonal(config.p, config.n, config.s)
             hist: dict[str, int] = {}
             for c in scan.cardinalities:
                 hist[str(c)] = hist.get(str(c), 0) + 1
@@ -107,7 +113,7 @@ def cmd_syzygy(config: RunConfig) -> int:
             _emit(config, _json(doc))
             return 0
         base = cell_tuple(field, padic_scale(config.p, config.s), config.tuple_indices)
-        report = syzygy_set_nonarch(base, threads=config.threads)
+        report = syzygy_set_nonarch(base)
         doc = {
             "schema": SCHEMA, "command": "syzygy", "mode": "single",
             "field": "padic", "p": config.p, "n": config.n, "s": config.s,
@@ -121,14 +127,15 @@ def cmd_syzygy(config: RunConfig) -> int:
         }
         _emit(config, _json(doc))
         return 0
-    base = cell_tuple(REAL, real_scale(config.delta_inv), config.tuple_indices)
+    delta_inv = 8 if config.delta_inv is None else config.delta_inv
+    base = cell_tuple(REAL, real_scale(delta_inv), config.tuple_indices)
     curve = Curve.moment(config.n)
     report = syzygy_set_real(curve, base, epsilon=config.epsilon,
                              grid_step=config.grid_step)
     bound = bounds_mod.bezout_syzygy_bound(curve, REAL)
     doc = {
         "schema": SCHEMA, "command": "syzygy", "mode": "single",
-        "field": "real", "n": config.n, "delta": f"1/{config.delta_inv}",
+        "field": "real", "n": config.n, "delta": f"1/{delta_inv}",
         "base": list(base.indices),
         "epsilon": str(report.epsilon),
         "members": [list(ix) for ix in report.member_indices],
@@ -143,10 +150,10 @@ def cmd_syzygy(config: RunConfig) -> int:
 
 def cmd_vino(config: RunConfig) -> int:
     curve = Curve.moment(config.n)
-    if config.fmt == "csv" or config.N_list:
-        from .vinogradov import asymptotic_report
-        rows = asymptotic_report(config.n, config.N_list or (config.N,),
-                                 threads=config.threads)
+    if config.fmt == "csv":
+        if config.timing or config.method:
+            raise ValueError("--timing and --method apply to the JSON count only")
+        rows = asymptotic_report(config.n, config.N_list or (config.N,))
         lines = ["N,count,leading,residual,residual_over_N_pow_n_minus_1,method"]
         for r in rows:
             lines.append(f"{r.N},{r.count},{r.leading},{r.residual},"
@@ -154,7 +161,7 @@ def cmd_vino(config: RunConfig) -> int:
         _emit(config, "\n".join(lines) + "\n")
         return 0
     method = CountMethod(config.method) if config.method else None
-    res = count_solutions(curve, config.n, config.N, method, threads=config.threads)
+    res = count_solutions(curve, config.n, config.N, method)
     doc = {
         "schema": SCHEMA, "command": "vino",
         "n": config.n, "N": config.N,
@@ -199,8 +206,7 @@ def cmd_ratio(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    results = verify_mod.run_suite(config.suite, seed=config.seed,
-                                   trials=config.trials, threads=config.threads)
+    results = verify_mod.run_suite(config.suite, seed=config.seed, trials=config.trials)
     if config.fmt == "json":
         doc = {
             "schema": SCHEMA, "command": "verify",
@@ -248,28 +254,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key = value file mirroring the flags (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, help):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; every engine runs "
                              "single-threaded and output is identical at any value")
         sp.add_argument("--output", help="write to this path instead of stdout")
-        sp.add_argument("--format", dest="fmt", choices=["json", "csv", "text"],
-                        default=None)
+        sp.add_argument("--format", dest="fmt", default=None,
+                        help=" or ".join(_FORMATS[name]) + f"; default {_FORMATS[name][0]}")
+        return sp
 
-    sp = sub.add_parser("syzygy", help="enumerate S(delta, I; delta^n)")
+    sp = command("syzygy", "enumerate S(delta, I; delta^n)")
     sp.add_argument("--field", choices=["padic", "real"], default="padic")
     sp.add_argument("--p", type=int, default=5)
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--delta-inv", type=int, default=8, help="1/delta over R")
+    sp.add_argument("--delta-inv", type=int, default=None, help="1/delta over R (default 8)")
     sp.add_argument("--tuple", dest="tuple_indices", type=_parse_int_list, default=())
     sp.add_argument("--scan", action="store_true",
                     help="compare every base tuple against the permutation oracle")
     sp.add_argument("--epsilon", type=_parse_fraction, default=None)
     sp.add_argument("--grid-step", type=_parse_fraction, default=None)
-    common(sp)
 
-    sp = sub.add_parser("vino", help="count Vinogradov-system solutions")
+    sp = command("vino", "count Vinogradov-system solutions")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--N", type=int, default=10)
     sp.add_argument("--N-list", type=_parse_int_list, default=(),
@@ -277,30 +284,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=[m.value for m in CountMethod], default=None)
     sp.add_argument("--timing", action="store_true",
                     help="include elapsed seconds (breaks byte reproducibility)")
-    common(sp)
 
-    sp = sub.add_parser("bounds", help="tabulate the explicit constants")
+    sp = command("bounds", "tabulate the explicit constants")
     sp.add_argument("--table", choices=["theorem1", "bezout", "fewnomial",
                                         "refined", "wronskian"], default="theorem1")
     sp.add_argument("--field", choices=["padic", "real", "complex"], default="padic")
     sp.add_argument("--p", type=int, default=5)
     sp.add_argument("--n-max", type=int, default=5)
-    common(sp)
 
-    sp = sub.add_parser("ratio", help="atomic-comb norm ratio experiment")
+    sp = command("ratio", "atomic-comb norm ratio experiment")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--N", type=int, default=40)
     sp.add_argument("--N-list", type=_parse_int_list, default=())
     sp.add_argument("--grid-step", type=_parse_fraction, default=None)
-    common(sp)
 
-    sp = sub.add_parser("verify", help="run the invariant suite")
+    sp = command("verify", "run the invariant suite")
     sp.add_argument("--suite", default="all")
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--trials", type=int, default=None,
                     help="random draws per check; a usage error with a single "
                          "suite that draws none (vinogradov, bounds)")
-    common(sp)
     return parser
 
 
@@ -343,8 +346,11 @@ def parse_config(argv) -> RunConfig:
                 continue  # flags win
             values[key] = _coerce(key, val)
     values.pop("config", None)
-    if values.get("fmt") is None:
-        values["fmt"] = "text" if values["command"] == "verify" else "json"
+    command = values["command"]
+    formats = ["csv"] if command == "vino" and values["N_list"] else _FORMATS[command]
+    values["fmt"] = values["fmt"] or formats[0]
+    if values["fmt"] not in formats:
+        raise ValueError(f"--format {values['fmt']}: {command} writes {' or '.join(formats)} here")
     return RunConfig(**{k: v for k, v in values.items() if v is not None})
 
 

@@ -7,7 +7,7 @@ partition, and the L^{2n} norm ratio that the cardinality bounds control.
 Over Q_p the computation is exact: the integrands are constant on the
 Z_p^n cosets of the ball |x - c| <= p^{ns}, so the norm integral is a
 finite sum over coset representatives, and Parseval turns that sum into
-sum_k |B(k)|^2 over power-sum groups of residue n-tuples mod p^{ns}.  Over R
+sum_k |B(k)|^2 over power-sum groups of sorted residue n-tuples mod p^{ns}.  Over R
 the xi-integrals use composite Gauss-Legendre panels sized to the phase
 bandwidth, and the norm quadrature is the midpoint rule on the weighted
 box; step 1/4 resolves every frequency the quartic integrand contains.
@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import syzygy
-from .budget import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, check_budget
+from .budget import DEFAULT_ENUMERATION_BUDGET, check_budget
 from .local_field import (REAL, Cell, FieldKind, FieldSpec, Scale,
                           padic_fractional_part, padic_valuation, real_scale)
 
@@ -256,26 +256,24 @@ def square_function(f: TestFunction, scale: Scale, x) -> float:
 
 @functools.lru_cache(maxsize=4)
 def _parseval_groups(p: int, n: int, s: int):
-    """Residue n-tuples mod q = p^{ns}, grouped by (power-sum key, cell tuple).
-
-    fine[t] is the group of the t-th tuple in row-major order and
-    fine_key[g] the key group of group g; both number groups in sorted order.
-    """
-    q, tables = syzygy._power_tables(p, n, s)
+    """The rows of `syzygy._key_rows` in the order of their (key, cell
+    multiset) pairs in `syzygy._key_table`: (residue, orbit, fine, fine_key,
+    cell_orbit, *cols) gives each row's orbit size and pair, each pair's key
+    group and cell-multiset orbit size, and the rows' position columns."""
+    residue, cols, codes = syzygy._key_rows(p, n, s)
+    order = np.argsort(codes)  # rows in table order: add.at then writes in sequence
+    table = syzygy._key_table(p, n, s)
+    fine = np.searchsorted(table, codes[order])
+    cols = [c[order] for c in cols]
+    del codes, order
     ncells = p ** s
-    cell = np.arange(q, dtype=np.int64) % ncells
-    sums, tup = tables, cell
-    for _ in range(n - 1):
-        sums = [np.add.outer(acc, t).ravel() for acc, t in zip(sums, tables)]
-        tup = np.add.outer(tup * ncells, cell).ravel()
-    codes = syzygy._pack_keys(sums, q) * ncells ** n + tup  # < q^{n+1}
-    groups = syzygy._sorted_unique(codes)
-    group_keys = groups // ncells ** n
-    fine = np.searchsorted(groups, codes)
-    fine_key = np.searchsorted(syzygy._sorted_unique(group_keys), group_keys)
-    fine.setflags(write=False)  # shared by every caller through the cache
-    fine_key.setflags(write=False)
-    return fine, fine_key
+    keys, multisets = np.divmod(table, ncells ** n)
+    fine_key = np.searchsorted(syzygy._sorted_unique(keys), keys)
+    cell_orbit = syzygy._orbit_sizes([multisets // ncells ** i % ncells for i in range(n)])
+    out = (residue, syzygy._orbit_sizes(cols), fine, fine_key, cell_orbit, *cols)
+    for a in out:
+        a.setflags(write=False)  # shared by every caller through the cache
+    return out
 
 
 def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
@@ -284,13 +282,13 @@ def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
     sum_j |E f|^{2n} = q^n p^{-2nm} sum_k |B(k)|^2, where B(k) sums
     prod_i g(a_i), g = f e(gamma . c), over the n-tuples a mod p^m with power
     sums k mod q; the square function splits each B(k) by cell tuple.  Key
-    and cells depend on a mod q only, so g is first folded mod q.
+    and cells depend on a mod q only, so g is first folded mod q.  Over the
+    sorted tuples M (cell multiset C): B(k) = sum_M orbit(M) g(M), and the
+    square-function side is sum_{(k,C)} orbit(C) |sum_M orbit(M)/orbit(C) g(M)|^2.
     """
     p, s = f.field.prime, scale.exponent
     q = p ** (n * s)
-    check_budget(q ** n, budget, f"power-sum grouping of (Z/{q})^{n}")
-    if q ** (n + 1) >= 2 ** 62:
-        raise BudgetExceededError("packed keys would overflow 64-bit integers")
+    syzygy._get_index(p, n, s, budget=budget)  # the budget and overflow guards
     # m covers f, q and the center's denominators, so g is exact on a mod p^m
     m_eval = max(f.precision, n * s, 1, *(-padic_valuation(c, p) for c in center if c))
     reps = np.arange(p ** m_eval, dtype=np.int64)
@@ -301,17 +299,18 @@ def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
                   for a in reps]
         g = g * np.array([cmath.exp(2j * cmath.pi * ph) for ph in phases])
     h = np.bincount(reps % q, g.real, q) + 1j * np.bincount(reps % q, g.imag, q)
-    w = h
-    for _ in range(n - 1):
-        w = np.multiply.outer(w, h).ravel()
-    fine, fine_key = _parseval_groups(p, n, s)
+    residue, orbit, fine, fine_key, cell_orbit, *cols = _parseval_groups(p, n, s)
+    h = h[residue]  # by position
+    w = orbit * h[cols[0]]
+    for c in cols[1:]:
+        w *= h[c]
     # np.add.at, not bincount: bincount copies a read-only index array
     b_fine, b_key = np.zeros(fine_key.size, complex), np.zeros(fine_key[-1] + 1, complex)
     np.add.at(b_fine, fine, w)
     np.add.at(b_key, fine_key, b_fine)
     c = q ** n / p ** (2 * n * m_eval)  # each coset: Haar measure 1, weight 1
     lhs = float(c * np.sum(np.abs(b_key) ** 2)) ** (1 / (2 * n))
-    rhs = float(c * np.sum(np.abs(b_fine) ** 2)) ** (1 / (2 * n))
+    rhs = float(c * np.sum(np.abs(b_fine) ** 2 / cell_orbit)) ** (1 / (2 * n))
     return NormRatio(lhs, rhs)
 
 

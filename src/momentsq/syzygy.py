@@ -189,24 +189,28 @@ def _orbit_sizes(cols) -> np.ndarray:
     return np.floor_divide(math.factorial(len(cols)), denom, out=denom)
 
 
-@functools.lru_cache(maxsize=4)
-def _key_table(p: int, n: int, s: int) -> np.ndarray:
-    """Sorted distinct codes key * q + multiset over the sorted residue
-    n-tuples mod q = p^{ns}: key packs the power sums mod q, multiset the
-    cells in nondecreasing order (digit i the i-th smallest, base p^s)."""
+def _key_rows(p: int, n: int, s: int):
+    """(residue, cols, codes) over the sorted residue n-tuples mod q = p^{ns}:
+    the residue at each position, the position columns of `_sorted_tuples`,
+    and each row's code key * q + multiset.  key packs the power sums mod q,
+    multiset the cells in nondecreasing order (digit i the i-th smallest,
+    base p^s).  Residues are numbered cell by cell, so a row's cells need no sort.
+    """
     q, tables = _power_tables(p, n, s)
     ncells = p ** s
-    per_cell = q // ncells
-    # Number residues cell by cell: a nondecreasing tuple of positions then
-    # has nondecreasing cells, so its multiset needs no per-row sort.
-    pos = np.arange(q, dtype=np.int64)
-    cell = pos // per_cell
-    tables = [t[cell + ncells * (pos % per_cell)] for t in tables]
+    cell, rest = np.divmod(np.arange(q, dtype=np.int64), q // ncells)
+    residue = cell + ncells * rest
+    tables = [t[residue] for t in tables]
     cols = _sorted_tuples(q, n)
-    key = _pack_keys([sum(t[c] for c in cols) for t in tables], q)
-    multiset = sum(cell[c] * ncells ** i for i, c in enumerate(cols))
-    del cols
-    table = _sorted_unique(key * q + multiset)
+    codes = (_pack_keys([sum(t[c] for c in cols) for t in tables], q) * q
+             + sum(cell[c] * ncells ** i for i, c in enumerate(cols)))
+    return residue, cols, codes
+
+
+@functools.lru_cache(maxsize=4)
+def _key_table(p: int, n: int, s: int) -> np.ndarray:
+    """Sorted distinct codes of `_key_rows`; its columns are dropped before the sort."""
+    table = _sorted_unique(_key_rows(p, n, s)[2])
     table.setflags(write=False)  # shared by every caller through the cache
     return table
 
@@ -251,7 +255,7 @@ def is_syzygy_nonarch(base: CellTuple, other: CellTuple, curve: Curve | None = N
     sum_i t_i^k = sum_i s_i^k mod p^{ns} for k = 1..n?
 
     Decided by meeting the two representative enumerations in the middle:
-    hash the power-sum vectors from one side, probe with the other.
+    the sorted distinct power-sum vectors of the two sides are intersected.
     """
     _require_padic_moment(base, curve)
     if base.field != other.field or base.scale != other.scale or base.n != other.n:
@@ -263,14 +267,12 @@ def is_syzygy_nonarch(base: CellTuple, other: CellTuple, curve: Curve | None = N
 
 
 def syzygy_set_nonarch(base: CellTuple, curve: Curve | None = None,
-                       threads: int = 1,
                        budget: int = DEFAULT_ENUMERATION_BUDGET) -> SyzygyReport:
     """Enumerate S(delta, I; delta^n) exactly over Q_p.
 
     Members are every ordering of every cell multiset that shares a
     power-sum vector mod p^{ns} with a point tuple of the base, read off the
-    cached key table; sorted by index vector.  The computation is
-    single-threaded: `threads` is accepted and does not change the result.
+    cached key table; sorted by index vector.
     """
     _require_padic_moment(base, curve)
     p, n, s = base.field.prime, base.n, base.scale.exponent
@@ -339,12 +341,10 @@ class StrongDiagonalScan:
         return self.max_cardinality <= self.bound
 
 
-def scan_strong_diagonal(p: int, n: int, s: int, threads: int = 1,
+def scan_strong_diagonal(p: int, n: int, s: int,
                          budget: int = DEFAULT_ENUMERATION_BUDGET) -> StrongDiagonalScan:
     """Enumerate S(delta, I; delta^n) for every I in P_delta^n and compare
-    with the permutation oracle, in one pass over the cached key table.
-    The computation is single-threaded: `threads` is accepted and does not
-    change the result."""
+    with the permutation oracle, in one pass over the cached key table."""
     field = FieldSpec(FieldKind.PADIC, p)
     ncells = p ** s
     cards, mismatch = _scan_table(_get_index(p, n, s, budget=budget), n, ncells)

@@ -121,10 +121,10 @@ def _check_symmetric(seed: int, trials: int = 300) -> list[CheckResult]:
     return out
 
 
-def _check_syzygy(seed: int, trials: int, threads: int = 1) -> list[CheckResult]:
+def _check_syzygy(seed: int, trials: int) -> list[CheckResult]:
     out = []
     for p, n, s in [(5, 2, 1), (7, 2, 1), (5, 3, 1)]:
-        scan = syzygy.scan_strong_diagonal(p, n, s, threads=threads)
+        scan = syzygy.scan_strong_diagonal(p, n, s)
         out.append(CheckResult(
             "syzygy", f"strong_diagonal_p{p}_n{n}_s{s}",
             scan.all_match_permutations and scan.within_bound,
@@ -153,15 +153,14 @@ def _check_syzygy(seed: int, trials: int, threads: int = 1) -> list[CheckResult]
     return out
 
 
-def _check_vinogradov(seed: int, threads: int = 1) -> list[CheckResult]:
+def _check_vinogradov(seed: int) -> list[CheckResult]:
     out = []
     ok = True
     details = []
     for n, N in [(2, 3), (2, 10), (3, 2), (3, 5)]:
         curve = Curve.moment(n)
         brute = vinogradov.count_solutions(curve, n, N, vinogradov.CountMethod.BRUTE_FORCE)
-        hashed = vinogradov.count_solutions(curve, n, N, vinogradov.CountMethod.HASH_JOIN,
-                                            threads=threads)
+        hashed = vinogradov.count_solutions(curve, n, N, vinogradov.CountMethod.HASH_JOIN)
         formula = vinogradov.permutation_count(n, N)
         ok &= brute.count == hashed.count == formula
         details.append(f"J_{n}({N})={brute.count}")
@@ -206,10 +205,10 @@ def _check_extension(seed: int, trials: int = 25) -> list[CheckResult]:
     return out
 
 
-def _check_theorem1(seed: int, trials: int = 25, threads: int = 1) -> list[CheckResult]:
+def _check_theorem1(seed: int, trials: int = 25) -> list[CheckResult]:
     out = []
     field = padic(5)
-    s_gamma = max(syzygy.scan_strong_diagonal(5, 2, s, threads=threads).max_cardinality
+    s_gamma = max(syzygy.scan_strong_diagonal(5, 2, s).max_cardinality
                   for s in (1, 2))
     enumerated_limit = s_gamma ** (1 / 4)
     thm_limit = bounds.theorem1_constant(field, 2)
@@ -279,18 +278,17 @@ _DEFAULT_TRIALS = {"local_field": 200, "symmetric": 300, "syzygy": 30,
                    "extension": 25, "theorem1": 25}
 
 _SUITES = {
-    "local_field": lambda seed, trials, threads: _check_partitions(seed, trials),
-    "symmetric": lambda seed, trials, threads: _check_symmetric(seed, trials),
-    "syzygy": lambda seed, trials, threads: _check_syzygy(seed, trials, threads),
-    "vinogradov": lambda seed, trials, threads: _check_vinogradov(seed, threads),
-    "extension": lambda seed, trials, threads: _check_extension(seed, trials),
-    "theorem1": lambda seed, trials, threads: _check_theorem1(seed, trials, threads),
-    "bounds": lambda seed, trials, threads: _check_bounds(seed),
+    "local_field": _check_partitions,
+    "symmetric": _check_symmetric,
+    "syzygy": _check_syzygy,
+    "vinogradov": lambda seed, trials: _check_vinogradov(seed),
+    "extension": _check_extension,
+    "theorem1": _check_theorem1,
+    "bounds": lambda seed, trials: _check_bounds(seed),
 }
 
 
-def run_suite(suite: str = "all", seed: int = 7, trials: int | None = None,
-              threads: int = 1) -> list[CheckResult]:
+def run_suite(suite: str = "all", seed: int = 7, trials: int | None = None) -> list[CheckResult]:
     """Run one suite, or every suite for "all".  trials sets the number of
     random draws of each suite that takes it; naming a single suite that
     takes none together with trials is an error."""
@@ -308,5 +306,5 @@ def run_suite(suite: str = "all", seed: int = 7, trials: int | None = None,
     results = []
     for name in names:
         draws = _DEFAULT_TRIALS.get(name) if trials is None else trials
-        results.extend(_SUITES[name](seed, draws, threads))
+        results.extend(_SUITES[name](seed, draws))
     return results

@@ -140,11 +140,9 @@ def _brute_force_count(curve: Curve, n: int, N: int, budget: int) -> int:
 
 
 def count_solutions(curve: Curve, n: int, N: int,
-                    method: CountMethod | None = None, threads: int = 1,
+                    method: CountMethod | None = None,
                     budget: int = DEFAULT_COUNT_BUDGET) -> CountResult:
-    """Count J(N) exactly.  Non-moment curves go through BRUTE_FORCE only.
-    The computation is single-threaded: `threads` is accepted and does not
-    change the result."""
+    """Count J(N) exactly.  Non-moment curves go through BRUTE_FORCE only."""
     if N < 1:
         raise ValueError("N >= 1")
     if curve.n != n:
@@ -174,15 +172,13 @@ class AsymptoticRow:
     method: CountMethod
 
 
-def asymptotic_report(n: int, N_list, threads: int = 1,
-                      budget: int = DEFAULT_COUNT_BUDGET) -> list[AsymptoticRow]:
+def asymptotic_report(n: int, N_list, budget: int = DEFAULT_COUNT_BUDGET) -> list[AsymptoticRow]:
     """Tabulate J(N) against its leading term n! N^n over a list of N."""
     rows = []
     curve = Curve.moment(n)
     for N in N_list:
         if N ** n <= budget:
-            res = count_solutions(curve, n, N, CountMethod.HASH_JOIN,
-                                  threads=threads, budget=budget)
+            res = count_solutions(curve, n, N, CountMethod.HASH_JOIN, budget=budget)
         else:
             res = count_solutions(curve, n, N, CountMethod.PERMUTATION_FORMULA)
         leading = math.factorial(n) * N ** n

@@ -90,14 +90,8 @@ def test_verify_all_suites():
     assert out.strip().endswith("checks passed")
 
 
-def test_verify_honours_threads_and_trials(monkeypatch):
-    from momentsq import syzygy, verify
-    seen = []
-    scan = syzygy.scan_strong_diagonal
-    monkeypatch.setattr(syzygy, "scan_strong_diagonal",
-                        lambda *a, **kw: seen.append(kw.get("threads")) or scan(*a, **kw))
-    verify.run_suite("theorem1", trials=1, threads=3)
-    assert seen == [3, 3]
+def test_verify_honours_trials():
+    from momentsq import verify
     details = {r.name: r.detail for r in verify.run_suite("symmetric", trials=4)}
     assert details["permutation_invariance"] == "4 shuffles, exact"
     details = {r.name: r.detail for r in verify.run_suite("symmetric")}
@@ -117,6 +111,28 @@ def test_verify_trials_honoured_or_rejected():
     run("verify", "--suite", "symmetric", "--trials", "0", expect=1)
 
 
+IGNORED_FLAGS = [
+    ["bounds", "--format", "json"],  # bounds writes CSV only
+    ["ratio", "--format", "csv"],
+    ["syzygy", "--tuple", "0,1", "--format", "csv"],
+    ["verify", "--suite", "bounds", "--format", "csv"],
+    ["syzygy", "--tuple", "0,1", "--epsilon", "1/3"],  # real-sampler options over Q_p
+    ["syzygy", "--tuple", "0,1", "--grid-step", "1/64"],
+    ["syzygy", "--tuple", "0,1", "--delta-inv", "8"],
+    ["vino", "--N-list", "10", "--timing"],  # the CSV table has no timing column
+    ["vino", "--format", "csv", "--timing"],
+    ["vino", "--N-list", "10", "--method", "brute_force"],
+    ["vino", "--N-list", "10", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("args", IGNORED_FLAGS, ids=" ".join)
+def test_ignored_flags_are_usage_errors(args):
+    proc = subprocess.run(CLI + args, capture_output=True, text=True)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr.startswith("error: ")
+
+
 def test_verify_unknown_suite_is_usage_error():
     run("verify", "--suite", "bogus", expect=1)
 
@@ -125,6 +141,8 @@ def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 1\n")
     run("--config", str(cfg), "vino", expect=1)
+    cfg.write_text("format = json\n")  # a format bounds does not write
+    run("--config", str(cfg), "bounds", expect=1)
 
 
 def test_config_file_flags_win(tmp_path):
@@ -150,6 +168,8 @@ BASELINES = [
     (["bounds", "--table", "theorem1", "--n-max", "5", "--field", "padic"],
      "bounds_theorem1_padic.csv"),
     (["ratio", "--n", "2", "--N-list", "10,20,40"], "ratio_n2.json"),
+    (["verify", "--suite", "theorem1", "--seed", "7", "--trials", "6", "--format", "json"],
+     "verify_theorem1_seed7.json"),
 ]
 
 

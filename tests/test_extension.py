@@ -121,6 +121,23 @@ def test_weighted_norms_budget_checked_before_allocating():
         weighted_norms(f, padic_scale(5, 2), n=3)
 
 
+def test_weighted_norms_budget_counts_sorted_tuples():
+    # Q_2, s = 1, n = 2: q = 4 residues give C(4 + 1, 2) = 10 sorted tuples, not 4^2
+    f = random_locally_constant(padic(2), 1, seed=0)
+    weighted_norms(f, padic_scale(2, 1), n=2, budget=10)
+    with pytest.raises(BudgetExceededError, match="10 enumeration steps"):
+        weighted_norms(f, padic_scale(2, 1), n=2, budget=9)
+
+
+def test_weighted_norms_n3_recorded():
+    # Q_5, n = 3, s = 1 at a nonzero centre; the values were computed over all
+    # 125^3 ordered residue tuples, before the sums ran over sorted tuples
+    f = random_locally_constant(padic(5), 2, seed=11)
+    r = weighted_norms(f, padic_scale(5, 1), center=(Fraction(1, 5), Fraction(-2, 25), Fraction(3)))
+    assert r.lhs == pytest.approx(1.984176878728396, rel=1e-12)
+    assert r.rhs == pytest.approx(1.7359690902777578, rel=1e-12)
+
+
 def test_weighted_norms_match_pointwise_oracle():
     # independent route: direct pointwise sums over every coset of the ball
     f3 = padic(3)

@@ -76,13 +76,6 @@ def test_count_bounds_and_monotone():
     assert permutation_count(2, 1) == diagonal_count(2, 1)
 
 
-def test_thread_count_invariance():
-    curve = Curve.moment(3)
-    counts = {count_solutions(curve, 3, 40, CountMethod.HASH_JOIN, threads=t).count
-              for t in (1, 2, 4, 8)}
-    assert len(counts) == 1
-
-
 def test_non_moment_curve_brute_force_only():
     from momentsq import polys
     bent = Curve((polys.poly([0, 1]), polys.poly([0, 1, 1])))  # (t, t + t^2)
