@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Measure the atomic-comb norm ratio against its (n!)^(1/2n) limit as the
-atom count grows; emits plot-ready CSV.
+"""Tabulate the atomic-comb norm ratio (exact, by counting) against its
+(n!)^(1/2n) limit as the atom count grows; emits plot-ready CSV.
 
 Usage:
     python scripts/comb_ratio_curve.py --n 2 --N 5 10 20 40 80
+    python scripts/comb_ratio_curve.py --n 8 --N 10 1000 1000000
 """
 import argparse
 import math

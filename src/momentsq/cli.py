@@ -3,10 +3,13 @@
 Subcommands: syzygy, vino, bounds, ratio, verify.  Output is a single
 UTF-8 JSON document or a CSV table with a header row; every count that can
 exceed 2^53 is serialized as a decimal string.  Identical configuration
-and seed give byte-identical output regardless of --threads.
+and seed give byte-identical output regardless of --threads.  The comb
+ratio is exact by counting; its JSON keeps grid_step = 1/4 as a fixed
+field, the step of the midpoint quadrature that it replaced.
 
-Exit codes: 0 success, 1 usage/input error, 2 enumeration budget exceeded,
-3 invariant failure (verify).  A flag a command would ignore is a usage error.
+Exit codes: 0 success, 1 usage/input error (argparse's own errors
+included), 2 enumeration budget exceeded, 3 invariant failure (verify).
+A flag a command would ignore is a usage error.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from . import bounds as bounds_mod
 from . import verify as verify_mod
 from .budget import BudgetExceededError
 from .curves import Curve
-from .extension import QuadratureSpec, comb_ratio
+from .extension import comb_ratio
 from .local_field import REAL, FieldKind, FieldSpec, cell_tuple, padic, padic_scale, real_scale
 from .syzygy import scan_strong_diagonal, syzygy_bound, syzygy_set_nonarch, syzygy_set_real
 from .vinogradov import (CountMethod, asymptotic_report, count_solutions, diagonal_count,
@@ -37,12 +40,12 @@ class RunConfig:
 
     command: str
     field: str = "padic"
-    p: int = 5
+    p: int | None = None  # None: 5 over Q_p; rejected over R and C
     n: int = 2
-    s: int = 1
-    N: int = 10
+    s: int | None = None  # None: 1 over Q_p; rejected over R
+    N: int | None = None  # None: 10 (vino) or 40 (ratio); rejected with --N-list
     N_list: tuple[int, ...] = ()
-    tuple_indices: tuple[int, ...] = ()
+    tuple_indices: tuple[int, ...] | None = None  # rejected with --scan
     scan: bool = False
     delta_inv: int | None = None  # None: 8 over R; rejected over Q_p
     epsilon: Fraction | None = None
@@ -78,7 +81,9 @@ def _json_int(v: int):
 
 def _field_of(config: RunConfig) -> FieldSpec:
     if config.field == "padic":
-        return padic(config.p)
+        return padic(5 if config.p is None else config.p)
+    if config.p is not None:
+        raise ValueError("--p applies over Q_p only")
     if config.field == "real":
         return REAL
     if config.field == "complex":
@@ -87,23 +92,30 @@ def _field_of(config: RunConfig) -> FieldSpec:
 
 
 def cmd_syzygy(config: RunConfig) -> int:
-    field = _field_of(config)
-    if field.kind is FieldKind.PADIC and any(
+    if config.field == "padic" and any(
             v is not None for v in (config.epsilon, config.grid_step, config.delta_inv)):
         raise ValueError("--epsilon, --grid-step and --delta-inv apply over R only")
-    if not config.scan and len(config.tuple_indices) != config.n:
+    if config.field == "real" and (config.p is not None or config.s is not None):
+        raise ValueError("--p and --s apply over Q_p only")
+    if config.scan and config.tuple_indices is not None:
+        raise ValueError("--scan enumerates every base tuple; --tuple names one")
+    indices = config.tuple_indices or ()
+    if not config.scan and len(indices) != config.n:
         raise ValueError("--tuple must list exactly n cell indices")
-    if config.scan and field.kind is not FieldKind.PADIC:
+    if config.scan and config.field != "padic":
         raise ValueError("--scan enumerates every base tuple over Q_p only")
-    if field.kind is FieldKind.PADIC:
+    if config.field == "padic":
+        p = 5 if config.p is None else config.p
+        s = 1 if config.s is None else config.s
+        field = padic(p)
         if config.scan:
-            scan = scan_strong_diagonal(config.p, config.n, config.s)
+            scan = scan_strong_diagonal(p, config.n, s)
             hist: dict[str, int] = {}
             for c in scan.cardinalities:
                 hist[str(c)] = hist.get(str(c), 0) + 1
             doc = {
                 "schema": SCHEMA, "command": "syzygy", "mode": "scan",
-                "field": "padic", "p": config.p, "n": config.n, "s": config.s,
+                "field": "padic", "p": p, "n": config.n, "s": s,
                 "bases": scan.bases,
                 "all_match_permutation_oracle": scan.all_match_permutations,
                 "max_cardinality": scan.max_cardinality,
@@ -112,11 +124,11 @@ def cmd_syzygy(config: RunConfig) -> int:
             }
             _emit(config, _json(doc))
             return 0
-        base = cell_tuple(field, padic_scale(config.p, config.s), config.tuple_indices)
+        base = cell_tuple(field, padic_scale(p, s), indices)
         report = syzygy_set_nonarch(base)
         doc = {
             "schema": SCHEMA, "command": "syzygy", "mode": "single",
-            "field": "padic", "p": config.p, "n": config.n, "s": config.s,
+            "field": "padic", "p": p, "n": config.n, "s": s,
             "base": list(base.indices),
             "epsilon": str(report.epsilon),
             "members": [list(ix) for ix in report.member_indices],
@@ -128,7 +140,7 @@ def cmd_syzygy(config: RunConfig) -> int:
         _emit(config, _json(doc))
         return 0
     delta_inv = 8 if config.delta_inv is None else config.delta_inv
-    base = cell_tuple(REAL, real_scale(delta_inv), config.tuple_indices)
+    base = cell_tuple(REAL, real_scale(delta_inv), indices)
     curve = Curve.moment(config.n)
     report = syzygy_set_real(curve, base, epsilon=config.epsilon,
                              grid_step=config.grid_step)
@@ -148,27 +160,36 @@ def cmd_syzygy(config: RunConfig) -> int:
     return 0
 
 
+def _n_values(config: RunConfig, default: int) -> tuple[int, ...]:
+    """--N-list, or else the single --N (default when not given)."""
+    if config.N_list and config.N is not None:
+        raise ValueError("--N-list replaces --N")
+    return config.N_list or (default if config.N is None else config.N,)
+
+
 def cmd_vino(config: RunConfig) -> int:
     curve = Curve.moment(config.n)
+    n_list = _n_values(config, 10)
     if config.fmt == "csv":
         if config.timing or config.method:
             raise ValueError("--timing and --method apply to the JSON count only")
-        rows = asymptotic_report(config.n, config.N_list or (config.N,))
+        rows = asymptotic_report(config.n, n_list)
         lines = ["N,count,leading,residual,residual_over_N_pow_n_minus_1,method"]
         for r in rows:
             lines.append(f"{r.N},{r.count},{r.leading},{r.residual},"
                          f"{float(r.residual_ratio):.6f},{r.method.value}")
         _emit(config, "\n".join(lines) + "\n")
         return 0
+    (N,) = n_list  # JSON is one count: --N-list writes CSV
     method = CountMethod(config.method) if config.method else None
-    res = count_solutions(curve, config.n, config.N, method)
+    res = count_solutions(curve, config.n, N, method)
     doc = {
         "schema": SCHEMA, "command": "vino",
-        "n": config.n, "N": config.N,
+        "n": config.n, "N": N,
         "count": str(res.count),
         "method": res.method.value,
-        "diagonal": str(diagonal_count(config.n, config.N)),
-        "permutation_count": str(permutation_count(config.n, config.N)),
+        "diagonal": str(diagonal_count(config.n, N)),
+        "permutation_count": str(permutation_count(config.n, N)),
     }
     if config.timing:
         doc["elapsed_seconds"] = round(res.elapsed, 6)
@@ -190,14 +211,12 @@ def cmd_bounds(config: RunConfig) -> int:
 
 def cmd_ratio(config: RunConfig) -> int:
     import math
-    quad = QuadratureSpec(config.grid_step) if config.grid_step else QuadratureSpec()
-    n_list = config.N_list or (config.N,)
-    results = [{"N": N, "ratio": round(comb_ratio(config.n, N, quad), 12)}
-               for N in n_list]
+    results = [{"N": N, "ratio": round(comb_ratio(config.n, N), 12)}
+               for N in _n_values(config, 40)]
     doc = {
         "schema": SCHEMA, "command": "ratio",
         "n": config.n,
-        "grid_step": str(quad.grid_step),
+        "grid_step": "1/4",  # fixed: the ratio is exact, and the schema keeps the field
         "results": results,
         "limit": round(math.factorial(config.n) ** (1 / (2 * config.n)), 12),
     }
@@ -248,9 +267,18 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's usage errors exit 1, not 2, which is the budget code;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="momentsq", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="momentsq", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="key = value file mirroring the flags (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -266,11 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("syzygy", "enumerate S(delta, I; delta^n)")
     sp.add_argument("--field", choices=["padic", "real"], default="padic")
-    sp.add_argument("--p", type=int, default=5)
+    sp.add_argument("--p", type=int, default=None, help="the prime over Q_p (default 5)")
     sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--s", type=int, default=1)
+    sp.add_argument("--s", type=int, default=None, help="scale p^-s over Q_p (default 1)")
     sp.add_argument("--delta-inv", type=int, default=None, help="1/delta over R (default 8)")
-    sp.add_argument("--tuple", dest="tuple_indices", type=_parse_int_list, default=())
+    sp.add_argument("--tuple", dest="tuple_indices", type=_parse_int_list, default=None,
+                    help="the base cell tuple; not with --scan")
     sp.add_argument("--scan", action="store_true",
                     help="compare every base tuple against the permutation oracle")
     sp.add_argument("--epsilon", type=_parse_fraction, default=None)
@@ -278,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("vino", "count Vinogradov-system solutions")
     sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--N", type=int, default=10)
+    sp.add_argument("--N", type=int, default=None, help="default 10; not with --N-list")
     sp.add_argument("--N-list", type=_parse_int_list, default=(),
                     help="emit the asymptotic CSV table for these N")
     sp.add_argument("--method", choices=[m.value for m in CountMethod], default=None)
@@ -289,14 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--table", choices=["theorem1", "bezout", "fewnomial",
                                         "refined", "wronskian"], default="theorem1")
     sp.add_argument("--field", choices=["padic", "real", "complex"], default="padic")
-    sp.add_argument("--p", type=int, default=5)
+    sp.add_argument("--p", type=int, default=None, help="the prime over Q_p (default 5)")
     sp.add_argument("--n-max", type=int, default=5)
 
     sp = command("ratio", "atomic-comb norm ratio experiment")
     sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--N", type=int, default=40)
+    sp.add_argument("--N", type=int, default=None, help="default 40; not with --N-list")
     sp.add_argument("--N-list", type=_parse_int_list, default=())
-    sp.add_argument("--grid-step", type=_parse_fraction, default=None)
 
     sp = command("verify", "run the invariant suite")
     sp.add_argument("--suite", default="all")

@@ -11,6 +11,8 @@ sum_k |B(k)|^2 over power-sum groups of sorted residue n-tuples mod p^{ns}.  Ove
 the xi-integrals use composite Gauss-Legendre panels sized to the phase
 bandwidth, and the norm quadrature is the midpoint rule on the weighted
 box; step 1/4 resolves every frequency the quartic integrand contains.
+The atomic comb's ratio is a closed form: its L^{2n} norm counts
+power-sum coincidences, which Girard-Newton makes permutations.
 """
 from __future__ import annotations
 
@@ -26,8 +28,9 @@ import numpy as np
 
 from . import syzygy
 from .budget import DEFAULT_ENUMERATION_BUDGET, check_budget
-from .local_field import (REAL, Cell, FieldKind, FieldSpec, Scale,
-                          padic_fractional_part, padic_valuation, real_scale)
+from .local_field import (Cell, FieldKind, FieldSpec, Scale, padic_fractional_part,
+                          padic_valuation)
+from .vinogradov import permutation_count
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,8 @@ class AtomicComb:
     """N unit point masses at i/N, i = 1..N, over R.
 
     The extension of the atomic measure is the plain exponential sum; the
-    atom at 1.0 belongs to the last partition cell by convention.
+    atom at 1.0 belongs to the last partition cell by convention.  Its norm
+    ratio is `comb_ratio`; pointwise `extension_op` is that formula's oracle.
     """
 
     field: FieldSpec
@@ -256,18 +260,21 @@ def square_function(f: TestFunction, scale: Scale, x) -> float:
 
 @functools.lru_cache(maxsize=4)
 def _parseval_groups(p: int, n: int, s: int):
-    """The rows of `syzygy._key_rows` in the order of their (key, cell
-    multiset) pairs in `syzygy._key_table`: (residue, orbit, fine, fine_key,
-    cell_orbit, *cols) gives each row's orbit size and pair, each pair's key
-    group and cell-multiset orbit size, and the rows' position columns."""
+    """The rows of `syzygy._key_rows` sorted by code, that is by (key, cell
+    multiset) pair: (residue, orbit, fine, fine_key, cell_orbit, *cols) gives
+    each row's orbit size and pair, each pair's key group and cell-multiset
+    orbit size, and the rows' position columns."""
     residue, cols, codes = syzygy._key_rows(p, n, s)
-    order = np.argsort(codes)  # rows in table order: add.at then writes in sequence
-    table = syzygy._key_table(p, n, s)
-    fine = np.searchsorted(table, codes[order])
+    order = np.argsort(codes)  # rows in pair order: add.at then writes in sequence
+    codes = codes[order]
     cols = [c[order] for c in cols]
-    del codes, order
+    del order
+    new = codes[1:] != codes[:-1]  # a row that opens a pair
+    fine = np.concatenate(([0], np.cumsum(new)))
+    pairs = np.concatenate((codes[:1], codes[1:][new]))
+    del codes, new
     ncells = p ** s
-    keys, multisets = np.divmod(table, ncells ** n)
+    keys, multisets = np.divmod(pairs, ncells ** n)
     fine_key = np.searchsorted(syzygy._sorted_unique(keys), keys)
     cell_orbit = syzygy._orbit_sizes([multisets // ncells ** i % ncells for i in range(n)])
     out = (residue, syzygy._orbit_sizes(cols), fine, fine_key, cell_orbit, *cols)
@@ -288,7 +295,7 @@ def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
     """
     p, s = f.field.prime, scale.exponent
     q = p ** (n * s)
-    syzygy._get_index(p, n, s, budget=budget)  # the budget and overflow guards
+    syzygy._check_key_rows(p, n, s, budget)
     # m covers f, q and the center's denominators, so g is exact on a mod p^m
     m_eval = max(f.precision, n * s, 1, *(-padic_valuation(c, p) for c in center if c))
     reps = np.arange(p ** m_eval, dtype=np.int64)
@@ -330,30 +337,23 @@ def _real_panels(res: int, grid) -> int:
 
 
 @functools.lru_cache(maxsize=4)
-def _real_factors(count: int, comb: bool, delta: Fraction, axes: tuple):
-    """(fine, bounds, weights, factors) for the comb's atoms t = i/count, or GL-16
-    panels on the count cells of f: node t lies in f-cell fine[t] and in cell J
-    for bounds[J] <= t < bounds[J + 1], and F_k[t, x] = e(-t^(k+1) x_k) on the
-    grid.  Every caller with the same grid shares these arrays: read-only."""
+def _real_factors(count: int, delta: Fraction, axes: tuple):
+    """(fine, bounds, weights, factors) for GL-16 panels on the count cells of
+    f: node t lies in f-cell fine[t] and in cell J for bounds[J] <= t <
+    bounds[J + 1], and F_k[t, x] = e(-t^(k+1) x_k) on the grid.  Every
+    caller with the same grid shares these arrays: read-only."""
+    per = count * delta
+    if per.denominator != 1:
+        raise ValueError("f resolution must refine the partition")
     grid = _real_axes(axes)
-    if comb:
-        t = np.arange(1, count + 1) / count
-        fine, w = np.arange(count), np.ones(count)
-        cell = np.minimum((fine + 1) * delta.denominator // (count * delta.numerator),
-                          delta.denominator - 1)
-    else:
-        per = count * delta
-        if per.denominator != 1:
-            raise ValueError("f resolution must refine the partition")
-        panels = _real_panels(count, grid)
-        nodes, wts = np.polynomial.legendre.leggauss(16)
-        width = 1.0 / count
-        t = (np.arange(count)[:, None, None] / count
-             + (np.arange(panels)[:, None] + (nodes + 1) / 2) * width / panels).ravel()
-        fine = np.repeat(np.arange(count), panels * nodes.size)
-        w = np.tile(wts * width / (2 * panels), count * panels)
-        cell = fine // int(per)
-    bounds = np.searchsorted(cell, np.arange(delta.denominator + 1))
+    panels = _real_panels(count, grid)
+    nodes, wts = np.polynomial.legendre.leggauss(16)
+    width = 1.0 / count
+    t = (np.arange(count)[:, None, None] / count
+         + (np.arange(panels)[:, None] + (nodes + 1) / 2) * width / panels).ravel()
+    fine = np.repeat(np.arange(count), panels * nodes.size)
+    w = np.tile(wts * width / (2 * panels), count * panels)
+    bounds = np.searchsorted(fine // int(per), np.arange(delta.denominator + 1))
     factors = [np.exp(np.multiply.outer(-2j * np.pi * t ** (k + 1), x))
                for k, x in enumerate(grid)]
     for a in (fine, bounds, w, *factors):
@@ -361,19 +361,17 @@ def _real_factors(count: int, comb: bool, delta: Fraction, axes: tuple):
     return fine, bounds, w, factors
 
 
-def _cell_extensions(f: TestFunction, scale: Scale, axes: tuple, budget: int):
+def _cell_extensions(f: LocallyConstant, scale: Scale, axes: tuple, budget: int):
     """Yield E_J f on the grid of `axes`, cell by cell: one matrix product
     E_J = F_0[J]^T @ KhatriRao(c_J, F_1[J], ..., F_{n-1}[J]) over the cell's
     nodes t (rows), with c_t = f(t) w_t.  The budget counts the factor entries
     and a cell's Khatri-Rao entries before any is built."""
-    comb = isinstance(f, AtomicComb)
-    count = f.atom_count if comb else f.precision
     shape = tuple(m for _, _, m in axes)
     check_budget(math.prod(shape), budget, "real norm grid")
-    nodes = count if comb else count * 16 * _real_panels(count, _real_axes(axes))
+    nodes = f.precision * 16 * _real_panels(f.precision, _real_axes(axes))
     check_budget(nodes * (sum(shape) + math.prod(shape[1:])), budget, "real factor matrices")
-    fine, bounds, w, factors = _real_factors(count, comb, scale.delta, axes)
-    c = w if comb else np.asarray(f.values, dtype=complex)[fine] * w
+    fine, bounds, w, factors = _real_factors(f.precision, scale.delta, axes)
+    c = np.asarray(f.values, dtype=complex)[fine] * w
     for lo, hi in itertools.pairwise(bounds):
         kr = c[lo:hi, None]
         for fk in factors[1:]:
@@ -381,27 +379,21 @@ def _cell_extensions(f: TestFunction, scale: Scale, axes: tuple, budget: int):
         yield (factors[0][lo:hi].T @ kr).reshape(shape)
 
 
-def _real_integrands(f: TestFunction, scale: Scale, axes: tuple, budget: int):
-    """|E_O f|^{2n} and (S_delta f)^{2n} on the grid of `axes`."""
+def _weighted_norms_real(f: LocallyConstant, scale: Scale, center, n: int,
+                         quad: QuadratureSpec, budget: int) -> NormRatio:
+    radius = float(Fraction(1) / scale.delta ** n)
+    step = float(quad.grid_step)
+    axes = tuple((float(c), step, int(round(radius / step))) for c in center[:n])
     cells = _cell_extensions(f, scale, axes, budget)
     e_full = next(cells)  # the budget checks run before this first allocation
     sq = np.abs(e_full) ** 2
     for ej in cells:
         e_full += ej
         sq += np.abs(ej) ** 2
-    return np.abs(e_full) ** (2 * len(axes)), sq ** len(axes)
-
-
-def _weighted_norms_real(f: TestFunction, scale: Scale, center, n: int,
-                         quad: QuadratureSpec, budget: int) -> NormRatio:
-    radius = float(Fraction(1) / scale.delta ** n)
-    step = float(quad.grid_step)
-    axes = tuple((float(c), step, int(round(radius / step))) for c in center[:n])
-    lhs, rhs = _real_integrands(f, scale, axes, budget)
     w = functools.reduce(np.multiply.outer, [fejer_weight((x - float(c)) / radius)
                                              for x, c in zip(_real_axes(axes), center)])
-    return NormRatio(float(np.sum(lhs * w) * step ** n) ** (1 / (2 * n)),
-                     float(np.sum(rhs * w) * step ** n) ** (1 / (2 * n)))
+    return NormRatio(float(np.sum(np.abs(e_full) ** (2 * n) * w) * step ** n) ** (1 / (2 * n)),
+                     float(np.sum(sq ** n * w) * step ** n) ** (1 / (2 * n)))
 
 
 def weighted_norms(f: TestFunction, scale: Scale, center=None,
@@ -414,7 +406,8 @@ def weighted_norms(f: TestFunction, scale: Scale, center=None,
     over coset representatives of the ball of radius p^{ns} IS the
     integral; no quadrature error beyond float rounding.  R: midpoint rule
     with the quad grid step over the box of side delta^{-n} anchored at
-    the center, against the Fejer-type weight.
+    the center, against the Fejer-type weight.  An AtomicComb is refused:
+    `comb_ratio` gives its ratio exactly.
     """
     if quad is None:
         quad = QuadratureSpec()
@@ -435,7 +428,9 @@ def weighted_norms(f: TestFunction, scale: Scale, center=None,
         n = len(center)
     if center is None:
         center = (Fraction(0),) * n
-    if isinstance(f, LocallyConstant) and f.is_zero:
+    if isinstance(f, AtomicComb):
+        raise ValueError("the comb's norm ratio is exact by counting: use comb_ratio")
+    if f.is_zero:
         raise ValueError("zero function: the ratio is undefined")
     if f.field.kind is FieldKind.PADIC:
         out = _weighted_norms_padic(f, scale, center, n, budget)
@@ -454,23 +449,26 @@ def weighted_norms(f: TestFunction, scale: Scale, center=None,
 # the atomic-comb lower-bound experiment
 # ---------------------------------------------------------------------------
 
-def comb_ratio(n: int, N: int, quad: QuadratureSpec | None = None,
-               budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
-    """Norm ratio for the N-atom comb at scale delta = 1/N over R.
+def comb_ratio(n: int, N: int) -> float:
+    """Norm ratio for the N-atom comb at scale delta = 1/N over R, exactly
+    (derived in docs/quadrature.md).
 
-    |E_J f| and |E_O f| are periodic with period N^k in x_k, and the
-    standard weight's transform vanishes at every nonzero frequency the
-    periodization samples, so the weighted ratio over R^n equals the plain
-    ratio over one period cell.  The quartic integrands are trigonometric
-    polynomials with fewer than 2 N^k / N^k = 2 cycles per unit, so the
-    midpoint rule at step <= 1/4 integrates them exactly.
+    The weighted ratio over R^n is the plain ratio over one period cell.
+    There the mean of |E_O f|^{2n} counts the pairs of atom n-tuples with
+    equal power sums, which Girard-Newton makes the pairs of reorderings.
+    For N >= 2, cell 0 is empty, the last cell holds (N-1)/N and 1, and
+    every other cell one atom, so (S_delta f)^2 = N + 2 cos(theta) with
+    theta uniform on a turn, whose n-th moment is the sum below.  At N = 1
+    the one atom sits in the one cell and that moment is 1.
     """
-    if quad is None:
-        quad = QuadratureSpec()
-    step = float(quad.grid_step)
-    axes = tuple((0.0, step, int(round(N ** k / step))) for k in range(1, n + 1))
-    lhs, rhs = _real_integrands(AtomicComb(REAL, N), real_scale(N), axes, budget)
-    return float(np.mean(lhs)) ** (1 / (2 * n)) / float(np.mean(rhs)) ** (1 / (2 * n))
+    if n < 2 or N < 1:
+        raise ValueError("the comb ratio needs n >= 2 and N >= 1")
+    if N == 1:
+        square_moment = 1
+    else:
+        square_moment = sum(math.comb(n, 2 * i) * math.comb(2 * i, i) * N ** (n - 2 * i)
+                            for i in range(n // 2 + 1))
+    return (permutation_count(n, N) / square_moment) ** (1 / (2 * n))
 
 
 # ---------------------------------------------------------------------------

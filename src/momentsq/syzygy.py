@@ -215,13 +215,19 @@ def _key_table(p: int, n: int, s: int) -> np.ndarray:
     return table
 
 
-def _get_index(p: int, n: int, s: int,
-               budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
+def _check_key_rows(p: int, n: int, s: int, budget: int):
+    """The guards of `_key_rows`: the budget counts its C(q+n-1, n) sorted
+    tuples, and its codes key * q + multiset must fit in 64 bits."""
     q = p ** (n * s)
     check_budget(math.comb(q + n - 1, n), budget,
                  f"enumeration of the sorted {n}-tuples over Z/{q}")
     if q ** (n + 1) >= 2 ** 62:
         raise BudgetExceededError("packed keys would overflow 64-bit integers")
+
+
+def _get_index(p: int, n: int, s: int,
+               budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
+    _check_key_rows(p, n, s, budget)
     return _key_table(p, n, s)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -123,6 +124,12 @@ IGNORED_FLAGS = [
     ["vino", "--format", "csv", "--timing"],
     ["vino", "--N-list", "10", "--method", "brute_force"],
     ["vino", "--N-list", "10", "--format", "json"],
+    ["syzygy", "--field", "real", "--tuple", "2,5", "--p", "7"],  # Q_p options over R
+    ["syzygy", "--field", "real", "--tuple", "2,5", "--s", "3"],
+    ["syzygy", "--scan", "--tuple", "0,1"],  # the scan takes every base tuple
+    ["vino", "--N-list", "10", "--N", "5"],  # the list replaces --N
+    ["ratio", "--N-list", "10", "--N", "5"],
+    ["bounds", "--field", "real", "--p", "7"],
 ]
 
 
@@ -131,6 +138,27 @@ def test_ignored_flags_are_usage_errors(args):
     proc = subprocess.run(CLI + args, capture_output=True, text=True)
     assert proc.returncode == 1 and not proc.stdout
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["ratio", "--bogus"],
+    ["vino", "--method", "nope"],
+    ["ratio", "--grid-step", "1/8"],  # the comb ratio is exact: no grid to choose
+], ids=" ".join)
+def test_argparse_errors_exit_1(args):
+    # 2 is the budget code, so argparse's own usage errors must not use it
+    proc = subprocess.run(CLI + args, capture_output=True, text=True)
+    assert proc.returncode == 1 and not proc.stdout
+    assert "error: " in proc.stderr
+
+
+def test_ratio_n8_approaches_limit():
+    doc = json.loads(run("ratio", "--n", "8", "--N-list", "10,1000,1000000"))
+    ratios = [r["ratio"] for r in doc["results"]]
+    limit = math.factorial(8) ** (1 / 16)
+    assert doc["limit"] == pytest.approx(limit, abs=1e-12)
+    assert ratios == sorted(ratios) and ratios[-1] < limit
+    assert limit - ratios[-1] < 1e-5 * limit
 
 
 def test_verify_unknown_suite_is_usage_error():
@@ -168,6 +196,7 @@ BASELINES = [
     (["bounds", "--table", "theorem1", "--n-max", "5", "--field", "padic"],
      "bounds_theorem1_padic.csv"),
     (["ratio", "--n", "2", "--N-list", "10,20,40"], "ratio_n2.json"),
+    (["ratio", "--n", "3", "--N-list", "2,3,5,8"], "ratio_n3.json"),
     (["verify", "--suite", "theorem1", "--seed", "7", "--trials", "6", "--format", "json"],
      "verify_theorem1_seed7.json"),
 ]

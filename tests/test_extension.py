@@ -193,7 +193,6 @@ def _assert_cells_match_pointwise(f, scale, axes):
         for idx in product(*(range(len(g)) for g in grid)):
             x = tuple(g[i] for g, i in zip(grid, idx))
             assert abs(ej[idx] - extension_op(f, cell, x)) < 1e-9
-    return cells
 
 
 def test_real_grid_route_matches_pointwise():
@@ -206,19 +205,28 @@ def test_real_grid_route_matches_pointwise():
     _assert_cells_match_pointwise(f, real_scale(2), ((1.5, 0.75, 3), (-2.0, 0.5, 2), (0.25, 1.25, 2)))
 
 
-def test_real_grid_route_matches_pointwise_comb():
+def test_comb_cells_pointwise():
     # atoms 1/4, 1/2, 3/4, 1: cell 0 is empty, the last cell holds 3/4 and 1
-    cells = _assert_cells_match_pointwise(AtomicComb(REAL, 4), real_scale(4),
-                                          ((0.0, 0.25, 3), (-1.0, 0.5, 3)))
-    assert not np.any(cells[0])
-    assert np.allclose(np.abs(cells[1]), 1) and not np.allclose(np.abs(cells[3]), 1)
+    import cmath
+    comb, scale = AtomicComb(REAL, 4), real_scale(4)
+
+    def atom(t, x):
+        return cmath.exp(-2j * cmath.pi * sum(t ** k * xk for k, xk in enumerate(x, 1)))
+
+    for x in product((0.125, 0.375, 2.625), (-1.0, 0.25, 1.25)):
+        cells = [extension_op(comb, Cell(REAL, scale, j), x) for j in range(4)]
+        assert cells[0] == 0
+        assert cells[1] == pytest.approx(atom(0.25, x), abs=1e-12)
+        assert cells[2] == pytest.approx(atom(0.5, x), abs=1e-12)
+        assert cells[3] == pytest.approx(atom(0.75, x) + atom(1.0, x), abs=1e-12)
+        assert sum(cells) == pytest.approx(extension_op(comb, None, x), abs=1e-12)
 
 
 def test_cached_tables_are_read_only():
     # the lru_cache builders hand the same arrays to every caller
     from momentsq.extension import _parseval_groups, _real_factors
     from momentsq.syzygy import _key_table
-    fine, bounds, w, factors = _real_factors(8, False, Fraction(1, 4), ((0.0, 0.25, 4),) * 2)
+    fine, bounds, w, factors = _real_factors(8, Fraction(1, 4), ((0.0, 0.25, 4),) * 2)
     arrays = [_key_table(2, 2, 1), *_parseval_groups(2, 2, 1), fine, bounds, w, *factors]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -294,6 +302,46 @@ def test_comb_ratio_matches_counting_identity():
     for N in (5, 10):
         expected = ((2 * N * N - N) / (N * N + 2)) ** 0.25
         assert comb_ratio(2, N) == pytest.approx(expected, abs=1e-9)
+
+
+def _comb_ratio_pointwise(n, N):
+    """The plain ratio over one period cell [0, N) x [0, N^2) x ..., summed
+    pointwise at the step-1/4 midpoints."""
+    comb, scale = AtomicComb(REAL, N), real_scale(N)
+    lhs = rhs = 0.0
+    for x in product(*((np.arange(4 * N ** k) + 0.5) / 4 for k in range(1, n + 1))):
+        lhs += abs(extension_op(comb, None, x)) ** (2 * n)
+        rhs += square_function(comb, scale, x) ** (2 * n)
+    return (lhs / rhs) ** (1 / (2 * n))
+
+
+@pytest.mark.parametrize("n,N", [(2, 1), (2, 2), (2, 3), (2, 5), (3, 2)])
+def test_comb_ratio_matches_pointwise(n, N):
+    # the closed form against the pointwise comb branch of extension_op
+    assert comb_ratio(n, N) == pytest.approx(_comb_ratio_pointwise(n, N), rel=1e-12)
+
+
+def test_comb_ratio_square_moment_by_quadrature():
+    # for N >= 2, (S_delta f)^2 = N + 2 cos(theta) with theta uniform; its n-th
+    # moment by the equispaced rule, exact for a trigonometric polynomial of degree n
+    from momentsq import permutation_count
+    theta = 2 * np.pi * np.arange(64) / 64
+    for n in range(2, 9):
+        for N in (2, 3, 10, 1000):
+            moment = np.mean((N + 2 * np.cos(theta)) ** n)
+            expected = (permutation_count(n, N) / moment) ** (1 / (2 * n))
+            assert comb_ratio(n, N) == pytest.approx(expected, rel=1e-12)
+
+
+def test_comb_ratio_rejects_bad_parameters():
+    for n, N in ((1, 5), (2, 0)):
+        with pytest.raises(ValueError):
+            comb_ratio(n, N)
+
+
+def test_weighted_norms_rejects_comb():
+    with pytest.raises(ValueError, match="comb_ratio"):
+        weighted_norms(AtomicComb(REAL, 4), real_scale(4), n=2)
 
 
 def test_comb_ratio_monotone():
