@@ -17,10 +17,9 @@ from .syzygy import (StrongDiagonalScan, SyzygyMethod, SyzygyReport,
 from .vinogradov import (AsymptoticRow, CountMethod, CountResult,
                          asymptotic_report, count_solutions, diagonal_count,
                          permutation_count)
-from .extension import (AtomicComb, LocallyConstant, NormRatio, QuadratureSpec,
-                        TestFunction, WeightProfile, WeightSpec, comb_ratio,
-                        extension_op, random_locally_constant, square_function,
-                        weighted_norms)
+from .extension import (AtomicComb, LocallyConstant, NormRatio, TestFunction,
+                        comb_ratio, extension_op, random_locally_constant,
+                        square_function, weighted_norms)
 from .bounds import (BoundReport, bezout_constant, bezout_syzygy_bound,
                      bounds_table, diagonal_refinement_max,
                      factorial_variant_constant, fewnomial_constant,

@@ -10,13 +10,18 @@ field, the step of the midpoint quadrature that it replaced.
 Exit codes: 0 success, 1 usage/input error (argparse's own errors
 included), 2 enumeration budget exceeded, 3 invariant failure (verify).
 A flag a command would ignore is a usage error.
+
+--config FILE reads key = value lines, each standing for the flag of that
+name (n-max or n_max); a switch (scan, timing) takes true, yes or 1, or
+false, no or 0.  The flags are spliced in after the subcommand name and
+parsed with the rest, so an unknown key or a bad value is a usage error
+and the command line's own flags win.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -34,37 +39,9 @@ _FORMATS = {"syzygy": ["json"], "vino": ["json", "csv"], "bounds": ["csv"],  # d
             "ratio": ["json"], "verify": ["text", "json"]}
 
 
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    field: str = "padic"
-    p: int | None = None  # None: 5 over Q_p; rejected over R and C
-    n: int = 2
-    s: int | None = None  # None: 1 over Q_p; rejected over R
-    N: int | None = None  # None: 10 (vino) or 40 (ratio); rejected with --N-list
-    N_list: tuple[int, ...] = ()
-    tuple_indices: tuple[int, ...] | None = None  # rejected with --scan
-    scan: bool = False
-    delta_inv: int | None = None  # None: 8 over R; rejected over Q_p
-    epsilon: Fraction | None = None
-    grid_step: Fraction | None = None
-    method: str | None = None
-    table: str = "theorem1"
-    n_max: int = 5
-    suite: str = "all"
-    seed: int = 7
-    trials: int | None = None
-    threads: int = 1
-    timing: bool = False
-    output: str | None = None
-    fmt: str = "json"
-
-
-def _emit(config: RunConfig, text: str):
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str):
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -79,75 +56,71 @@ def _json_int(v: int):
     return v if abs(v) < 2 ** 53 else str(v)
 
 
-def _field_of(config: RunConfig) -> FieldSpec:
-    if config.field == "padic":
-        return padic(5 if config.p is None else config.p)
-    if config.p is not None:
+def _field_of(args: argparse.Namespace) -> FieldSpec:
+    if args.field == "padic":
+        return padic(5 if args.p is None else args.p)
+    if args.p is not None:
         raise ValueError("--p applies over Q_p only")
-    if config.field == "real":
-        return REAL
-    if config.field == "complex":
-        return FieldSpec(FieldKind.COMPLEX)
-    raise ValueError(f"unknown field {config.field!r}")
+    return REAL if args.field == "real" else FieldSpec(FieldKind.COMPLEX)
 
 
-def cmd_syzygy(config: RunConfig) -> int:
-    if config.field == "padic" and any(
-            v is not None for v in (config.epsilon, config.grid_step, config.delta_inv)):
+def cmd_syzygy(args: argparse.Namespace) -> int:
+    if args.field == "padic" and any(
+            v is not None for v in (args.epsilon, args.grid_step, args.delta_inv)):
         raise ValueError("--epsilon, --grid-step and --delta-inv apply over R only")
-    if config.field == "real" and (config.p is not None or config.s is not None):
+    if args.field == "real" and (args.p is not None or args.s is not None):
         raise ValueError("--p and --s apply over Q_p only")
-    if config.scan and config.tuple_indices is not None:
+    if args.scan and args.tuple_indices is not None:
         raise ValueError("--scan enumerates every base tuple; --tuple names one")
-    indices = config.tuple_indices or ()
-    if not config.scan and len(indices) != config.n:
+    indices = args.tuple_indices or ()
+    if not args.scan and len(indices) != args.n:
         raise ValueError("--tuple must list exactly n cell indices")
-    if config.scan and config.field != "padic":
+    if args.scan and args.field != "padic":
         raise ValueError("--scan enumerates every base tuple over Q_p only")
-    if config.field == "padic":
-        p = 5 if config.p is None else config.p
-        s = 1 if config.s is None else config.s
+    if args.field == "padic":
+        p = 5 if args.p is None else args.p
+        s = 1 if args.s is None else args.s
         field = padic(p)
-        if config.scan:
-            scan = scan_strong_diagonal(p, config.n, s)
+        if args.scan:
+            scan = scan_strong_diagonal(p, args.n, s)
             hist: dict[str, int] = {}
             for c in scan.cardinalities:
                 hist[str(c)] = hist.get(str(c), 0) + 1
             doc = {
                 "schema": SCHEMA, "command": "syzygy", "mode": "scan",
-                "field": "padic", "p": p, "n": config.n, "s": s,
+                "field": "padic", "p": p, "n": args.n, "s": s,
                 "bases": scan.bases,
                 "all_match_permutation_oracle": scan.all_match_permutations,
                 "max_cardinality": scan.max_cardinality,
                 "cardinality_histogram": hist,
                 "bound": _json_int(scan.bound), "within_bound": scan.within_bound,
             }
-            _emit(config, _json(doc))
+            _emit(args, _json(doc))
             return 0
         base = cell_tuple(field, padic_scale(p, s), indices)
         report = syzygy_set_nonarch(base)
         doc = {
             "schema": SCHEMA, "command": "syzygy", "mode": "single",
-            "field": "padic", "p": p, "n": config.n, "s": s,
+            "field": "padic", "p": p, "n": args.n, "s": s,
             "base": list(base.indices),
             "epsilon": str(report.epsilon),
             "members": [list(ix) for ix in report.member_indices],
             "cardinality": report.cardinality,
             "method": report.method.value,
-            "bound": _json_int(syzygy_bound(field, config.n)),
-            "within_bound": report.cardinality <= syzygy_bound(field, config.n),
+            "bound": _json_int(syzygy_bound(field, args.n)),
+            "within_bound": report.cardinality <= syzygy_bound(field, args.n),
         }
-        _emit(config, _json(doc))
+        _emit(args, _json(doc))
         return 0
-    delta_inv = 8 if config.delta_inv is None else config.delta_inv
+    delta_inv = 8 if args.delta_inv is None else args.delta_inv
     base = cell_tuple(REAL, real_scale(delta_inv), indices)
-    curve = Curve.moment(config.n)
-    report = syzygy_set_real(curve, base, epsilon=config.epsilon,
-                             grid_step=config.grid_step)
+    curve = Curve.moment(args.n)
+    report = syzygy_set_real(curve, base, epsilon=args.epsilon,
+                             grid_step=args.grid_step)
     bound = bounds_mod.bezout_syzygy_bound(curve, REAL)
     doc = {
         "schema": SCHEMA, "command": "syzygy", "mode": "single",
-        "field": "real", "n": config.n, "delta": f"1/{delta_inv}",
+        "field": "real", "n": args.n, "delta": f"1/{delta_inv}",
         "base": list(base.indices),
         "epsilon": str(report.epsilon),
         "members": [list(ix) for ix in report.member_indices],
@@ -156,105 +129,106 @@ def cmd_syzygy(config: RunConfig) -> int:
         "bound": _json_int(bound),
         "within_bound": report.cardinality <= bound,
     }
-    _emit(config, _json(doc))
+    _emit(args, _json(doc))
     return 0
 
 
-def _n_values(config: RunConfig, default: int) -> tuple[int, ...]:
+def _n_values(args: argparse.Namespace, default: int) -> tuple[int, ...]:
     """--N-list, or else the single --N (default when not given)."""
-    if config.N_list and config.N is not None:
+    if args.N_list and args.N is not None:
         raise ValueError("--N-list replaces --N")
-    return config.N_list or (default if config.N is None else config.N,)
+    return args.N_list or (default if args.N is None else args.N,)
 
 
-def cmd_vino(config: RunConfig) -> int:
-    curve = Curve.moment(config.n)
-    n_list = _n_values(config, 10)
-    if config.fmt == "csv":
-        if config.timing or config.method:
+def cmd_vino(args: argparse.Namespace) -> int:
+    curve = Curve.moment(args.n)
+    n_list = _n_values(args, 10)
+    if args.fmt == "csv":
+        if args.timing or args.method:
             raise ValueError("--timing and --method apply to the JSON count only")
-        rows = asymptotic_report(config.n, n_list)
+        rows = asymptotic_report(args.n, n_list)
         lines = ["N,count,leading,residual,residual_over_N_pow_n_minus_1,method"]
         for r in rows:
             lines.append(f"{r.N},{r.count},{r.leading},{r.residual},"
                          f"{float(r.residual_ratio):.6f},{r.method.value}")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
         return 0
     (N,) = n_list  # JSON is one count: --N-list writes CSV
-    method = CountMethod(config.method) if config.method else None
-    res = count_solutions(curve, config.n, N, method)
+    method = CountMethod(args.method) if args.method else None
+    res = count_solutions(curve, args.n, N, method)
     doc = {
         "schema": SCHEMA, "command": "vino",
-        "n": config.n, "N": N,
+        "n": args.n, "N": N,
         "count": str(res.count),
         "method": res.method.value,
-        "diagonal": str(diagonal_count(config.n, N)),
-        "permutation_count": str(permutation_count(config.n, N)),
+        "diagonal": str(diagonal_count(args.n, N)),
+        "permutation_count": str(permutation_count(args.n, N)),
     }
-    if config.timing:
+    if args.timing:
         doc["elapsed_seconds"] = round(res.elapsed, 6)
-    _emit(config, _json(doc))
+    _emit(args, _json(doc))
     return 0
 
 
-def cmd_bounds(config: RunConfig) -> int:
-    field = _field_of(config)
-    rows = bounds_mod.bounds_table(config.table, field, config.n_max)
+def cmd_bounds(args: argparse.Namespace) -> int:
+    field = _field_of(args)
+    rows = bounds_mod.bounds_table(args.table, field, args.n_max)
     lines = ["name,n,field,value,formula"]
     for r in rows:
         fld = r.parameters.get("field", "-")
         val = f"{float(r.value):.10g}"
         lines.append(f"{r.name},{r.parameters['n']},{fld},{val},\"{r.formula}\"")
-    _emit(config, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_ratio(config: RunConfig) -> int:
+def cmd_ratio(args: argparse.Namespace) -> int:
     import math
-    results = [{"N": N, "ratio": round(comb_ratio(config.n, N), 12)}
-               for N in _n_values(config, 40)]
+    results = [{"N": N, "ratio": round(comb_ratio(args.n, N), 12)}
+               for N in _n_values(args, 40)]
     doc = {
         "schema": SCHEMA, "command": "ratio",
-        "n": config.n,
+        "n": args.n,
         "grid_step": "1/4",  # fixed: the ratio is exact, and the schema keeps the field
         "results": results,
-        "limit": round(math.factorial(config.n) ** (1 / (2 * config.n)), 12),
+        "limit": round(math.factorial(args.n) ** (1 / (2 * args.n)), 12),
     }
-    _emit(config, _json(doc))
+    _emit(args, _json(doc))
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    results = verify_mod.run_suite(config.suite, seed=config.seed, trials=config.trials)
-    if config.fmt == "json":
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = verify_mod.run_suite(args.suite, seed=args.seed, trials=args.trials)
+    if args.fmt == "json":
         doc = {
             "schema": SCHEMA, "command": "verify",
-            "suite": config.suite, "seed": config.seed,
+            "suite": args.suite, "seed": args.seed,
             "results": [{"suite": r.suite, "name": r.name, "passed": r.passed,
                          "detail": r.detail} for r in results],
             "all_passed": all(r.passed for r in results),
         }
-        _emit(config, _json(doc))
+        _emit(args, _json(doc))
     else:
         lines = [f"{'PASS' if r.passed else 'FAIL'} {r.suite}/{r.name}: {r.detail}"
                  for r in results]
         passed = sum(r.passed for r in results)
         lines.append(f"{passed}/{len(results)} checks passed")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0 if all(r.passed for r in results) else 3
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
-def _load_config_file(path: str) -> dict:
-    """Minimal TOML-style key = value reader; flags always win."""
-    out = {}
+_SWITCHES = ("scan", "timing")  # flags without a value
+
+
+def _config_flags(path: str) -> list[str]:
+    """The flags that a key = value file stands for: the key is a flag name
+    (n-max or n_max), and a switch is set by true, yes or 1 and left unset
+    by false, no or 0."""
+    flags = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -263,8 +237,14 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, val = (tok.strip() for tok in line.split("=", 1))
-            out[key.replace("-", "_")] = val.strip("'\"")
-    return out
+            flag, val = "--" + key.replace("_", "-"), val.strip("'\"")
+            if key not in _SWITCHES:
+                flags.append(f"{flag}={val}")
+            elif val.lower() in ("true", "yes", "1"):
+                flags.append(flag)
+            elif val.lower() not in ("false", "no", "0"):
+                raise ValueError(f"config key {key} is a switch: true or false, not {val!r}")
+    return flags
 
 
 class _Parser(argparse.ArgumentParser):
@@ -302,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="the base cell tuple; not with --scan")
     sp.add_argument("--scan", action="store_true",
                     help="compare every base tuple against the permutation oracle")
-    sp.add_argument("--epsilon", type=_parse_fraction, default=None)
-    sp.add_argument("--grid-step", type=_parse_fraction, default=None)
+    sp.add_argument("--epsilon", type=Fraction, default=None)
+    sp.add_argument("--grid-step", type=Fraction, default=None)
 
     sp = command("vino", "count Vinogradov-system solutions")
     sp.add_argument("--n", type=int, default=2)
@@ -335,51 +315,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INT_KEYS = {"p", "n", "s", "N", "n_max", "seed", "trials", "threads", "delta_inv"}
-_BOOL_KEYS = {"scan", "timing"}
-_FRACTION_KEYS = {"epsilon", "grid_step"}
-_LIST_KEYS = {"tuple_indices", "N_list"}
-
-
-def _coerce(key: str, val: str):
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _BOOL_KEYS:
-        return val.lower() in ("1", "true", "yes")
-    if key in _FRACTION_KEYS:
-        return _parse_fraction(val)
-    if key in _LIST_KEYS:
-        return _parse_int_list(val)
-    return val
-
-
-_CLI_ALIASES = {"tuple": "tuple_indices", "format": "fmt"}
-
-
-def parse_config(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """Parse argv; the flags of a --config file are spliced in right after
+    the subcommand name, so argparse checks them like any other flag and
+    the command line's own flags, which come later, win."""
+    argv = list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    values = vars(args)
     if args.config:
-        explicit = set()
-        for tok in argv:
-            if tok.startswith("--"):
-                name = tok[2:].split("=", 1)[0].replace("-", "_")
-                explicit.add(_CLI_ALIASES.get(name, name))
-        for key, val in _load_config_file(args.config).items():
-            key = _CLI_ALIASES.get(key, key)
-            if key not in values:
-                raise ValueError(f"unknown config key {key!r}")
-            if key in explicit:
-                continue  # flags win
-            values[key] = _coerce(key, val)
-    values.pop("config", None)
-    command = values["command"]
-    formats = ["csv"] if command == "vino" and values["N_list"] else _FORMATS[command]
-    values["fmt"] = values["fmt"] or formats[0]
-    if values["fmt"] not in formats:
-        raise ValueError(f"--format {values['fmt']}: {command} writes {' or '.join(formats)} here")
-    return RunConfig(**{k: v for k, v in values.items() if v is not None})
+        i = 0
+        while argv[i].startswith("-"):  # only --config precedes the subcommand
+            i += 1 if "=" in argv[i] else 2
+        args = parser.parse_args(argv[:i + 1] + _config_flags(args.config) + argv[i + 1:])
+    formats = ["csv"] if args.command == "vino" and args.N_list else _FORMATS[args.command]
+    args.fmt = args.fmt or formats[0]
+    if args.fmt not in formats:
+        raise ValueError(f"--format {args.fmt}: {args.command} writes {' or '.join(formats)} here")
+    return args
 
 
 _COMMANDS = {
@@ -393,12 +345,12 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(sys.argv[1:] if argv is None else argv)
-    except ValueError as exc:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except (ValueError, ZeroDivisionError, OSError) as exc:  # Fraction("1/0") divides
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2

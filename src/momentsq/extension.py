@@ -10,7 +10,8 @@ finite sum over coset representatives, and Parseval turns that sum into
 sum_k |B(k)|^2 over power-sum groups of sorted residue n-tuples mod p^{ns}.  Over R
 the xi-integrals use composite Gauss-Legendre panels sized to the phase
 bandwidth, and the norm quadrature is the midpoint rule on the weighted
-box; step 1/4 resolves every frequency the quartic integrand contains.
+box.  The L^{2n} integrands hold frequencies up to n along each axis, so
+the step is 1/4 for n <= 3 and 1/(n+1) from n = 4, where 1/4 would alias.
 The atomic comb's ratio is a closed form: its L^{2n} norm counts
 power-sum coincidences, which Girard-Newton makes permutations.
 """
@@ -21,7 +22,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -82,54 +82,11 @@ class AtomicComb:
 TestFunction = LocallyConstant | AtomicComb
 
 
-class WeightProfile(Enum):
-    INDICATOR_BALL = "indicator_ball"
-    SHIFTED_FEJER = "shifted_fejer"
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """The weight W((x - c) / radius_scale) for the norm integrals.
-
-    Non-Archimedean: the indicator of the ball of radius radius_scale.
-    Real: the product of shifted Fejer-type factors
-    w(u) = (pi/2)^2 sinc^2(u - 1/2), which is >= 1 on [0, 1] and whose
-    transform is supported in [-1, 1] and vanishes at the endpoints.
-    """
-
-    field: FieldSpec
-    center: tuple
-    radius_scale: Fraction
-    profile: WeightProfile
-
-    def __post_init__(self):
-        non_arch = self.field.kind is FieldKind.PADIC
-        if non_arch != (self.profile is WeightProfile.INDICATOR_BALL):
-            raise ValueError("indicator-ball weights go with non-Archimedean fields")
-        if self.profile is WeightProfile.SHIFTED_FEJER:
-            # the profile must dominate 1 on the unit box; sampled check
-            u = np.linspace(0.0, 1.0, 33)
-            if not np.all(fejer_weight(u) >= 1 - 1e-12):
-                raise ValueError("weight profile drops below 1 on the unit box")
-
-    @classmethod
-    def standard(cls, field: FieldSpec, n: int, scale: Scale) -> "WeightSpec":
-        profile = (WeightProfile.INDICATOR_BALL
-                   if field.kind is FieldKind.PADIC else WeightProfile.SHIFTED_FEJER)
-        return cls(field, (Fraction(0),) * n, Fraction(1) / scale.delta ** n, profile)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    grid_step: Fraction = Fraction(1, 4)   # R: midpoint step for the x-grid
-
-    def __post_init__(self):
-        if self.grid_step > Fraction(1, 4):
-            raise ValueError("grid_step must be at most 1/4")
-
-
 def fejer_weight(u: np.ndarray | float) -> np.ndarray | float:
-    """(pi/2)^2 sinc^2(u - 1/2); at least 1 on [0, 1]."""
+    """The real norms' weight factor w(u) = (pi/2)^2 sinc^2(u - 1/2), taken
+    at u = (x_k - c_k) / delta^{-n} along each axis.  It is at least 1 on
+    [0, 1], and its transform is supported in [-1, 1] and vanishes at the
+    endpoints.  Over Q_p the weight is the indicator of the ball."""
     return (np.pi / 2) ** 2 * np.sinc(np.asarray(u, dtype=float) - 0.5) ** 2
 
 
@@ -380,9 +337,9 @@ def _cell_extensions(f: LocallyConstant, scale: Scale, axes: tuple, budget: int)
 
 
 def _weighted_norms_real(f: LocallyConstant, scale: Scale, center, n: int,
-                         quad: QuadratureSpec, budget: int) -> NormRatio:
+                         budget: int) -> NormRatio:
     radius = float(Fraction(1) / scale.delta ** n)
-    step = float(quad.grid_step)
+    step = 1 / max(4, n + 1)  # the midpoint rule aliases no frequency below n + 1
     axes = tuple((float(c), step, int(round(radius / step))) for c in center[:n])
     cells = _cell_extensions(f, scale, axes, budget)
     e_full = next(cells)  # the budget checks run before this first allocation
@@ -396,35 +353,20 @@ def _weighted_norms_real(f: LocallyConstant, scale: Scale, center, n: int,
                      float(np.sum(sq ** n * w) * step ** n) ** (1 / (2 * n)))
 
 
-def weighted_norms(f: TestFunction, scale: Scale, center=None,
-                   quad: QuadratureSpec | None = None, n: int | None = None,
-                   weight: WeightSpec | None = None,
+def weighted_norms(f: TestFunction, scale: Scale, center=None, n: int | None = None,
                    budget: int = DEFAULT_ENUMERATION_BUDGET) -> NormRatio:
     """L^{2n} norms of E_O f and S_delta f against the standard weight.
 
     Q_p: the integrands are locally constant on Z_p^n cosets, so the sum
     over coset representatives of the ball of radius p^{ns} IS the
     integral; no quadrature error beyond float rounding.  R: midpoint rule
-    with the quad grid step over the box of side delta^{-n} anchored at
-    the center, against the Fejer-type weight.  An AtomicComb is refused:
-    `comb_ratio` gives its ratio exactly.
+    with step 1/4 (1/(n+1) from n = 4) over the box of side delta^{-n}
+    anchored at the center, against the Fejer-type weight.  An AtomicComb
+    is refused: `comb_ratio` gives its ratio exactly.
     """
-    if quad is None:
-        quad = QuadratureSpec()
-    if weight is not None:
-        if n is not None and n != len(weight.center):
-            raise ValueError("n disagrees with the weight's center point")
-        if center is not None and tuple(center) != tuple(weight.center):
-            raise ValueError("center disagrees with the weight's center point")
-        center = weight.center
-        n = len(center)
-        if weight.field != f.field:
-            raise ValueError("weight and test function live over different fields")
-        if weight.radius_scale != Fraction(1) / scale.delta ** n:
-            raise ValueError("weight radius must be delta^(-n) for this scale")
     if n is None:
         if center is None:
-            raise ValueError("give n, a center point, or a weight spec")
+            raise ValueError("give n or a center point")
         n = len(center)
     if center is None:
         center = (Fraction(0),) * n
@@ -435,7 +377,7 @@ def weighted_norms(f: TestFunction, scale: Scale, center=None,
     if f.field.kind is FieldKind.PADIC:
         out = _weighted_norms_padic(f, scale, center, n, budget)
     elif f.field.kind is FieldKind.REAL:
-        out = _weighted_norms_real(f, scale, center, n, quad, budget)
+        out = _weighted_norms_real(f, scale, center, n, budget)
     else:
         raise ValueError("norms are computed over R and Q_p")
     if out.rhs == 0:
@@ -459,10 +401,11 @@ def comb_ratio(n: int, N: int) -> float:
     For N >= 2, cell 0 is empty, the last cell holds (N-1)/N and 1, and
     every other cell one atom, so (S_delta f)^2 = N + 2 cos(theta) with
     theta uniform on a turn, whose n-th moment is the sum below.  At N = 1
-    the one atom sits in the one cell and that moment is 1.
+    the one atom sits in the one cell and that moment is 1.  The quotient
+    reaches n! as N grows, and 171! overflows a float: n is at most 170.
     """
-    if n < 2 or N < 1:
-        raise ValueError("the comb ratio needs n >= 2 and N >= 1")
+    if not (2 <= n <= 170 and N >= 1):
+        raise ValueError("the comb ratio needs 2 <= n <= 170 and N >= 1")
     if N == 1:
         square_moment = 1
     else:

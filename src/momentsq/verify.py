@@ -69,7 +69,7 @@ def _check_partitions(seed: int, trials: int) -> list[CheckResult]:
     return out
 
 
-def _check_symmetric(seed: int, trials: int = 300) -> list[CheckResult]:
+def _check_symmetric(seed: int, trials: int) -> list[CheckResult]:
     rng = random.Random(seed)
     ok_round = ok_perm = True
     for _ in range(trials):
@@ -176,7 +176,7 @@ def _check_vinogradov(seed: int) -> list[CheckResult]:
     return out
 
 
-def _check_extension(seed: int, trials: int = 25) -> list[CheckResult]:
+def _check_extension(seed: int, trials: int) -> list[CheckResult]:
     out = []
     field = padic(5)
     scale = padic_scale(5, 1)
@@ -205,7 +205,7 @@ def _check_extension(seed: int, trials: int = 25) -> list[CheckResult]:
     return out
 
 
-def _check_theorem1(seed: int, trials: int = 25) -> list[CheckResult]:
+def _check_theorem1(seed: int, trials: int) -> list[CheckResult]:
     out = []
     field = padic(5)
     s_gamma = max(syzygy.scan_strong_diagonal(5, 2, s).max_cardinality

@@ -51,36 +51,22 @@ def diagonal_count(n: int, N: int) -> int:
     return N ** n
 
 
-def _partitions(n: int, largest: int | None = None):
-    """Partitions of n as nonincreasing tuples."""
-    if largest is None:
-        largest = n
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
-
-
 def permutation_count(n: int, N: int) -> int:
     """sum over ordered s in [1,N]^n of the number of distinct reorderings
-    of s, via multinomials over partition patterns (O(p(n)) work)."""
+    of s, in O(n^2) integer steps.
+
+    The count T_n is n!^2 [x^n] A(x)^N with A(x) = sum_k x^k / k!^2, and
+    J.C.P. Miller's recurrence for a power of a power series, scaled by
+    k!^2, reads T_k = (1/k) sum_{j=1..k} ((N+1)j - k) C(k, j)^2 T_{k-j},
+    with T_0 = 1.
+    """
     if N < 1:
         raise ValueError("N >= 1")
-    total = 0
-    for lam in _partitions(n):
-        r = len(lam)
-        # #multisets with multiplicity pattern lam: choose r values ordered
-        # by which part they take, unordered among equal part sizes
-        mult_counts: dict[int, int] = {}
-        for part in lam:
-            mult_counts[part] = mult_counts.get(part, 0) + 1
-        denom = math.prod(math.factorial(a) for a in mult_counts.values())
-        multisets = math.perm(N, r) // denom
-        orderings = math.factorial(n) // math.prod(math.factorial(p) for p in lam)
-        total += multisets * orderings * orderings
-    return total
+    t = [1]
+    for k in range(1, n + 1):
+        t.append(sum(((N + 1) * j - k) * math.comb(k, j) ** 2 * t[k - j]
+                      for j in range(1, k + 1)) // k)
+    return t[n]
 
 
 def _orbit_join(keys: np.ndarray, orbit: np.ndarray) -> int:

@@ -1,11 +1,13 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 CLI = [sys.executable, "-m", "momentsq.cli"]
+BASELINE_DIR = pathlib.Path(__file__).parent.parent / "docs" / "baselines"
 
 
 def run(*args, expect=0):
@@ -144,6 +146,8 @@ def test_ignored_flags_are_usage_errors(args):
     ["ratio", "--bogus"],
     ["vino", "--method", "nope"],
     ["ratio", "--grid-step", "1/8"],  # the comb ratio is exact: no grid to choose
+    ["syzygy", "--field", "real", "--tuple", "2,5", "--epsilon", "1/0"],
+    ["--config", "no-such-dir/run.cfg", "vino"],
 ], ids=" ".join)
 def test_argparse_errors_exit_1(args):
     # 2 is the budget code, so argparse's own usage errors must not use it
@@ -161,6 +165,14 @@ def test_ratio_n8_approaches_limit():
     assert limit - ratios[-1] < 1e-5 * limit
 
 
+def test_ratio_rejects_n_above_170():
+    # the ratio and its limit reach n!, and 171! overflows a float
+    proc = subprocess.run(CLI + ["ratio", "--n", "200", "--N", "10"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr.startswith("error: ") and "170" in proc.stderr
+
+
 def test_verify_unknown_suite_is_usage_error():
     run("verify", "--suite", "bogus", expect=1)
 
@@ -175,12 +187,26 @@ def test_config_file_unknown_key(tmp_path):
 
 def test_config_file_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 5\nn = 2\ns = 1\ntuple = 2,2\n")
+    cfg.write_text("p = 5\nn = 2\ns = 1\ntuple = 2,2\nscan = no\n")
     doc = json.loads(run("--config", str(cfg), "syzygy"))
     assert doc["base"] == [2, 2]
     # explicit flag beats the file
     doc = json.loads(run("--config", str(cfg), "syzygy", "--tuple", "0,1"))
     assert doc["base"] == [0, 1]
+
+
+@pytest.mark.parametrize("line", [
+    "field = complex",  # not a choice of syzygy --field
+    "command = bounds",  # not a flag: the subcommand is named on the command line
+    "n = two",  # --n takes an int
+    "scan = ture",  # a switch takes true or false
+])
+def test_config_file_values_checked_like_flags(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    proc = subprocess.run(CLI + ["--config", str(cfg), "syzygy", "--tuple", "2,5"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and not proc.stdout
 
 
 def test_thread_count_byte_identical():
@@ -199,11 +225,36 @@ BASELINES = [
     (["ratio", "--n", "3", "--N-list", "2,3,5,8"], "ratio_n3.json"),
     (["verify", "--suite", "theorem1", "--seed", "7", "--trials", "6", "--format", "json"],
      "verify_theorem1_seed7.json"),
+    (["syzygy", "--scan", "--p", "5", "--n", "3", "--s", "1"], "syzygy_scan_q5_n3_s1.json"),
+    (["vino", "--n", "3", "--N", "300"], "vino_n3_N300.json"),
 ]
 
 
 @pytest.mark.parametrize("args,name", BASELINES, ids=[n for _, n in BASELINES])
 def test_regression_baselines(args, name):
-    import pathlib
-    baseline = pathlib.Path(__file__).parent.parent / "docs" / "baselines" / name
-    assert run(*args) == baseline.read_text()
+    assert run(*args) == (BASELINE_DIR / name).read_text()
+
+
+def _config_lines(flags, sep):
+    """The key = value lines standing for flags; sep joins the words of a key."""
+    lines, i = [], 0
+    while i < len(flags):
+        key = flags[i][2:].replace("-", sep)
+        if i + 1 < len(flags) and not flags[i + 1].startswith("--"):
+            lines.append(f"{key} = {flags[i + 1]}")
+            i += 2
+        else:  # a switch
+            lines.append(f"{key} = true")
+            i += 1
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("args,name", BASELINES, ids=[n for _, n in BASELINES])
+def test_config_file_matches_flags(tmp_path, args, name):
+    expected = (BASELINE_DIR / name).read_text()
+    command, flags = args[0], args[1:]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_lines(flags, "-"))
+    assert run("--config", str(cfg), command) == expected
+    cfg.write_text(_config_lines(flags, "_"))
+    assert run(f"--config={cfg}", command) == expected

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentsq import (REAL, AtomicComb, BudgetExceededError, Cell, LocallyConstant,
-                      QuadratureSpec, comb_ratio, extension_op, padic, padic_scale,
+                      comb_ratio, extension_op, padic, padic_scale,
                       random_locally_constant, real_scale, square_function,
                       weighted_norms)
 from momentsq.extension import fejer_weight
@@ -284,6 +284,23 @@ def test_weighted_norms_real_ratio_bound():
         assert r.ratio <= 2 * 1.02  # pointwise CS: sqrt(#cells)
 
 
+def test_real_norms_n4_use_step_one_fifth():
+    # the n = 4 integrands hold frequency 4, which step 1/4 aliases: the
+    # grid route must match pointwise midpoint sums on the step-1/5 grid
+    f = random_locally_constant(REAL, 3, seed=11)
+    scale = real_scale(1)  # the box is the unit cube with its corner at the centre
+    center = (Fraction(1, 2), Fraction(-1), Fraction(0), Fraction(3, 4))
+    lhs = rhs = 0.0
+    for idx in product(range(5), repeat=4):
+        x = tuple(float(c) + (i + 0.5) / 5 for c, i in zip(center, idx))
+        w = np.prod([fejer_weight(xk - float(c)) for xk, c in zip(x, center)])
+        lhs += abs(extension_op(f, None, x)) ** 8 * w / 5 ** 4
+        rhs += square_function(f, scale, x) ** 8 * w / 5 ** 4
+    fast = weighted_norms(f, scale, center=center)
+    assert fast.lhs == pytest.approx(lhs ** (1 / 8), rel=1e-9)
+    assert fast.rhs == pytest.approx(rhs ** (1 / 8), rel=1e-9)
+
+
 def test_fejer_weight_on_unit_interval():
     u = np.linspace(0, 1, 101)
     w = fejer_weight(u)
@@ -334,7 +351,7 @@ def test_comb_ratio_square_moment_by_quadrature():
 
 
 def test_comb_ratio_rejects_bad_parameters():
-    for n, N in ((1, 5), (2, 0)):
+    for n, N in ((1, 5), (2, 0), (171, 10)):  # 171! overflows a float
         with pytest.raises(ValueError):
             comb_ratio(n, N)
 
@@ -353,22 +370,3 @@ def test_comb_ratio_monotone():
 def test_atomic_comb_rejected_over_padic():
     with pytest.raises(ValueError):
         AtomicComb(padic(5), 4)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(grid_step=Fraction(1, 2))
-
-
-def test_weight_spec_wiring():
-    from momentsq import WeightProfile, WeightSpec
-    f5 = padic(5)
-    sc = padic_scale(5, 1)
-    f = random_locally_constant(f5, 2, seed=4)
-    w = WeightSpec.standard(f5, 2, sc)
-    assert w.profile is WeightProfile.INDICATOR_BALL
-    assert weighted_norms(f, sc, weight=w).ratio == weighted_norms(f, sc, n=2).ratio
-    with pytest.raises(ValueError):
-        WeightSpec(f5, (Fraction(0), Fraction(0)), Fraction(25), WeightProfile.SHIFTED_FEJER)
-    with pytest.raises(ValueError):
-        weighted_norms(f, padic_scale(5, 2), weight=w)  # radius mismatch

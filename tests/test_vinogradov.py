@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -43,6 +44,13 @@ def test_permutation_count_examples():
     assert permutation_count(2, 10) == 190
     assert permutation_count(3, 5) == 545
     assert permutation_count(2, 1) == 1
+
+
+def test_permutation_count_two_values():
+    # n-tuples over {1, 2}: i ones in C(n, i) orders, and sum_i C(n, i)^2 = C(2n, n)
+    for n in range(101):
+        assert permutation_count(n, 2) == math.comb(2 * n, n)
+        assert permutation_count(n, 1) == 1
 
 
 def test_diagonal_count():
