@@ -1,4 +1,5 @@
-"""Budget guard shared by the enumeration engines."""
+"""Budget guards shared by the enumeration engines."""
+import math
 
 
 class BudgetExceededError(RuntimeError):
@@ -6,7 +7,7 @@ class BudgetExceededError(RuntimeError):
 
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 8   # hash insertions / enumerated points
-DEFAULT_COUNT_BUDGET = 3 * 10 ** 7    # [1,N]^n keys held in memory at once
+DEFAULT_COUNT_BUDGET = 3 * 10 ** 7    # sorted n-tuples over [1,N] held in memory at once
 
 
 def check_budget(work: int, budget: int, what: str):
@@ -14,3 +15,12 @@ def check_budget(work: int, budget: int, what: str):
         raise BudgetExceededError(
             f"{what} needs {work} enumeration steps, over the budget of {budget}"
         )
+
+
+def check_sorted_tuples(m: int, n: int, key_bound: int, budget: int, values: str):
+    """Guard the C(m+n-1, n) sorted n-tuples over the m `values`, whose
+    packed int64 keys stay below key_bound, before anything is allocated."""
+    check_budget(math.comb(m + n - 1, n), budget,
+                 f"enumeration of the sorted {n}-tuples over {values}")
+    if key_bound >= 2 ** 62:
+        raise BudgetExceededError("packed keys would overflow 64-bit integers")

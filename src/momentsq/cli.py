@@ -218,7 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    return tuple(int(tok) for tok in text.split(","))  # an empty entry is an error
 
 
 _SWITCHES = ("scan", "timing")  # flags without a value

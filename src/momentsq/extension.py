@@ -259,7 +259,7 @@ def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
     g = np.asarray(f.values, dtype=complex)[reps % (p ** f.precision)]
     if any(center):
         phases = [sum((padic_fractional_part(int(a) ** k * Fraction(c), p)
-                       for k, c in enumerate(center[:n], 1) if c), Fraction(0)) % 1
+                       for k, c in enumerate(center, 1) if c), Fraction(0)) % 1
                   for a in reps]
         g = g * np.array([cmath.exp(2j * cmath.pi * ph) for ph in phases])
     h = np.bincount(reps % q, g.real, q) + 1j * np.bincount(reps % q, g.imag, q)
@@ -340,7 +340,7 @@ def _weighted_norms_real(f: LocallyConstant, scale: Scale, center, n: int,
                          budget: int) -> NormRatio:
     radius = float(Fraction(1) / scale.delta ** n)
     step = 1 / max(4, n + 1)  # the midpoint rule aliases no frequency below n + 1
-    axes = tuple((float(c), step, int(round(radius / step))) for c in center[:n])
+    axes = tuple((float(c), step, int(round(radius / step))) for c in center)
     cells = _cell_extensions(f, scale, axes, budget)
     e_full = next(cells)  # the budget checks run before this first allocation
     sq = np.abs(e_full) ** 2
@@ -364,12 +364,12 @@ def weighted_norms(f: TestFunction, scale: Scale, center=None, n: int | None = N
     anchored at the center, against the Fejer-type weight.  An AtomicComb
     is refused: `comb_ratio` gives its ratio exactly.
     """
-    if n is None:
-        if center is None:
-            raise ValueError("give n or a center point")
-        n = len(center)
-    if center is None:
-        center = (Fraction(0),) * n
+    if n is None and center is None:
+        raise ValueError("give n or a center point")
+    n = len(center) if n is None else n
+    center = (Fraction(0),) * n if center is None else center
+    if len(center) != n:
+        raise ValueError(f"the center needs n = {n} coordinates, not {len(center)}")
     if isinstance(f, AtomicComb):
         raise ValueError("the comb's norm ratio is exact by counting: use comb_ratio")
     if f.is_zero:

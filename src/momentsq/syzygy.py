@@ -31,7 +31,8 @@ from math import gcd as int_gcd
 
 import numpy as np
 
-from .budget import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, check_budget
+from .budget import (DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, check_budget,
+                     check_sorted_tuples)
 from .curves import Curve
 from .local_field import CellTuple, FieldKind, FieldSpec, cell_tuple
 from . import bounds
@@ -216,13 +217,9 @@ def _key_table(p: int, n: int, s: int) -> np.ndarray:
 
 
 def _check_key_rows(p: int, n: int, s: int, budget: int):
-    """The guards of `_key_rows`: the budget counts its C(q+n-1, n) sorted
-    tuples, and its codes key * q + multiset must fit in 64 bits."""
+    """The guards of `_key_rows`, whose codes key * q + multiset stay below q^(n+1)."""
     q = p ** (n * s)
-    check_budget(math.comb(q + n - 1, n), budget,
-                 f"enumeration of the sorted {n}-tuples over Z/{q}")
-    if q ** (n + 1) >= 2 ** 62:
-        raise BudgetExceededError("packed keys would overflow 64-bit integers")
+    check_sorted_tuples(q, n, q ** (n + 1), budget, f"Z/{q}")
 
 
 def _get_index(p: int, n: int, s: int,
@@ -351,7 +348,8 @@ def scan_strong_diagonal(p: int, n: int, s: int,
                          budget: int = DEFAULT_ENUMERATION_BUDGET) -> StrongDiagonalScan:
     """Enumerate S(delta, I; delta^n) for every I in P_delta^n and compare
     with the permutation oracle, in one pass over the cached key table."""
-    field = FieldSpec(FieldKind.PADIC, p)
+    if s < 0:
+        raise ValueError("s must be nonnegative")
     ncells = p ** s
     cards, mismatch = _scan_table(_get_index(p, n, s, budget=budget), n, ncells)
     mismatches = tuple(_decode(int(c), ncells, n) for c in np.flatnonzero(mismatch))
@@ -362,7 +360,7 @@ def scan_strong_diagonal(p: int, n: int, s: int,
         mismatches=mismatches,
         max_cardinality=int(cards.max()),
         cardinalities=tuple(cards.tolist()),
-        bound=syzygy_bound(field, n),
+        bound=syzygy_bound(FieldSpec(FieldKind.PADIC, p), n),
     )
 
 

@@ -6,8 +6,9 @@ sum_v m(v)^2 over the level sets m(v) = #{t : sum_i gamma(t_i) = v}.  The
 power-sum vector is symmetric, so the join enumerates only the C(N+n-1, n)
 nondecreasing tuples, each standing for its orbit of n!/prod(mult!)
 orderings: m(v) is the sum of the orbit sizes of the sorted tuples with key
-v.  The brute-force path compares all pairs of tuples and is the oracle the
-fast paths are checked against.
+v.  The budget counts those tuples, and keys past 64 bits are refused.  The
+brute-force path compares all pairs of tuples and is the oracle the fast
+paths are checked against.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .budget import DEFAULT_COUNT_BUDGET, check_budget
+from .budget import DEFAULT_COUNT_BUDGET, BudgetExceededError, check_budget, check_sorted_tuples
 from .curves import Curve
 from .syzygy import _orbit_sizes, _sorted_tuples
 
@@ -80,42 +81,23 @@ def _orbit_join(keys: np.ndarray, orbit: np.ndarray) -> int:
     return int(np.dot(weight, weight))
 
 
-def _moment_join(n: int, N: int) -> int:
+def _moment_join(n: int, N: int, budget: int) -> int:
     """J(N) for the moment curve from the sorted n-tuples over [1, N].
 
-    Packing: since the k-th component sum is below R_k = n*N^k + 1, the
-    digits sum without carrying and the packed key of a tuple is the sum of
-    a single per-point contribution phi(t) = sum_k t^k * prefix_k.
+    Packing: the k-th component sum is below R_k = n*N^k + 1, so the digits
+    sum without carrying, and a tuple's key, below prefix[n] = R_1 ... R_n,
+    sums phi(t) = sum_k t^k * prefix[k-1] over its points.
     """
+    prefix = [math.prod(n * N ** j + 1 for j in range(1, k + 1)) for k in range(n + 1)]
+    check_sorted_tuples(N, n, prefix[n], budget, f"[1,{N}]")
     t = np.arange(1, N + 1, dtype=np.int64)
-    phi = np.zeros(N, dtype=np.int64)
-    prefix = 1
-    power = np.ones(N, dtype=np.int64)
-    for k in range(1, n + 1):
-        power = power * t
-        phi += prefix * power
-        prefix *= n * N ** k + 1
+    phi = sum(prefix[k - 1] * t ** k for k in range(1, n + 1))
     cols = _sorted_tuples(N, n)
     orbit = _orbit_sizes(cols)
     keys = phi[cols.pop()]
     while cols:  # popping frees each column once it is summed
         keys += phi[cols.pop()]
     return _orbit_join(keys, orbit)
-
-
-def _hash_join_count(curve: Curve, n: int, N: int, budget: int) -> int:
-    check_budget(N ** n, budget, f"hash join over [1,{N}]^{n}")
-    packed_max = 1
-    for k in range(1, n + 1):
-        packed_max *= n * N ** k + 1
-    if curve.is_moment and packed_max < 2 ** 62:
-        return _moment_join(n, N)
-    # big-integer fallback: exact for any N and any rational-coefficient curve
-    freq: dict[tuple, int] = {}
-    for t in product(range(1, N + 1), repeat=n):
-        key = tuple(sum(curve.evaluate(x)[k] for x in t) for k in range(n))
-        freq[key] = freq.get(key, 0) + 1
-    return sum(m * m for m in freq.values())
 
 
 def _brute_force_count(curve: Curve, n: int, N: int, budget: int) -> int:
@@ -135,11 +117,11 @@ def count_solutions(curve: Curve, n: int, N: int,
         raise ValueError("curve dimension does not match n")
     if method is None:
         method = CountMethod.HASH_JOIN if curve.is_moment else CountMethod.BRUTE_FORCE
-    if method is CountMethod.PERMUTATION_FORMULA and not curve.is_moment:
-        raise ValueError("the permutation formula is proven for the moment curve only")
+    if method is not CountMethod.BRUTE_FORCE and not curve.is_moment:
+        raise ValueError(f"{method.value} counts the moment curve only")
     start = time.perf_counter()
     if method is CountMethod.HASH_JOIN:
-        count = _hash_join_count(curve, n, N, budget)
+        count = _moment_join(n, N, budget)
     elif method is CountMethod.BRUTE_FORCE:
         count = _brute_force_count(curve, n, N, budget)
     else:
@@ -163,9 +145,9 @@ def asymptotic_report(n: int, N_list, budget: int = DEFAULT_COUNT_BUDGET) -> lis
     rows = []
     curve = Curve.moment(n)
     for N in N_list:
-        if N ** n <= budget:
+        try:
             res = count_solutions(curve, n, N, CountMethod.HASH_JOIN, budget=budget)
-        else:
+        except BudgetExceededError:
             res = count_solutions(curve, n, N, CountMethod.PERMUTATION_FORMULA)
         leading = math.factorial(n) * N ** n
         residual = leading - res.count

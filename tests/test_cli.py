@@ -148,12 +148,30 @@ def test_ignored_flags_are_usage_errors(args):
     ["ratio", "--grid-step", "1/8"],  # the comb ratio is exact: no grid to choose
     ["syzygy", "--field", "real", "--tuple", "2,5", "--epsilon", "1/0"],
     ["--config", "no-such-dir/run.cfg", "vino"],
+    ["vino", "--N-list", ","],  # a list with no values would fall back to --N
+    ["ratio", "--N-list", ","],
+    ["vino", "--N-list", "10,"],  # an empty entry is not skipped either
 ], ids=" ".join)
 def test_argparse_errors_exit_1(args):
     # 2 is the budget code, so argparse's own usage errors must not use it
     proc = subprocess.run(CLI + args, capture_output=True, text=True)
     assert proc.returncode == 1 and not proc.stdout
     assert "error: " in proc.stderr
+
+
+def test_scan_rejects_negative_s():
+    proc = subprocess.run(CLI + ["syzygy", "--scan", "--s", "-1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr.startswith("error: ")
+
+
+def test_vino_overflowing_keys_exit_2():
+    # n = 4 keys overflow from N = 43; the join refuses before enumerating
+    proc = subprocess.run(CLI + ["vino", "--n", "4", "--N", "43"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and not proc.stdout
+    assert "overflow" in proc.stderr
 
 
 def test_ratio_n8_approaches_limit():
@@ -227,6 +245,7 @@ BASELINES = [
      "verify_theorem1_seed7.json"),
     (["syzygy", "--scan", "--p", "5", "--n", "3", "--s", "1"], "syzygy_scan_q5_n3_s1.json"),
     (["vino", "--n", "3", "--N", "300"], "vino_n3_N300.json"),
+    (["vino", "--n", "3", "--N-list", "10,300,2000"], "vino_n3_table.csv"),
 ]
 
 

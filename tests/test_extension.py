@@ -261,6 +261,15 @@ def test_weighted_norms_single_cell_ratio_one():
     assert rr.ratio == pytest.approx(1, abs=1e-9)
 
 
+def test_weighted_norms_center_needs_n_coordinates():
+    fp = random_locally_constant(padic(5), 1, seed=0)
+    fr = random_locally_constant(REAL, 4, seed=0)
+    for f, sc in ((fp, padic_scale(5, 1)), (fr, real_scale(4))):
+        for center in ((Fraction(1, 5),), (Fraction(1, 5), Fraction(0), Fraction(0))):
+            with pytest.raises(ValueError, match="coordinates"):
+                weighted_norms(f, sc, center=center, n=2)
+
+
 def test_weighted_norms_zero_function_error():
     f5 = padic(5)
     zero = LocallyConstant(f5, 1, (0,) * 5)

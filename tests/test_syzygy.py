@@ -176,6 +176,11 @@ def test_scan_budget_counts_sorted_tuples(monkeypatch):
         scan_strong_diagonal(2, 2, 16, budget=10 ** 30)  # keys up to 2^96
 
 
+def test_scan_rejects_negative_s():
+    with pytest.raises(ValueError, match="nonnegative"):
+        scan_strong_diagonal(5, 2, -1)  # q = 5^-2 is no modulus
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         syzygy_set_nonarch(q5_tuple(0, 1, s=9))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from momentsq import (BudgetExceededError, CountMethod, Curve,
                       asymptotic_report, count_solutions, diagonal_count,
                       permutation_count)
+from momentsq import vinogradov
 from momentsq.vinogradov import _orbit_join
 
 def oracle(curve, n, N):
@@ -90,13 +91,43 @@ def test_non_moment_curve_brute_force_only():
     res = count_solutions(bent, 2, 6)
     assert res.method is CountMethod.BRUTE_FORCE
     assert res.count == oracle(bent, 2, 6)
-    with pytest.raises(ValueError):
-        count_solutions(bent, 2, 6, CountMethod.PERMUTATION_FORMULA)
+    for method in (CountMethod.PERMUTATION_FORMULA, CountMethod.HASH_JOIN):
+        with pytest.raises(ValueError):
+            count_solutions(bent, 2, 6, method)
 
 
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         count_solutions(Curve.moment(4), 4, 10 ** 5, CountMethod.HASH_JOIN)
+
+
+def test_join_budget_counts_sorted_tuples():
+    # (3, 40) enumerates C(40 + 2, 3) = 11480 sorted tuples, not 40^3 = 64000
+    budget = math.comb(42, 3)
+    res = count_solutions(Curve.moment(3), 3, 40, CountMethod.HASH_JOIN, budget=budget)
+    assert res.count == permutation_count(3, 40)
+    with pytest.raises(BudgetExceededError, match="11480 enumeration steps"):
+        count_solutions(Curve.moment(3), 3, 40, CountMethod.HASH_JOIN, budget=budget - 1)
+    (row,) = asymptotic_report(3, [40], budget=budget)
+    assert row.method is CountMethod.HASH_JOIN
+
+
+def test_join_refuses_overflowing_keys():
+    # n = 4 packs keys below prod_k (4 * 43^k + 1), about 5.6e18 >= 2^62
+    (row,) = asymptotic_report(4, [43])
+    assert row.method is CountMethod.PERMUTATION_FORMULA
+    assert row.count == 76476919
+    assert asymptotic_report(4, [42])[0].method is CountMethod.HASH_JOIN
+
+
+def test_join_guard_runs_before_enumerating(monkeypatch):
+    def enumerate_nothing(m, n):
+        raise AssertionError("enumerated before the guard")
+    monkeypatch.setattr(vinogradov, "_sorted_tuples", enumerate_nothing)
+    with pytest.raises(BudgetExceededError, match="enumeration steps"):
+        count_solutions(Curve.moment(3), 3, 2000, CountMethod.HASH_JOIN)
+    with pytest.raises(BudgetExceededError, match="overflow"):
+        count_solutions(Curve.moment(4), 4, 43, CountMethod.HASH_JOIN)
 
 
 def test_asymptotic_report():
