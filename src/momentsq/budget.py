@@ -6,7 +6,7 @@ class BudgetExceededError(RuntimeError):
     """Raised instead of silently running an enumeration forever."""
 
 
-DEFAULT_ENUMERATION_BUDGET = 10 ** 8   # hash insertions / enumerated points
+DEFAULT_ENUMERATION_BUDGET = 10 ** 8   # sorted tuples, point tuples or array entries at once
 DEFAULT_COUNT_BUDGET = 3 * 10 ** 7    # sorted n-tuples over [1,N] held in memory at once
 
 

@@ -215,31 +215,6 @@ def square_function(f: TestFunction, scale: Scale, x) -> float:
 # Q_p norms: exact, by Parseval over power-sum groups
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
-def _parseval_groups(p: int, n: int, s: int):
-    """The rows of `syzygy._key_rows` sorted by code, that is by (key, cell
-    multiset) pair: (residue, orbit, fine, fine_key, cell_orbit, *cols) gives
-    each row's orbit size and pair, each pair's key group and cell-multiset
-    orbit size, and the rows' position columns."""
-    residue, cols, codes = syzygy._key_rows(p, n, s)
-    order = np.argsort(codes)  # rows in pair order: add.at then writes in sequence
-    codes = codes[order]
-    cols = [c[order] for c in cols]
-    del order
-    new = codes[1:] != codes[:-1]  # a row that opens a pair
-    fine = np.concatenate(([0], np.cumsum(new)))
-    pairs = np.concatenate((codes[:1], codes[1:][new]))
-    del codes, new
-    ncells = p ** s
-    keys, multisets = np.divmod(pairs, ncells ** n)
-    fine_key = np.searchsorted(syzygy._sorted_unique(keys), keys)
-    cell_orbit = syzygy._orbit_sizes([multisets // ncells ** i % ncells for i in range(n)])
-    out = (residue, syzygy._orbit_sizes(cols), fine, fine_key, cell_orbit, *cols)
-    for a in out:
-        a.setflags(write=False)  # shared by every caller through the cache
-    return out
-
-
 def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
                           budget: int) -> NormRatio:
     """Parseval over the cosets c + j/q of the ball, j in (Z/q)^n:
@@ -252,7 +227,7 @@ def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
     """
     p, s = f.field.prime, scale.exponent
     q = p ** (n * s)
-    syzygy._check_key_rows(p, n, s, budget)
+    residue, orbit, fine, fine_key, cell_orbit, *cols = syzygy._get_groups(p, n, s, budget)
     # m covers f, q and the center's denominators, so g is exact on a mod p^m
     m_eval = max(f.precision, n * s, 1, *(-padic_valuation(c, p) for c in center if c))
     reps = np.arange(p ** m_eval, dtype=np.int64)
@@ -263,7 +238,6 @@ def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
                   for a in reps]
         g = g * np.array([cmath.exp(2j * cmath.pi * ph) for ph in phases])
     h = np.bincount(reps % q, g.real, q) + 1j * np.bincount(reps % q, g.imag, q)
-    residue, orbit, fine, fine_key, cell_orbit, *cols = _parseval_groups(p, n, s)
     h = h[residue]  # by position
     w = orbit * h[cols[0]]
     for c in cols[1:]:

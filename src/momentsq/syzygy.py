@@ -17,7 +17,11 @@ enumerates only the C(q+n-1, n) nondecreasing residue n-tuples mod
 q = p^{ns}, once per (p, n, s), and keeps their distinct (power-sum key,
 cell multiset) pairs.  S(I) is every ordering of every multiset sharing a
 key with that of I, and |S(I)| the sum of their orbit sizes, so the
-strong-diagonal scan is one vectorised pass over that table.
+strong-diagonal scan is one vectorised pass over that table.  The same
+rows grouped by pair and by key (`_parseval_groups`) carry the Parseval
+sums of the Q_p norms.  The real sampler runs its sorted grid n-tuples
+against every point tuple of the base cells and reports each ordering of
+every cell multiset hit.
 """
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd as int_gcd
 
 import numpy as np
 
@@ -106,13 +109,6 @@ def _require_padic_moment(base: CellTuple, curve: Curve | None):
         raise ValueError("the exact congruence path supports the moment curve only")
     if curve is not None and curve.n != base.n:
         raise ValueError("curve dimension does not match tuple length")
-
-
-def _encode(indices, ncells: int) -> int:
-    code = 0
-    for i in reversed(indices):
-        code = code * ncells + i
-    return code
 
 
 def _decode(code: int, ncells: int, n: int) -> tuple[int, ...]:
@@ -216,6 +212,31 @@ def _key_table(p: int, n: int, s: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=4)
+def _parseval_groups(p: int, n: int, s: int):
+    """The rows of `_key_rows` sorted by code, that is by (key, cell multiset)
+    pair: (residue, orbit, fine, fine_key, cell_orbit, *cols) gives each
+    row's orbit size and pair, each pair's key group and cell-multiset orbit
+    size, and the rows' position columns.  The Q_p norms sum over them."""
+    residue, cols, codes = _key_rows(p, n, s)
+    order = np.argsort(codes)  # rows in pair order: add.at then writes in sequence
+    codes = codes[order]
+    cols = [c[order] for c in cols]
+    del order
+    new = codes[1:] != codes[:-1]  # a row that opens a pair
+    fine = np.concatenate(([0], np.cumsum(new)))
+    pairs = np.concatenate((codes[:1], codes[1:][new]))
+    del codes, new
+    ncells = p ** s
+    keys, multisets = np.divmod(pairs, ncells ** n)
+    fine_key = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))  # keys are sorted
+    cell_orbit = _orbit_sizes([multisets // ncells ** i % ncells for i in range(n)])
+    out = (residue, _orbit_sizes(cols), fine, fine_key, cell_orbit, *cols)
+    for a in out:
+        a.setflags(write=False)  # shared by every caller through the cache
+    return out
+
+
 def _check_key_rows(p: int, n: int, s: int, budget: int):
     """The guards of `_key_rows`, whose codes key * q + multiset stay below q^(n+1)."""
     q = p ** (n * s)
@@ -228,8 +249,14 @@ def _get_index(p: int, n: int, s: int,
     return _key_table(p, n, s)
 
 
+def _get_groups(p: int, n: int, s: int, budget: int = DEFAULT_ENUMERATION_BUDGET):
+    _check_key_rows(p, n, s, budget)
+    return _parseval_groups(p, n, s)
+
+
 def clear_index_cache():
     _key_table.cache_clear()
+    _parseval_groups.cache_clear()
 
 
 def _tuple_keys(indices, p: int, n: int, s: int,
@@ -389,28 +416,25 @@ def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = No
     if epsilon is None:
         epsilon = delta ** n
     epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
     if grid_step is None:
         grid_step = delta / 8
     grid_step = Fraction(grid_step)
-    if grid_step > delta / 8:
-        raise ValueError("grid_step must be at most delta/8")
+    if not 0 < grid_step <= delta / 8:
+        raise ValueError("grid_step must be positive and at most delta/8")
     per_cell = delta / grid_step
     if per_cell.denominator != 1 or grid_step.numerator != 1:
         raise ValueError("grid_step must divide delta with 1/grid_step an integer")
     per_cell = int(per_cell)
     G = grid_step.denominator  # grid points are a/G
     npts = ncells * per_cell
-    check_budget(npts ** n * (per_cell ** n), budget, "real grid enumeration")
+    check_budget(math.comb(npts + n - 1, n) * per_cell ** n, budget, "real grid enumeration")
 
     # Clear denominators: coordinate k compares integers
     #   V_k(a) = gamma_k(a/G) * G^{d_k} * L_k   against   eps * G^{d_k} * L_k.
     degs = curve.degrees()
-    lcms = []
-    for coeffs in curve.coords:
-        l = 1
-        for c in coeffs:
-            l = l * c.denominator // int_gcd(l, c.denominator)
-        lcms.append(l)
+    lcms = [math.lcm(*(c.denominator for c in coeffs)) for coeffs in curve.coords]
     pts = np.arange(npts, dtype=np.int64)  # the grid point is pts/G
     for coeffs, lc, d in zip(curve.coords, lcms, degs):
         peak = sum(abs(c) for c in coeffs) * lc * G ** d * n
@@ -424,34 +448,29 @@ def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = No
             v += int(Fraction(c) * lc * G ** (d - j)) * pts ** j
         values.append(v)
         thresholds.append(int(epsilon * lc * G ** d))
-    cell_of = pts // per_cell
 
-    # Coordinate sums over the product grid.  Each newly added axis becomes
-    # the leading axis and the low cell digit, so the linear index reads
-    # big-endian in the coordinates.
-    sums = [v.copy() for v in values]
-    codes = cell_of.copy()
-    for _ in range(n - 1):
-        sums = [np.add.outer(v, acc).ravel() for v, acc in zip(values, sums)]
-        codes = np.add.outer(cell_of, codes * ncells).ravel()
-
-    base_code = _encode(base.indices, ncells)
-    base_pos = np.flatnonzero(codes == base_code)
-    hits = np.abs(sums[0][:, None] - sums[0][base_pos][None, :]) <= thresholds[0]
-    for v, thr in zip(sums[1:], thresholds[1:]):
-        hits &= np.abs(v[:, None] - v[base_pos][None, :]) <= thr
-    found: dict[int, tuple[int, int]] = {}
-    for t_lin in np.flatnonzero(hits.any(axis=1)):
-        code = int(codes[t_lin])
-        if code not in found:
-            s_lin = int(base_pos[int(np.argmax(hits[t_lin]))])
-            found[code] = (int(t_lin), s_lin)
-
-    members = []
-    for code, (t_lin, s_lin) in sorted(found.items()):
-        t_pt = [Fraction(a, G) for a in _grid_tuple(t_lin, npts, n)]
-        s_pt = [Fraction(a, G) for a in _grid_tuple(s_lin, npts, n)]
-        member = _decode(code, ncells, n)
+    # The bound is symmetric in the t_i, so t runs over the sorted grid
+    # tuples (their cells come out nondecreasing) and s over every ordered
+    # point tuple of the base cells.
+    t_cols = _sorted_tuples(npts, n)
+    s_cols = (np.indices((per_cell,) * n).reshape(n, -1)
+              + per_cell * np.array(base.indices)[:, None])
+    hits = np.ones((t_cols[0].size, s_cols.shape[1]), dtype=bool)
+    for v, thr in zip(values, thresholds):
+        diff = np.subtract.outer(sum(v[c] for c in t_cols), v[s_cols].sum(axis=0))
+        hits &= np.abs(diff, out=diff) <= thr
+        del diff  # freed before the next coordinate allocates its own
+    rows = np.flatnonzero(hits.any(axis=1))
+    cells, first = np.unique(np.stack([c[rows] // per_cell for c in t_cols], axis=1),
+                             axis=0, return_index=True)
+    members = {}  # every ordering of a hit multiset, with the matching witness
+    for multiset, row in zip(cells.tolist(), rows[first].tolist()):
+        t_pt = [Fraction(int(c[row]), G) for c in t_cols]
+        s_pt = [Fraction(int(a), G) for a in s_cols[:, int(np.argmax(hits[row]))]]
+        for order in itertools.permutations(range(n)):
+            members.setdefault(tuple(multiset[i] for i in order),
+                               ([t_pt[i] for i in order], s_pt))
+    for member, (t_pt, s_pt) in members.items():
         # exact re-check: the witness lies in its cells and satisfies the bound
         for t, j in zip(t_pt, member):
             if not j * delta <= t < (j + 1) * delta:
@@ -464,7 +483,6 @@ def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = No
                     - sum(curve.evaluate(s)[k] for s in s_pt))
             if abs(diff) > epsilon:
                 raise RuntimeError("sampled witness failed the exact re-check")
-        members.append(member)
     return SyzygyReport(
         base=base,
         epsilon=epsilon,
@@ -472,12 +490,3 @@ def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = No
         method=SyzygyMethod.REAL_SAMPLED,
     )
 
-
-def _grid_tuple(lin: int, npts: int, n: int) -> tuple[int, ...]:
-    """Invert the outer-product linearization (big-endian: the leading axis
-    is coordinate 0)."""
-    out = []
-    for _ in range(n):
-        out.append(lin % npts)
-        lin //= npts
-    return tuple(reversed(out))

@@ -166,6 +166,14 @@ def test_scan_rejects_negative_s():
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--grid-step=0", "--epsilon=-1/100"])
+def test_real_sampler_rejects_bad_values(flag):
+    proc = subprocess.run(CLI + ["syzygy", "--field", "real", "--n", "2", "--delta-inv", "8",
+                                 "--tuple", "2,5", flag], capture_output=True, text=True)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr.startswith("error: ")
+
+
 def test_vino_overflowing_keys_exit_2():
     # n = 4 keys overflow from N = 43; the join refuses before enumerating
     proc = subprocess.run(CLI + ["vino", "--n", "4", "--N", "43"],
@@ -246,6 +254,10 @@ BASELINES = [
     (["syzygy", "--scan", "--p", "5", "--n", "3", "--s", "1"], "syzygy_scan_q5_n3_s1.json"),
     (["vino", "--n", "3", "--N", "300"], "vino_n3_N300.json"),
     (["vino", "--n", "3", "--N-list", "10,300,2000"], "vino_n3_table.csv"),
+    (["syzygy", "--field", "real", "--n", "2", "--delta-inv", "8", "--tuple", "2,5"],
+     "syzygy_real_n2_d8.json"),
+    (["syzygy", "--field", "real", "--n", "3", "--delta-inv", "4", "--tuple", "0,1,3"],
+     "syzygy_real_n3_d4.json"),
 ]
 
 

@@ -224,8 +224,8 @@ def test_comb_cells_pointwise():
 
 def test_cached_tables_are_read_only():
     # the lru_cache builders hand the same arrays to every caller
-    from momentsq.extension import _parseval_groups, _real_factors
-    from momentsq.syzygy import _key_table
+    from momentsq.extension import _real_factors
+    from momentsq.syzygy import _key_table, _parseval_groups
     fine, bounds, w, factors = _real_factors(8, Fraction(1, 4), ((0.0, 0.25, 4),) * 2)
     arrays = [_key_table(2, 2, 1), *_parseval_groups(2, 2, 1), fine, bounds, w, *factors]
     for a in arrays:

@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentsq import (REAL, BudgetExceededError, Curve, cell_tuple,
+from momentsq import (REAL, BudgetExceededError, Curve, LocallyConstant, cell_tuple,
                       is_syzygy_nonarch, padic, padic_scale, permutation_orbit,
                       permutation_predicate, real_scale, scan_strong_diagonal,
                       syzygy_bound, syzygy_set_nonarch, syzygy_set_real)
 from momentsq.bounds import bezout_syzygy_bound
-from momentsq import syzygy
+from momentsq import polys, syzygy
 from momentsq.syzygy import (SyzygyMethod, _orbit_sizes, _scan_table, _sorted_tuples,
                              _sorted_unique)
 
@@ -176,6 +176,17 @@ def test_scan_budget_counts_sorted_tuples(monkeypatch):
         scan_strong_diagonal(2, 2, 16, budget=10 ** 30)  # keys up to 2^96
 
 
+def test_clear_index_cache_empties_both_tables():
+    from momentsq.extension import weighted_norms
+    f = LocallyConstant(padic(2), 2, (1, 2, 3, 4))
+    weighted_norms(f, padic_scale(2, 1), n=2)
+    scan_strong_diagonal(2, 2, 1)
+    tables = [syzygy._key_table, syzygy._parseval_groups]
+    assert all(t.cache_info().currsize for t in tables)
+    syzygy.clear_index_cache()
+    assert [t.cache_info().currsize for t in tables] == [0, 0]
+
+
 def test_scan_rejects_negative_s():
     with pytest.raises(ValueError, match="nonnegative"):
         scan_strong_diagonal(5, 2, -1)  # q = 5^-2 is no modulus
@@ -224,6 +235,70 @@ def test_real_sampler_grid_validation():
     base = cell_tuple(REAL, real_scale(8), (0, 1))
     with pytest.raises(ValueError):
         syzygy_set_real(curve, base, grid_step=Fraction(1, 16))  # > delta/8
+
+
+def test_real_sampler_rejects_bad_values(monkeypatch):
+    def enumerate_nothing(m, n):
+        raise AssertionError("enumerated before the values were checked")
+    monkeypatch.setattr(syzygy, "_sorted_tuples", enumerate_nothing)
+    curve = Curve.moment(2)
+    base = cell_tuple(REAL, real_scale(8), (2, 5))
+    for step in (Fraction(0), Fraction(-1, 64)):
+        with pytest.raises(ValueError, match="positive"):
+            syzygy_set_real(curve, base, grid_step=step)
+    with pytest.raises(ValueError, match="nonnegative"):
+        syzygy_set_real(curve, base, epsilon=Fraction(-1, 100))
+
+
+def _real_members_by_pairs(curve, base, grid):
+    """The ordered cell tuples J with grid points t in J and s in the base
+    cells satisfying |sum_i gamma(t_i) - gamma(s_i)| <= delta^n in every
+    coordinate, checked pair by pair in Fractions."""
+    n, delta = base.n, base.scale.delta
+    per_cell = int(delta / grid)
+    gamma = [curve.evaluate(a * grid) for a in range(int(1 / grid))]
+
+    def sums(points):
+        return [sum(gamma[a][k] for a in points) for k in range(n)]
+    s_sums = [sums(s) for s in itertools.product(
+        *[range(i * per_cell, (i + 1) * per_cell) for i in base.indices])]
+    members = set()
+    for t in itertools.product(range(len(gamma)), repeat=n):
+        cells = tuple(a // per_cell for a in t)
+        t_sums = sums(t)
+        if cells not in members and any(
+                all(abs(x - y) <= delta ** n for x, y in zip(t_sums, s)) for s in s_sums):
+            members.add(cells)
+    return sorted(members)
+
+
+@pytest.mark.parametrize("coords,idx,size", [
+    (None, (1, 2), 12),
+    (None, (3, 3), 5),
+    ((polys.poly([0, 2]), polys.poly([Fraction(1, 3), 0, 1])), (0, 2), 9),  # (2T, T^2 + 1/3)
+])
+def test_real_sampler_matches_pairwise_oracle(coords, idx, size):
+    curve = Curve.moment(2) if coords is None else Curve(coords)
+    base = cell_tuple(REAL, real_scale(4), idx)
+    expected = _real_members_by_pairs(curve, base, Fraction(1, 32))
+    assert len(expected) == size
+    assert syzygy_set_real(curve, base).member_indices == expected
+
+
+def test_real_sampler_budget_counts_hit_matrix(monkeypatch):
+    # delta = 1/4 at grid 1/32: C(32 + 1, 2) = 528 sorted grid pairs against
+    # the 8^2 point pairs of the base cells, not 32^2 ordered pairs
+    curve = Curve.moment(2)
+    base = cell_tuple(REAL, real_scale(4), (1, 2))
+    assert syzygy_set_real(curve, base, budget=33792).cardinality == 12
+    with pytest.raises(BudgetExceededError, match="33792 enumeration steps"):
+        syzygy_set_real(curve, base, budget=33791)
+
+    def enumerate_nothing(m, n):
+        raise AssertionError("enumerated before the budget check")
+    monkeypatch.setattr(syzygy, "_sorted_tuples", enumerate_nothing)
+    with pytest.raises(BudgetExceededError, match="enumeration steps"):
+        syzygy_set_real(curve, base, budget=33791)
 
 
 def test_permutation_orbit():
