@@ -3,7 +3,7 @@
 Covers the field constants C_{K,n}, the three headline bounds (the n^(1/2)
 bound for the moment curve, the Bezout-degree bound for non-degenerate
 polynomial curves, the fewnomial bound over R), the combinatorial
-refinements of n^n, Lipschitz norms, and Wronskian non-degeneracy
+refinement of n^n, Lipschitz norms, and Wronskian non-degeneracy
 certification.  Certification paths (Sturm counts, Lipschitz sups) are
 exact rational arithmetic throughout.
 """
@@ -31,22 +31,24 @@ class BoundReport:
             raise ValueError("bound values are positive")
 
 
+def _field_base(field: FieldSpec, n: int) -> int:
+    """b with C_{K,n} = b^(n*eta): 1 for non-Archimedean K, else 7 (n <= 6) or 5."""
+    if n < 1:
+        raise ValueError("n >= 1")
+    return 1 if field.kind is FieldKind.PADIC else 7 if n <= 6 else 5
+
+
 def field_constant(field: FieldSpec, n: int) -> int:
     """C_{K,n}: 1 for non-Archimedean K; 7^n (n <= 6) / 5^n (n >= 7) over R,
     squared over C."""
-    if n < 1:
-        raise ValueError("n >= 1")
-    if field.kind is FieldKind.PADIC:
-        return 1
-    base = 7 if n <= 6 else 5
-    return base ** (n * field.eta)
+    return _field_base(field, n) ** (n * field.eta)
 
 
 def theorem1_constant(field: FieldSpec, n: int) -> float:
-    """C_{K,n}^(1/2n) * n^(1/2): the moment-curve norm-ratio bound."""
+    """C_{K,n}^(1/2n) * n^(1/2) = b^(eta/2) * n^(1/2): the moment-curve bound."""
     if n < 2:
         raise ValueError("n >= 2")
-    return field_constant(field, n) ** (1 / (2 * n)) * math.sqrt(n)
+    return _field_base(field, n) ** (field.eta / 2) * math.sqrt(n)
 
 
 def lipschitz_norm(curve: Curve, field: FieldSpec | None = None) -> Fraction:
@@ -102,18 +104,11 @@ def bezout_syzygy_bound(curve: Curve, field: FieldSpec) -> int:
 
 def fewnomial_constant(curve: Curve) -> float:
     """(2*ceil(l) + 1)^(1/2) * (2^(M(M-1)/2) * (n+1)^M)^(1/2n) over R, with M
-    the total monomial count of the curve."""
+    the total monomial count of the curve; the root is taken factor by factor."""
     n = curve.n
     m = curve.monomial_count()
     ell = _ceil_lipschitz(curve, FieldSpec(FieldKind.REAL))
-    return (2 * ell + 1) ** 0.5 * (2 ** (m * (m - 1) // 2) * (n + 1) ** m) ** (1 / (2 * n))
-
-
-def fewnomial_syzygy_bound(curve: Curve) -> int:
-    n = curve.n
-    m = curve.monomial_count()
-    ell = _ceil_lipschitz(curve, FieldSpec(FieldKind.REAL))
-    return (2 * ell + 1) ** n * 2 ** (m * (m - 1) // 2) * (n + 1) ** m
+    return (2 * ell + 1) ** 0.5 * 2 ** (m * (m - 1) / (4 * n)) * (n + 1) ** (m / (2 * n))
 
 
 def factorial_variant_constant(field: FieldSpec, n: int) -> float:
@@ -127,18 +122,11 @@ def factorial_variant_constant(field: FieldSpec, n: int) -> float:
     return (5 ** (field.eta * n) * math.factorial(n)) ** (1 / (2 * n))
 
 
-def falling_factorial(n: int, m: int) -> int:
-    out = 1
-    for k in range(m):
-        out *= n - k
-    return out
-
-
 def diagonal_refinement_max(n: int) -> int:
     """max over m = 1..n of n(n-1)...(n-m+1) * m^(n-m)."""
     if n < 2:
         raise ValueError("n >= 2")
-    return max(falling_factorial(n, m) * m ** (n - m) for m in range(1, n + 1))
+    return max(math.perm(n, m) * m ** (n - m) for m in range(1, n + 1))
 
 
 def refined_diagonal_bound(n: int) -> int:
@@ -156,31 +144,6 @@ def refined_diagonal_bound(n: int) -> int:
     return diagonal_refinement_max(n)
 
 
-def stirling2(n: int, m: int) -> int:
-    """Stirling numbers of the second kind S(n, m)."""
-    if m < 0 or m > n:
-        return 0
-    row = [1] + [0] * n
-    for i in range(1, n + 1):
-        new = [0] * (n + 1)
-        for j in range(1, i + 1):
-            new[j] = j * row[j] + row[j - 1]
-        row = new
-    return row[m]
-
-
-def stirling_variant(n: int) -> int:
-    """sum over m of S(n, m) * n(n-1)...(n-m+1).
-
-    This reading of the Stirling-number refinement collapses to n^n
-    identically (it counts all maps of an n-set to itself by image size),
-    so it refines nothing; kept as the documented interpretation.
-    """
-    if n < 2:
-        raise ValueError("n >= 2")
-    return sum(stirling2(n, m) * falling_factorial(n, m) for m in range(1, n + 1))
-
-
 def wronskian(curve: Curve) -> Poly:
     """det(gamma'(t), gamma''(t), ..., gamma^(n)(t)) as an exact polynomial."""
     n = curve.n
@@ -196,15 +159,24 @@ def wronskian(curve: Curve) -> Poly:
 
 
 def _poly_det(matrix: list[list[Poly]]) -> Poly:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    det: Poly = polys.ZERO
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = polys.mul(matrix[0][j], _poly_det(minor))
-        det = polys.add(det, term) if j % 2 == 0 else polys.sub(det, term)
-    return det
+    """Fraction-free (Bareiss) elimination: each division by the previous
+    pivot is exact; a zero pivot swaps in a lower row, or the det is zero."""
+    m = [list(row) for row in matrix]
+    n, sign, prev = len(m), 1, polys.ONE
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return polys.ZERO
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = polys.sub(polys.mul(m[i][j], m[k][k]), polys.mul(m[i][k], m[k][j]))
+                m[i][j], rem = polys.divmod_poly(num, prev)
+                if rem:
+                    raise ArithmeticError("inexact Bareiss division")
+        prev = m[k][k]
+    return m[-1][-1] if sign > 0 else polys.neg(m[-1][-1])
 
 
 def nondegenerate(curve: Curve) -> bool:
@@ -219,6 +191,8 @@ def nondegenerate(curve: Curve) -> bool:
 
 def bounds_table(table: str, field: FieldSpec, n_max: int) -> list[BoundReport]:
     """Rows for the CLI tables, n = 2..n_max."""
+    if n_max < 2:
+        raise ValueError("n_max >= 2")
     rows = []
     for n in range(2, n_max + 1):
         if table == "theorem1":
@@ -258,7 +232,7 @@ def bounds_table(table: str, field: FieldSpec, n_max: int) -> list[BoundReport]:
             rows.append(BoundReport(
                 name="moment_wronskian",
                 parameters={"n": n},
-                value=abs(polys.evaluate(w, 0)),
+                value=int(abs(polys.evaluate(w, 0))),
                 formula="det(gamma', ..., gamma^(n)), constant for the moment curve",
             ))
         else:

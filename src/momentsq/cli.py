@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -170,13 +171,23 @@ def cmd_vino(args: argparse.Namespace) -> int:
     return 0
 
 
+def _g10(value: float | int) -> str:
+    """`.10g` of a float, or of an integer rounded exactly (past float range too)."""
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    mantissa, e, exponent = f"{Decimal(value):.10g}".partition("e")
+    if "." in mantissa:
+        mantissa = mantissa.rstrip("0").rstrip(".")
+    return mantissa + e + exponent
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     field = _field_of(args)
     rows = bounds_mod.bounds_table(args.table, field, args.n_max)
     lines = ["name,n,field,value,formula"]
     for r in rows:
         fld = r.parameters.get("field", "-")
-        val = f"{float(r.value):.10g}"
+        val = _g10(r.value)
         lines.append(f"{r.name},{r.parameters['n']},{fld},{val},\"{r.formula}\"")
     _emit(args, "\n".join(lines) + "\n")
     return 0

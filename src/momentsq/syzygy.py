@@ -14,14 +14,13 @@ an exact rational witness).
 
 Power sums and cell multisets are symmetric, so the p-adic engine
 enumerates only the C(q+n-1, n) nondecreasing residue n-tuples mod
-q = p^{ns}, once per (p, n, s), and keeps their distinct (power-sum key,
-cell multiset) pairs.  S(I) is every ordering of every multiset sharing a
-key with that of I, and |S(I)| the sum of their orbit sizes, so the
-strong-diagonal scan is one vectorised pass over that table.  The same
-rows grouped by pair and by key (`_parseval_groups`) carry the Parseval
-sums of the Q_p norms.  The real sampler runs its sorted grid n-tuples
-against every point tuple of the base cells and reports each ordering of
-every cell multiset hit.
+q = p^{ns}, once per (p, n, s), and keeps the pairs of distinct cell
+multisets that share a power-sum key.  S(I) is every ordering of the
+multiset of I and of its partners, so |S(I)| is a sum of orbit sizes.
+The same rows grouped by pair and by key (`_parseval_groups`) carry the
+Parseval sums of the Q_p norms.  The real sampler runs its sorted grid
+n-tuples against every point tuple of the base cells and reports each
+ordering of every cell multiset hit.
 """
 from __future__ import annotations
 
@@ -205,11 +204,28 @@ def _key_rows(p: int, n: int, s: int):
 
 
 @functools.lru_cache(maxsize=4)
-def _key_table(p: int, n: int, s: int) -> np.ndarray:
-    """Sorted distinct codes of `_key_rows`; its columns are dropped before the sort."""
-    table = _sorted_unique(_key_rows(p, n, s)[2])
-    table.setflags(write=False)  # shared by every caller through the cache
-    return table
+def _pair_relation(p: int, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b), sorted: the ordered pairs of distinct cell multisets (coded as
+    in `_key_rows`) whose point tuples share a power-sum key mod p^{ns}.
+    Empty at every configuration tried, p <= n included."""
+    q = p ** (n * s)
+    codes = _sorted_unique(_key_rows(p, n, s)[2])  # distinct (key, multiset) pairs
+    key = codes // q
+    shared = key[1:] == key[:-1]
+    pairs = codes[:0]
+    if shared.any():  # some key holds two multisets
+        start = np.flatnonzero(np.concatenate(([True], ~shared)))
+        size = np.diff(np.append(start, key.size))
+        start, size = start[size > 1], size[size > 1]
+        # every ordered pair (a, b) of multisets in one shared group
+        lengths = np.repeat(size, size)
+        a = np.repeat(codes[_ranges(start, size)] % q, lengths)
+        b = codes[_ranges(np.repeat(start, size), lengths)] % q
+        pairs = _sorted_unique((a * q + b)[a != b])
+    out = np.divmod(pairs, q)
+    for half in out:
+        half.setflags(write=False)  # shared by every caller through the cache
+    return out
 
 
 @functools.lru_cache(maxsize=4)
@@ -243,19 +259,13 @@ def _check_key_rows(p: int, n: int, s: int, budget: int):
     check_sorted_tuples(q, n, q ** (n + 1), budget, f"Z/{q}")
 
 
-def _get_index(p: int, n: int, s: int,
-               budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
-    _check_key_rows(p, n, s, budget)
-    return _key_table(p, n, s)
-
-
 def _get_groups(p: int, n: int, s: int, budget: int = DEFAULT_ENUMERATION_BUDGET):
     _check_key_rows(p, n, s, budget)
     return _parseval_groups(p, n, s)
 
 
 def clear_index_cache():
-    _key_table.cache_clear()
+    _pair_relation.cache_clear()
     _parseval_groups.cache_clear()
 
 
@@ -286,6 +296,7 @@ def is_syzygy_nonarch(base: CellTuple, other: CellTuple, curve: Curve | None = N
 
     Decided by meeting the two representative enumerations in the middle:
     the sorted distinct power-sum vectors of the two sides are intersected.
+    It shares no enumeration with `syzygy_set_nonarch`, which tests check against it.
     """
     _require_padic_moment(base, curve)
     if base.field != other.field or base.scale != other.scale or base.n != other.n:
@@ -300,55 +311,26 @@ def syzygy_set_nonarch(base: CellTuple, curve: Curve | None = None,
                        budget: int = DEFAULT_ENUMERATION_BUDGET) -> SyzygyReport:
     """Enumerate S(delta, I; delta^n) exactly over Q_p.
 
-    Members are every ordering of every cell multiset that shares a
-    power-sum vector mod p^{ns} with a point tuple of the base, read off the
-    cached key table; sorted by index vector.
+    Members are every ordering of the cell multiset of I and of each
+    multiset that shares a power-sum key mod p^{ns} with it, read off the
+    cached pair relation; sorted by index vector.
     """
     _require_padic_moment(base, curve)
     p, n, s = base.field.prime, base.n, base.scale.exponent
+    _check_key_rows(p, n, s, budget)
+    a, b = _pair_relation(p, n, s)
     ncells = p ** s
-    q = ncells ** n
-    codes = _get_index(p, n, s, budget=budget)
-    keys = _tuple_keys(base.indices, p, n, s, budget=budget)
-    lo = np.searchsorted(codes, keys * q)
-    hi = np.searchsorted(codes, keys * q + q)
-    multisets = _sorted_unique(codes[_ranges(lo, hi - lo)] % q)
-    members = sorted({perm for code in multisets.tolist()
-                      for perm in itertools.permutations(_decode(code, ncells, n))})
+    cells = sorted(base.indices)
+    code = sum(c * ncells ** i for i, c in enumerate(cells))
+    lo, hi = np.searchsorted(a, [code, code + 1])
+    multisets = [cells, *(_decode(c, ncells, n) for c in b[lo:hi].tolist())]
+    members = sorted({perm for m in multisets for perm in itertools.permutations(m)})
     return SyzygyReport(
         base=base,
         epsilon=base.scale.delta ** n,
         members=tuple(cell_tuple(base.field, base.scale, m) for m in members),
         method=SyzygyMethod.CONGRUENCE_EXACT,
     )
-
-
-def _scan_table(codes: np.ndarray, n: int, ncells: int) -> tuple[np.ndarray, np.ndarray]:
-    """|S(delta, I; delta^n)| for every base tuple I in code order, and
-    whether S(I) is larger than the orbit of I, from a `_key_table`.
-
-    S(I) holds every ordering of every multiset that shares a key with the
-    multiset of I, so |S(I)| is the sum of those multisets' orbit sizes.
-    """
-    q = ncells ** n
-    base = np.arange(q, dtype=np.int64)
-    digits = np.sort([base // ncells ** k % ncells for k in range(n)], axis=0)
-    multiset = sum(d * ncells ** i for i, d in enumerate(digits))
-    orbit = _orbit_sizes(list(digits))  # a multiset's code is one of its bases
-    key = codes // q
-    shared = key[1:] == key[:-1]
-    extra = np.zeros(q, dtype=np.int64)
-    if shared.any():  # some key holds two multisets
-        start = np.flatnonzero(np.concatenate(([True], ~shared)))
-        size = np.diff(np.append(start, key.size))
-        start, size = start[size > 1], size[size > 1]
-        # every ordered pair (a, b) of multisets in one shared group
-        lengths = np.repeat(size, size)
-        a = np.repeat(codes[_ranges(start, size)] % q, lengths)
-        b = codes[_ranges(np.repeat(start, size), lengths)] % q
-        a, b = np.divmod(_sorted_unique((a * q + b)[a != b]), q)
-        extra = np.bincount(a, weights=orbit[b], minlength=q).astype(np.int64)
-    return orbit + extra[multiset], extra[multiset] > 0
 
 
 @dataclass(frozen=True)
@@ -374,15 +356,26 @@ class StrongDiagonalScan:
 def scan_strong_diagonal(p: int, n: int, s: int,
                          budget: int = DEFAULT_ENUMERATION_BUDGET) -> StrongDiagonalScan:
     """Enumerate S(delta, I; delta^n) for every I in P_delta^n and compare
-    with the permutation oracle, in one pass over the cached key table."""
+    with the permutation oracle: |S(I)| is the orbit size of I plus those
+    of its partners in the cached pair relation."""
     if s < 0:
         raise ValueError("s must be nonnegative")
+    if n < 2:
+        raise ValueError("n >= 2")
+    _check_key_rows(p, n, s, budget)
+    a, b = _pair_relation(p, n, s)
     ncells = p ** s
-    cards, mismatch = _scan_table(_get_index(p, n, s, budget=budget), n, ncells)
-    mismatches = tuple(_decode(int(c), ncells, n) for c in np.flatnonzero(mismatch))
+    q = ncells ** n
+    base = np.arange(q, dtype=np.int64)
+    digits = np.sort([base // ncells ** k % ncells for k in range(n)], axis=0)
+    multiset = sum(d * ncells ** i for i, d in enumerate(digits))
+    orbit = _orbit_sizes(list(digits))  # a multiset's code is one of its bases
+    extra = np.bincount(a, weights=orbit[b], minlength=q).astype(np.int64)[multiset]
+    cards = orbit + extra
+    mismatches = tuple(_decode(int(c), ncells, n) for c in np.flatnonzero(extra))
     return StrongDiagonalScan(
         p=p, n=n, s=s,
-        bases=ncells ** n,
+        bases=q,
         all_match_permutations=not mismatches,
         mismatches=mismatches,
         max_cardinality=int(cards.max()),

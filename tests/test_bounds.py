@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,9 +8,9 @@ from momentsq import (COMPLEX, REAL, BoundReport, Curve, bezout_constant,
                       bezout_syzygy_bound, bounds_table, diagonal_refinement_max,
                       fewnomial_constant, field_constant, lipschitz_norm,
                       nondegenerate, padic, refined_diagonal_bound,
-                      stirling_variant, theorem1_constant, wronskian)
+                      theorem1_constant, wronskian)
 from momentsq import polys
-from momentsq.bounds import stirling2
+from momentsq.bounds import _poly_det
 
 
 def test_field_constants():
@@ -86,16 +88,26 @@ def test_refined_bound_sandwich():
             assert r > math.factorial(n)
 
 
-def test_stirling_numbers():
-    assert stirling2(4, 2) == 7
-    assert stirling2(5, 3) == 25
-    assert stirling2(3, 3) == 1
-    assert stirling2(3, 0) == 0
+def cofactor_det(matrix):
+    """Laplace expansion along the first row: the O(n!) oracle for `_poly_det`."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    det = polys.ZERO
+    for j in range(len(matrix)):
+        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+        term = polys.mul(matrix[0][j], cofactor_det(minor))
+        det = polys.add(det, term) if j % 2 == 0 else polys.sub(det, term)
+    return det
 
 
-def test_stirling_variant_collapses_to_n_power_n():
-    for n in range(2, 9):
-        assert stirling_variant(n) == n ** n
+def derivative_matrix(curve):
+    rows = []
+    for coeffs in curve.coords:
+        ds = [coeffs]
+        for _ in range(curve.n):
+            ds.append(polys.derivative(ds[-1]))
+        rows.append(ds[1:])
+    return rows
 
 
 def test_wronskian_moment():
@@ -103,10 +115,40 @@ def test_wronskian_moment():
     assert w == polys.poly([2])
     w = wronskian(Curve.moment(3))
     assert w == polys.poly([12])
-    for n in range(2, 7):
+    for n in range(2, 13):
         w = wronskian(Curve.moment(n))
         expected = math.prod(math.factorial(k) for k in range(1, n + 1))
         assert polys.degree(w) == 0 and abs(w[0]) == expected
+
+
+def test_wronskian_matches_cofactor_oracle():
+    curves = [Curve.moment(n) for n in range(2, 8)]
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        curves.append(Curve(tuple(polys.poly([rng.choice((0, 0, 1, -2, 3, Fraction(1, 2)))
+                                              for _ in range(rng.randint(1, n + 2))])
+                                  for _ in range(n))))
+    for curve in curves:
+        assert wronskian(curve) == cofactor_det(derivative_matrix(curve))
+
+
+def test_poly_det_pivots_on_zero_entries():
+    one, t = polys.ONE, polys.monomial(1)
+    cases = [
+        [[polys.ZERO, one], [one, polys.ZERO]],  # -1: the first pivot is zero
+        [[one, one, polys.ZERO], [one, one, t], [polys.ZERO, one, one]],  # zero 2x2 minor
+        [[polys.ZERO, t], [polys.ZERO, one]],  # a zero column
+    ]
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        cases.append([[polys.poly([rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(3)])
+                       for _ in range(n)] for _ in range(n)])
+    for matrix in cases:
+        assert _poly_det(matrix) == cofactor_det(matrix)
+    assert _poly_det(cases[0]) == polys.poly([-1])
+    assert _poly_det(cases[1]) == polys.neg(t)
 
 
 def test_wronskian_degenerate():
@@ -147,3 +189,20 @@ def test_bounds_table_shapes():
     assert [r.value for r in rows] == [2, 6, 72]
     with pytest.raises(ValueError):
         bounds_table("unknown", REAL, 4)
+    for n_max in (1, 0, -3):
+        with pytest.raises(ValueError, match="n_max >= 2"):
+            bounds_table("theorem1", padic(5), n_max)
+
+
+def test_constants_past_float_range():
+    # C_{K,n} and the fewnomial radicand pass 1.8e308 at these n; their roots do not
+    assert theorem1_constant(COMPLEX, 221) == pytest.approx(5 * math.sqrt(221))
+    assert theorem1_constant(REAL, 442) == pytest.approx(5 ** 0.5 * math.sqrt(442))
+    assert theorem1_constant(padic(3), 500) == pytest.approx(math.sqrt(500))
+    assert fewnomial_constant(Curve.moment(41)) == pytest.approx(
+        83 ** 0.5 * 2 ** (41 * 40 / 164) * 42 ** 0.5)
+    for n in range(2, 41):
+        m = n  # the moment curve has n monomials
+        radicand = 2 ** (m * (m - 1) // 2) * (n + 1) ** m
+        assert fewnomial_constant(Curve.moment(n)) == pytest.approx(
+            (2 * n + 1) ** 0.5 * radicand ** (1 / (2 * n)), rel=1e-12)

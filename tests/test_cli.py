@@ -75,6 +75,28 @@ def test_bounds_csv():
     assert lines[0] == "name,n,field,value,formula"
 
 
+@pytest.mark.parametrize("args,last", [
+    # 81,749,606,400 prints as a float would, with no trailing zero
+    (["--table", "refined", "--n-max", "12"], "refined_diagonal,12,-,8.17496064e+10,"),
+    # from here each value's radicand or integer is past float range at the last n
+    (["--table", "fewnomial", "--n-max", "41"], "fewnomial,41,-,60459.37426,"),
+    (["--table", "refined", "--n-max", "155"], "refined_diagonal,155,-,3.836718669e+310,"),
+    (["--table", "theorem1", "--field", "complex", "--n-max", "221"], "theorem1,221,C,74.33034374,"),
+    (["--table", "theorem1", "--field", "real", "--n-max", "442"], "theorem1,442,R,47.01063709,"),
+    (["--table", "wronskian", "--n-max", "30"], "moment_wronskian,30,-,5.717556982e+415,"),
+])
+def test_bounds_last_row(args, last):
+    lines = run("bounds", *args).splitlines()
+    assert lines[-1].startswith(last)
+
+
+@pytest.mark.parametrize("n_max", ["1", "0"])
+def test_bounds_rejects_n_max_below_2(n_max):
+    proc = subprocess.run(CLI + ["bounds", "--n-max", n_max], capture_output=True, text=True)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr.startswith("error: ")
+
+
 def test_ratio_json():
     doc = json.loads(run("ratio", "--n", "2", "--N-list", "1,10"))
     assert doc["results"][0]["ratio"] == pytest.approx(1)
@@ -161,6 +183,14 @@ def test_argparse_errors_exit_1(args):
 
 def test_scan_rejects_negative_s():
     proc = subprocess.run(CLI + ["syzygy", "--scan", "--s", "-1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-1"])
+def test_scan_rejects_n_below_2(n):
+    proc = subprocess.run(CLI + ["syzygy", "--scan", "--n", n],
                           capture_output=True, text=True)
     assert proc.returncode == 1 and not proc.stdout
     assert proc.stderr.startswith("error: ")
@@ -258,6 +288,10 @@ BASELINES = [
      "syzygy_real_n2_d8.json"),
     (["syzygy", "--field", "real", "--n", "3", "--delta-inv", "4", "--tuple", "0,1,3"],
      "syzygy_real_n3_d4.json"),
+    # p divides n: Girard-Newton's division by j fails mod p, yet S(I) is the orbit
+    (["syzygy", "--scan", "--p", "3", "--n", "3", "--s", "1"], "syzygy_scan_q3_n3_s1.json"),
+    (["syzygy", "--p", "3", "--n", "3", "--s", "1", "--tuple", "0,1,2"],
+     "syzygy_q3_n3_s1.json"),
 ]
 
 

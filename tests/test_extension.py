@@ -225,14 +225,16 @@ def test_comb_cells_pointwise():
 def test_cached_tables_are_read_only():
     # the lru_cache builders hand the same arrays to every caller
     from momentsq.extension import _real_factors
-    from momentsq.syzygy import _key_table, _parseval_groups
+    from momentsq.syzygy import _pair_relation, _parseval_groups
     fine, bounds, w, factors = _real_factors(8, Fraction(1, 4), ((0.0, 0.25, 4),) * 2)
-    arrays = [_key_table(2, 2, 1), *_parseval_groups(2, 2, 1), fine, bounds, w, *factors]
+    arrays = [*_parseval_groups(2, 2, 1), fine, bounds, w, *factors]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
         with pytest.raises(ValueError, match="read-only"):
             a += a[0]
+    # the pair relation is empty here, so only its flag can be checked
+    assert not any(a.flags.writeable for a in _pair_relation(2, 2, 1))
 
 
 def test_real_norms_budget_counts_factor_entries():

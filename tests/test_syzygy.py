@@ -10,8 +10,7 @@ from momentsq import (REAL, BudgetExceededError, Curve, LocallyConstant, cell_tu
                       syzygy_bound, syzygy_set_nonarch, syzygy_set_real)
 from momentsq.bounds import bezout_syzygy_bound
 from momentsq import polys, syzygy
-from momentsq.syzygy import (SyzygyMethod, _orbit_sizes, _scan_table, _sorted_tuples,
-                             _sorted_unique)
+from momentsq.syzygy import SyzygyMethod, _orbit_sizes, _sorted_tuples, _sorted_unique
 
 
 def q5_tuple(*idx, s=1):
@@ -61,7 +60,7 @@ def test_symmetry_and_reflexivity():
 
 
 def test_set_matches_pairwise_decision():
-    # the global index and the per-pair meet-in-the-middle agree
+    # the pair relation and the per-pair meet-in-the-middle agree
     base = q5_tuple(1, 3)
     members = set(syzygy_set_nonarch(base).member_indices)
     for j in itertools.product(range(5), repeat=2):
@@ -140,24 +139,36 @@ def test_scan_and_sets_match_brute_force(p, n, s):
 
 
 def test_key_shared_by_two_multisets(monkeypatch):
-    # Every real configuration tried is strongly diagonal, so this branch is
-    # fed a synthetic table: n = 2, 3 cells, codes key * 9 + multiset, where a
-    # multiset (c0 <= c1) is c0 + 3 * c1.
+    # Every real configuration tried is strongly diagonal, so the relation is
+    # built from synthetic key rows: Q_3 with n = 2, s = 1 (3 cells, q = 9),
+    # codes key * 9 + multiset, where a multiset (c0 <= c1) is c0 + 3 * c1.
     ms = {(0, 0): 0, (0, 1): 3, (1, 1): 4, (0, 2): 6, (1, 2): 7, (2, 2): 8}
     groups = [[(0, 1), (2, 2)], [(0, 0), (0, 2)], [(0, 2)], [(1, 1)], [(1, 2)],
-              [(0, 1), (1, 2)], [(2, 2), (0, 1)]]  # the last repeats a pair
-    codes = np.array(sorted(key * 9 + ms[m] for key, g in enumerate(groups) for m in g))
-    cards, mismatch = _scan_table(codes, 2, 3)
-    # base code c is the tuple (c % 3, c // 3)
-    assert cards.tolist() == [3, 5, 3, 5, 1, 4, 3, 4, 3]
-    assert mismatch.tolist() == [True, True, True, True, False, True, True, True, True]
+              [(0, 1), (1, 2)], [(2, 2), (0, 1)], [(1, 2), (1, 2)]]  # repeats
+    codes = np.array([key * 9 + ms[m] for key, g in enumerate(groups) for m in g][::-1])
+    monkeypatch.setattr(syzygy, "_key_rows", lambda *a: (None, None, codes))
+    syzygy.clear_index_cache()
+    try:
+        scan = scan_strong_diagonal(3, 2, 1)
+        # base code c is the tuple (c % 3, c // 3)
+        assert list(scan.cardinalities) == [3, 5, 3, 5, 1, 4, 3, 4, 3]
+        assert scan.mismatches == ((0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2),
+                                   (1, 2), (2, 2))
+        assert syzygy_set_nonarch(q3_tuple(1, 0)).member_indices == [
+            (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)]
+        assert syzygy_set_nonarch(q3_tuple(1, 1)).member_indices == [(1, 1)]
+    finally:
+        syzygy.clear_index_cache()
 
-    monkeypatch.setattr(syzygy, "_get_index", lambda *a, **kw: codes)
-    monkeypatch.setattr(syzygy, "_tuple_keys", lambda *a, **kw: np.array([0]))
-    assert syzygy_set_nonarch(q3_tuple(1, 0)).member_indices == [(0, 1), (1, 0), (2, 2)]
-    monkeypatch.setattr(syzygy, "_tuple_keys", lambda *a, **kw: np.array([0, 5]))
-    assert syzygy_set_nonarch(q3_tuple(1, 0)).member_indices == [
-        (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)]
+
+def test_set_query_needs_no_tuple_keys(monkeypatch):
+    # the set query reads the pair relation; `_tuple_keys` serves the oracle only
+    def no_tuple_keys(*args, **kwargs):
+        raise AssertionError("the set query enumerated the base's point tuples")
+    monkeypatch.setattr(syzygy, "_tuple_keys", no_tuple_keys)
+    assert syzygy_set_nonarch(q3_tuple(2, 0, 2)).member_indices == [
+        (0, 2, 2), (2, 0, 2), (2, 2, 0)]
+    assert syzygy_set_nonarch(q5_tuple(4, 1)).member_indices == [(1, 4), (4, 1)]
 
 
 def test_scan_budget_counts_sorted_tuples(monkeypatch):
@@ -181,7 +192,7 @@ def test_clear_index_cache_empties_both_tables():
     f = LocallyConstant(padic(2), 2, (1, 2, 3, 4))
     weighted_norms(f, padic_scale(2, 1), n=2)
     scan_strong_diagonal(2, 2, 1)
-    tables = [syzygy._key_table, syzygy._parseval_groups]
+    tables = [syzygy._pair_relation, syzygy._parseval_groups]
     assert all(t.cache_info().currsize for t in tables)
     syzygy.clear_index_cache()
     assert [t.cache_info().currsize for t in tables] == [0, 0]
@@ -190,6 +201,16 @@ def test_clear_index_cache_empties_both_tables():
 def test_scan_rejects_negative_s():
     with pytest.raises(ValueError, match="nonnegative"):
         scan_strong_diagonal(5, 2, -1)  # q = 5^-2 is no modulus
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_scan_rejects_n_below_2_before_enumerating(monkeypatch, n):
+    def enumerate_nothing(m, n):
+        raise AssertionError("enumerated before the n check")
+    monkeypatch.setattr(syzygy, "_sorted_tuples", enumerate_nothing)
+    syzygy.clear_index_cache()
+    with pytest.raises(ValueError, match="n >= 2"):
+        scan_strong_diagonal(5, n, 1)
 
 
 def test_budget_guard():
