@@ -10,6 +10,7 @@ exact rational arithmetic throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +43,16 @@ def field_constant(field: FieldSpec, n: int) -> int:
     """C_{K,n}: 1 for non-Archimedean K; 7^n (n <= 6) / 5^n (n >= 7) over R,
     squared over C."""
     return _field_base(field, n) ** (n * field.eta)
+
+
+def _field_constant_text(field: FieldSpec, n: int) -> str:
+    """C_{K,n} in decimal, or as (b^(n*eta)) where its digits pass the
+    int-to-string limit of Python (sys.get_int_max_str_digits)."""
+    value = field_constant(field, n)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or value < 10 ** limit:
+        return str(value)
+    return f"({_field_base(field, n)}^{n * field.eta})"
 
 
 def theorem1_constant(field: FieldSpec, n: int) -> float:
@@ -200,7 +211,7 @@ def bounds_table(table: str, field: FieldSpec, n_max: int) -> list[BoundReport]:
                 name="theorem1",
                 parameters={"field": str(field), "n": n},
                 value=theorem1_constant(field, n),
-                formula=f"{field_constant(field, n)}^(1/{2 * n})*sqrt({n})",
+                formula=f"{_field_constant_text(field, n)}^(1/{2 * n})*sqrt({n})",
             ))
         elif table == "bezout":
             curve = Curve.moment(n)

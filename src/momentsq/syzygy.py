@@ -15,7 +15,11 @@ an exact rational witness).
 Power sums and cell multisets are symmetric, so the p-adic engine
 enumerates only the C(q+n-1, n) nondecreasing residue n-tuples mod
 q = p^{ns}, once per (p, n, s), and keeps the pairs of distinct cell
-multisets that share a power-sum key.  S(I) is every ordering of the
+multisets that share a power-sum key.  Their keys are folded by suffix
+copies (`_sorted_folds`): in lexicographic order the sorted (j-1)-tuples
+whose first entry is at least a form a suffix, so the j-tuples starting
+with a are a's value added to that suffix, one contiguous add per a, and
+no index columns are built.  S(I) is every ordering of the
 multiset of I and of its partners, so |S(I)| is a sum of orbit sizes.
 The same rows grouped by pair and by key (`_parseval_groups`) carry the
 Parseval sums of the Q_p norms.  The real sampler runs its sorted grid
@@ -164,13 +168,54 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _sorted_tuples(m: int, n: int) -> list[np.ndarray]:
     """Index columns of every nondecreasing n-tuple over range(m), in
     lexicographic order: C(m+n-1, n) rows, one per orbit of ordered tuples
-    under permutation (`_orbit_sizes` gives each orbit's size)."""
+    under permutation (`_orbit_sizes` gives each orbit's size).  Only the
+    Parseval groups and the real sampler need positions; keys come from
+    `_sorted_folds`, which the columns check in the tests."""
     cols = [np.arange(m, dtype=np.int64)]
     for _ in range(n - 1):
         width = m - cols[-1]  # a row ending in v continues with v, ..., m-1
         row = np.repeat(np.arange(width.size), width)
         cols = [c[row] for c in cols] + [_ranges(cols[-1], width)]
     return cols
+
+
+def _sorted_folds(folds, n: int):
+    """(values, orbit) over every nondecreasing n-tuple t over range(m), in
+    the lexicographic order of `_sorted_tuples`, for (v, radix) pairs with
+    len(v) = m: values holds, per pair, sum_i v[t_i] * radix^i in v's dtype,
+    and orbit each row's orbit size n!/prod(mult!) in the smallest unsigned
+    dtype that holds n!.
+
+    In that order the sorted (j-1)-tuples whose first entry is at least a
+    form a suffix, so the j-tuples that start with a fold as
+    v[a] + radix * fold(suffix): each level is one loop over a of
+    contiguous adds into preallocated rows, with no index columns and no
+    gathers.  The orbit size of (a, suffix) is j times the suffix's, over
+    one more than the suffix's leading run where the suffix starts with a.
+    """
+    m = len(folds[0][0])
+    values = [np.array(v) for v, _ in folds]
+    orbit = np.ones(m, np.min_scalar_type(math.factorial(n)))
+    run = np.ones(m, np.uint8)  # equal entries leading each row
+    for j in range(2, n + 1):
+        rows = math.comb(m + j - 1, j)
+        suffix = [f * radix if radix != 1 else f for f, (_, radix) in zip(values, folds)]
+        values = [np.empty(rows, f.dtype) for f in suffix]
+        scaled, shared = orbit * j, orbit * j // (run + 1)  # suffix after a / starting with a
+        orbit = np.empty(rows, orbit.dtype)
+        led, run = run + 1, np.ones(rows if j < n else 0, np.uint8)
+        src = dst = 0  # the suffix of the (j-1)-tuples starting at a or later
+        for a in range(m):
+            size = suffix[0].size - src
+            head = math.comb(m - a + j - 3, j - 2)  # of them starting with a
+            for out, f, (v, _) in zip(values, suffix, folds):
+                np.add(f[src:], v[a], out=out[dst:dst + size])
+            orbit[dst:dst + head] = shared[src:src + head]
+            orbit[dst + head:dst + size] = scaled[src + head:]
+            if run.size:
+                run[dst:dst + head] = led[src:src + head]
+            src, dst = src + head, dst + size
+    return values, orbit
 
 
 def _orbit_sizes(cols) -> np.ndarray:
@@ -186,21 +231,27 @@ def _orbit_sizes(cols) -> np.ndarray:
 
 
 def _key_rows(p: int, n: int, s: int):
-    """(residue, cols, codes) over the sorted residue n-tuples mod q = p^{ns}:
-    the residue at each position, the position columns of `_sorted_tuples`,
-    and each row's code key * q + multiset.  key packs the power sums mod q,
-    multiset the cells in nondecreasing order (digit i the i-th smallest,
-    base p^s).  Residues are numbered cell by cell, so a row's cells need no sort.
+    """(residue, codes, orbit) over the sorted residue n-tuples mod q = p^{ns},
+    in the row order of `_sorted_tuples(q, n)`: the residue at each
+    position, each row's code key * q + multiset, and its orbit size.  key
+    packs the power sums mod q, multiset the cells in nondecreasing order
+    (digit i the i-th smallest, base p^s); both come from `_sorted_folds`.
+    Residues are numbered cell by cell, so a row's cells need no sort.
     """
     q, tables = _power_tables(p, n, s)
     ncells = p ** s
     cell, rest = np.divmod(np.arange(q, dtype=np.int64), q // ncells)
     residue = cell + ncells * rest
-    tables = [t[residue] for t in tables]
-    cols = _sorted_tuples(q, n)
-    codes = (_pack_keys([sum(t[c] for c in cols) for t in tables], q) * q
-             + sum(cell[c] * ncells ** i for i, c in enumerate(cols)))
-    return residue, cols, codes
+    narrow = np.int32 if n * q < 2 ** 31 else np.int64  # power sums stay below n * q
+    folds = [(t[residue].astype(narrow), 1) for t in tables] + [(cell.astype(narrow), ncells)]
+    (*sums, multiset), orbit = _sorted_folds(folds, n)
+    codes = np.remainder(sums.pop(), q, dtype=np.int64)
+    while sums:  # key digits from the highest power sum down, then the multiset
+        codes *= q
+        codes += np.remainder(sums.pop(), q)
+    codes *= q
+    codes += multiset
+    return residue, codes, orbit
 
 
 @functools.lru_cache(maxsize=4)
@@ -209,7 +260,7 @@ def _pair_relation(p: int, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     in `_key_rows`) whose point tuples share a power-sum key mod p^{ns}.
     Empty at every configuration tried, p <= n included."""
     q = p ** (n * s)
-    codes = _sorted_unique(_key_rows(p, n, s)[2])  # distinct (key, multiset) pairs
+    codes = _sorted_unique(_key_rows(p, n, s)[1])  # distinct (key, multiset) pairs
     key = codes // q
     shared = key[1:] == key[:-1]
     pairs = codes[:0]
@@ -234,10 +285,10 @@ def _parseval_groups(p: int, n: int, s: int):
     pair: (residue, orbit, fine, fine_key, cell_orbit, *cols) gives each
     row's orbit size and pair, each pair's key group and cell-multiset orbit
     size, and the rows' position columns.  The Q_p norms sum over them."""
-    residue, cols, codes = _key_rows(p, n, s)
+    residue, codes, orbit = _key_rows(p, n, s)
     order = np.argsort(codes)  # rows in pair order: add.at then writes in sequence
-    codes = codes[order]
-    cols = [c[order] for c in cols]
+    codes, orbit = codes[order], orbit[order]
+    cols = [c[order] for c in _sorted_tuples(p ** (n * s), n)]  # the rows' positions
     del order
     new = codes[1:] != codes[:-1]  # a row that opens a pair
     fine = np.concatenate(([0], np.cumsum(new)))
@@ -247,7 +298,7 @@ def _parseval_groups(p: int, n: int, s: int):
     keys, multisets = np.divmod(pairs, ncells ** n)
     fine_key = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))  # keys are sorted
     cell_orbit = _orbit_sizes([multisets // ncells ** i % ncells for i in range(n)])
-    out = (residue, _orbit_sizes(cols), fine, fine_key, cell_orbit, *cols)
+    out = (residue, orbit, fine, fine_key, cell_orbit, *cols)
     for a in out:
         a.setflags(write=False)  # shared by every caller through the cache
     return out
@@ -388,6 +439,9 @@ def scan_strong_diagonal(p: int, n: int, s: int,
 # real sampler
 # ---------------------------------------------------------------------------
 
+_SAMPLER_BLOCK = 2 ** 20  # hit-matrix entries per block of sorted grid tuples
+
+
 def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = None,
                     grid_step: Fraction | None = None,
                     budget: int = DEFAULT_ENUMERATION_BUDGET) -> SyzygyReport:
@@ -448,18 +502,26 @@ def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = No
     t_cols = _sorted_tuples(npts, n)
     s_cols = (np.indices((per_cell,) * n).reshape(n, -1)
               + per_cell * np.array(base.indices)[:, None])
-    hits = np.ones((t_cols[0].size, s_cols.shape[1]), dtype=bool)
-    for v, thr in zip(values, thresholds):
-        diff = np.subtract.outer(sum(v[c] for c in t_cols), v[s_cols].sum(axis=0))
-        hits &= np.abs(diff, out=diff) <= thr
-        del diff  # freed before the next coordinate allocates its own
-    rows = np.flatnonzero(hits.any(axis=1))
+    s_sums = [v[s_cols].sum(axis=0) for v in values]
+    rows, witness = [], []  # each hit row and the first point tuple of s it hits
+    block = max(1, _SAMPLER_BLOCK // s_cols.shape[1])
+    for lo in range(0, t_cols[0].size, block):
+        t_block = [c[lo:lo + block] for c in t_cols]
+        hits = np.ones((t_block[0].size, s_cols.shape[1]), dtype=bool)
+        for v, s_sum, thr in zip(values, s_sums, thresholds):
+            diff = np.subtract.outer(sum(v[c] for c in t_block), s_sum)
+            hits &= np.abs(diff, out=diff) <= thr
+            del diff  # freed before the next coordinate allocates its own
+        hit = np.flatnonzero(hits.any(axis=1))
+        rows.append(lo + hit)
+        witness.append(hits[hit].argmax(axis=1))
+    rows, witness = np.concatenate(rows), np.concatenate(witness)
     cells, first = np.unique(np.stack([c[rows] // per_cell for c in t_cols], axis=1),
                              axis=0, return_index=True)
     members = {}  # every ordering of a hit multiset, with the matching witness
-    for multiset, row in zip(cells.tolist(), rows[first].tolist()):
+    for multiset, row, col in zip(cells.tolist(), rows[first].tolist(), witness[first].tolist()):
         t_pt = [Fraction(int(c[row]), G) for c in t_cols]
-        s_pt = [Fraction(int(a), G) for a in s_cols[:, int(np.argmax(hits[row]))]]
+        s_pt = [Fraction(int(a), G) for a in s_cols[:, col]]
         for order in itertools.permutations(range(n)):
             members.setdefault(tuple(multiset[i] for i in order),
                                ([t_pt[i] for i in order], s_pt))

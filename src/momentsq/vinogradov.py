@@ -6,7 +6,12 @@ sum_v m(v)^2 over the level sets m(v) = #{t : sum_i gamma(t_i) = v}.  The
 power-sum vector is symmetric, so the join enumerates only the C(N+n-1, n)
 nondecreasing tuples, each standing for its orbit of n!/prod(mult!)
 orderings: m(v) is the sum of the orbit sizes of the sorted tuples with key
-v.  The budget counts those tuples, and keys past 64 bits are refused.  The
+v.  The keys and orbit sizes come from `syzygy._sorted_folds`, which builds
+each level of sorted tuples from suffix copies of the level below (the
+tuples starting with a read v(a) + key(suffix)), so no index columns are
+held: the join keeps an int64 key and a one-byte orbit size (n <= 5) per
+sorted tuple and sorts the keys in place, about 10 bytes per tuple.  The
+budget counts those tuples, and keys past 64 bits are refused.  The
 brute-force path compares all pairs of tuples and is the oracle the fast
 paths are checked against.
 """
@@ -23,7 +28,7 @@ import numpy as np
 
 from .budget import DEFAULT_COUNT_BUDGET, BudgetExceededError, check_budget, check_sorted_tuples
 from .curves import Curve
-from .syzygy import _orbit_sizes, _sorted_tuples
+from .syzygy import _sorted_folds
 
 
 class CountMethod(Enum):
@@ -70,14 +75,22 @@ def permutation_count(n: int, N: int) -> int:
     return t[n]
 
 
-def _orbit_join(keys: np.ndarray, orbit: np.ndarray) -> int:
-    """sum over distinct keys v of (sum of orbit over the rows with key v)^2."""
-    ordered = np.sort(keys)
-    distinct = ordered[1:] != ordered[:-1]
-    if distinct.all():
-        return int(np.dot(orbit, orbit))  # one row per key: no argsort needed
-    start = np.flatnonzero(np.concatenate(([True], distinct)))
-    weight = np.add.reduceat(orbit[np.argsort(keys)], start)
+def _orbit_join(keys: np.ndarray, orbit: np.ndarray, rebuild=None) -> int:
+    """sum over distinct keys v of (sum of orbit over the rows with key v)^2,
+    summed in int64 whatever orbit's unsigned dtype, without an int64 copy
+    of it.  Given rebuild, a function that returns the keys afresh, the keys
+    are sorted in place and rebuilt only if two rows share a key."""
+    if rebuild is not None:
+        keys.sort()  # in place: the caller needs the keys no more
+    ordered = np.sort(keys) if rebuild is None else keys
+    shared = ordered[1:] == ordered[:-1]
+    if not shared.any():  # one row per key: no argsort needed
+        return int(np.einsum("i,i->", orbit, orbit, dtype=np.int64, casting="unsafe"))
+    start = np.flatnonzero(np.concatenate(([True], ~shared)))
+    del ordered, shared
+    if rebuild is not None:
+        keys = rebuild()
+    weight = np.add.reduceat(orbit[np.argsort(keys)], start, dtype=np.int64)
     return int(np.dot(weight, weight))
 
 
@@ -86,18 +99,18 @@ def _moment_join(n: int, N: int, budget: int) -> int:
 
     Packing: the k-th component sum is below R_k = n*N^k + 1, so the digits
     sum without carrying, and a tuple's key, below prefix[n] = R_1 ... R_n,
-    sums phi(t) = sum_k t^k * prefix[k-1] over its points.
+    sums phi(t) = sum_k t^k * prefix[k-1] over its points: one radix-1
+    fold of `_sorted_folds`, which also gives the orbit sizes.
     """
     prefix = [math.prod(n * N ** j + 1 for j in range(1, k + 1)) for k in range(n + 1)]
     check_sorted_tuples(N, n, prefix[n], budget, f"[1,{N}]")
     t = np.arange(1, N + 1, dtype=np.int64)
     phi = sum(prefix[k - 1] * t ** k for k in range(1, n + 1))
-    cols = _sorted_tuples(N, n)
-    orbit = _orbit_sizes(cols)
-    keys = phi[cols.pop()]
-    while cols:  # popping frees each column once it is summed
-        keys += phi[cols.pop()]
-    return _orbit_join(keys, orbit)
+
+    def fold():
+        (keys,), orbit = _sorted_folds([(phi, 1)], n)
+        return keys, orbit
+    return _orbit_join(*fold(), rebuild=lambda: fold()[0])
 
 
 def _brute_force_count(curve: Curve, n: int, N: int, budget: int) -> int:

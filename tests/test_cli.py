@@ -84,6 +84,9 @@ def test_bounds_csv():
     (["--table", "theorem1", "--field", "complex", "--n-max", "221"], "theorem1,221,C,74.33034374,"),
     (["--table", "theorem1", "--field", "real", "--n-max", "442"], "theorem1,442,R,47.01063709,"),
     (["--table", "wronskian", "--n-max", "30"], "moment_wronskian,30,-,5.717556982e+415,"),
+    # from n = 3076 over C, C_{K,n} = 5^(2n) has more digits than str() converts
+    (["--table", "theorem1", "--field", "complex", "--n-max", "3100"],
+     'theorem1,3100,C,278.3882181,"(5^6200)^(1/6200)*sqrt(3100)"'),
 ])
 def test_bounds_last_row(args, last):
     lines = run("bounds", *args).splitlines()

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,8 @@ from momentsq import (REAL, BudgetExceededError, Curve, LocallyConstant, cell_tu
                       syzygy_bound, syzygy_set_nonarch, syzygy_set_real)
 from momentsq.bounds import bezout_syzygy_bound
 from momentsq import polys, syzygy
-from momentsq.syzygy import SyzygyMethod, _orbit_sizes, _sorted_tuples, _sorted_unique
+from momentsq.syzygy import (SyzygyMethod, _orbit_sizes, _sorted_folds, _sorted_tuples,
+                             _sorted_unique)
 
 
 def q5_tuple(*idx, s=1):
@@ -112,6 +114,21 @@ def test_sorted_tuples_and_orbit_sizes(m, n):
     assert _orbit_sizes(cols).tolist() == [len(set(itertools.permutations(r))) for r in rows]
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (4, 1), (1, 3), (5, 2), (4, 3), (3, 5), (6, 4),
+                                 (3, 6), (4, 7), (2, 9)])
+def test_sorted_folds_match_combinations(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    plain, digits = rng.integers(-50, 50, m), rng.integers(0, m, m).astype(np.int32)
+    (sums, codes), orbit = _sorted_folds([(plain, 1), (digits, m)], n)
+    rows = list(itertools.combinations_with_replacement(range(m), n))
+    assert sums.dtype == np.int64 and codes.dtype == np.int32
+    assert sums.tolist() == [sum(int(plain[t]) for t in r) for r in rows]
+    assert codes.tolist() == [sum(int(digits[t]) * m ** i for i, t in enumerate(r)) for r in rows]
+    # n! = 720 from n = 6 on no longer fits uint8; 9! = 362880 needs uint32
+    assert orbit.dtype == np.min_scalar_type(math.factorial(n)) and orbit.dtype.kind == "u"
+    assert orbit.tolist() == _orbit_sizes(_sorted_tuples(m, n)).tolist()
+
+
 BRUTE_CONFIGS = [(p, n, s) for p in (2, 3, 5) for n in (2, 3) for s in (1, 2)
                  if p ** (n * s * n) <= 2 * 10 ** 5]
 
@@ -146,7 +163,7 @@ def test_key_shared_by_two_multisets(monkeypatch):
     groups = [[(0, 1), (2, 2)], [(0, 0), (0, 2)], [(0, 2)], [(1, 1)], [(1, 2)],
               [(0, 1), (1, 2)], [(2, 2), (0, 1)], [(1, 2), (1, 2)]]  # repeats
     codes = np.array([key * 9 + ms[m] for key, g in enumerate(groups) for m in g][::-1])
-    monkeypatch.setattr(syzygy, "_key_rows", lambda *a: (None, None, codes))
+    monkeypatch.setattr(syzygy, "_key_rows", lambda *a: (None, codes, None))
     syzygy.clear_index_cache()
     try:
         scan = scan_strong_diagonal(3, 2, 1)
@@ -180,6 +197,7 @@ def test_scan_budget_counts_sorted_tuples(monkeypatch):
     def enumerate_nothing(m, n):
         raise AssertionError("enumerated before the budget check")
     monkeypatch.setattr(syzygy, "_sorted_tuples", enumerate_nothing)
+    monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)  # the key rows' kernel
     syzygy.clear_index_cache()
     with pytest.raises(BudgetExceededError, match="enumeration steps"):
         scan_strong_diagonal(7, 3, 2)  # C(7^6 + 2, 3), about 2.7e14 tuples
@@ -208,6 +226,7 @@ def test_scan_rejects_n_below_2_before_enumerating(monkeypatch, n):
     def enumerate_nothing(m, n):
         raise AssertionError("enumerated before the n check")
     monkeypatch.setattr(syzygy, "_sorted_tuples", enumerate_nothing)
+    monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)
     syzygy.clear_index_cache()
     with pytest.raises(ValueError, match="n >= 2"):
         scan_strong_diagonal(5, n, 1)

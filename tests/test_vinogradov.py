@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from momentsq import (BudgetExceededError, CountMethod, Curve,
                       asymptotic_report, count_solutions, diagonal_count,
                       permutation_count)
 from momentsq import vinogradov
+from momentsq.budget import DEFAULT_COUNT_BUDGET
 from momentsq.vinogradov import _orbit_join
 
 def oracle(curve, n, N):
@@ -33,6 +35,33 @@ def test_orbit_join_sums_orbits_sharing_a_key():
     keys, orbit = np.array([5, 3, 5, 9]), np.array([1, 2, 3, 6])
     assert _orbit_join(keys, orbit) == (1 + 3) ** 2 + 2 ** 2 + 6 ** 2
     assert _orbit_join(keys[1:], orbit[1:]) == 2 ** 2 + 3 ** 2 + 6 ** 2
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_orbit_join_sums_small_orbits_in_int64(in_place):
+    # uint8 orbits whose squares pass 255 and whose sum of squares passes 65535
+    distinct, orbit = np.array([7, 2, 9]), np.array([200, 255, 100], dtype=np.uint8)
+    # ... and whose per-key sum passes 255 (one key, 600) before it is squared
+    shared, orbit2 = np.array([4, 1, 4, 4]), np.array([200, 255, 200, 200], dtype=np.uint8)
+    for keys, orb, want in [(distinct, orbit, 200 ** 2 + 255 ** 2 + 100 ** 2),
+                            (shared, orbit2, 600 ** 2 + 255 ** 2)]:
+        given = keys.copy()
+        rebuild = (lambda: keys.copy()) if in_place else None
+        assert _orbit_join(given, orb, rebuild=rebuild) == want
+        assert np.array_equal(given, np.sort(keys) if in_place else keys)
+
+
+def test_join_bytes_per_sorted_tuple():
+    # the join's traced peak stays at or below 20 bytes per sorted tuple
+    for n, N in [(2, 5000), (3, 563)]:
+        tracemalloc.start()
+        try:
+            count = vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == permutation_count(n, N)
+        assert peak <= 20 * math.comb(N + n - 1, n), (n, N, peak)
 
 
 def test_closed_forms_small_n():
@@ -121,9 +150,9 @@ def test_join_refuses_overflowing_keys():
 
 
 def test_join_guard_runs_before_enumerating(monkeypatch):
-    def enumerate_nothing(m, n):
+    def enumerate_nothing(folds, n):
         raise AssertionError("enumerated before the guard")
-    monkeypatch.setattr(vinogradov, "_sorted_tuples", enumerate_nothing)
+    monkeypatch.setattr(vinogradov, "_sorted_folds", enumerate_nothing)
     with pytest.raises(BudgetExceededError, match="enumeration steps"):
         count_solutions(Curve.moment(3), 3, 2000, CountMethod.HASH_JOIN)
     with pytest.raises(BudgetExceededError, match="overflow"):
