@@ -23,7 +23,8 @@ from .extension import (AtomicComb, LocallyConstant, NormRatio, TestFunction,
 from .bounds import (BoundReport, bezout_constant, bezout_syzygy_bound,
                      bounds_table, diagonal_refinement_max,
                      factorial_variant_constant, fewnomial_constant,
-                     field_constant, lipschitz_norm, nondegenerate,
-                     refined_diagonal_bound, theorem1_constant, wronskian)
+                     field_constant, lipschitz_norm, moment_wronskian,
+                     nondegenerate, refined_diagonal_bound, theorem1_constant,
+                     wronskian)
 
 __version__ = "0.1.0"

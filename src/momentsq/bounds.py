@@ -75,7 +75,7 @@ def lipschitz_norm(curve: Curve, field: FieldSpec | None = None) -> Fraction:
         best = Fraction(0)
         for coeffs in curve.coords:
             if polys.degree(coeffs) >= 1:
-                best = max(best, sum(abs(c) for c in coeffs) * polys.degree(coeffs))
+                best = max(best, sum(abs(c) for c in coeffs if c) * polys.degree(coeffs))
         return best
     if field is not None and field.kind is FieldKind.PADIC:
         raise ValueError("Lipschitz norms are computed for Archimedean fields")
@@ -98,8 +98,16 @@ def bezout_constant(curve: Curve, field: FieldSpec) -> float:
         raise ValueError("curve is degenerate (vanishing Wronskian on [0, 1])")
     n = curve.n
     ell = _ceil_lipschitz(curve, field)
-    prod_deg = math.prod(curve.degrees())
-    return (2 * ell + 1) ** (field.eta / 2) * prod_deg ** (1 / (2 * n))
+    return (2 * ell + 1) ** (field.eta / 2) * _root(math.prod(curve.degrees()), 2 * n)
+
+
+def _root(x: int, k: int) -> float:
+    """x^(1/k) for a positive integer x, through its logarithm where x is
+    past float range (from 171! on)."""
+    try:
+        return x ** (1 / k)
+    except OverflowError:
+        return math.exp(math.log(x) / k)
 
 
 def bezout_syzygy_bound(curve: Curve, field: FieldSpec) -> int:
@@ -155,6 +163,13 @@ def refined_diagonal_bound(n: int) -> int:
     return diagonal_refinement_max(n)
 
 
+def moment_wronskian(n: int) -> int:
+    """The moment curve's Wronskian, the constant prod_{k=1}^n k!: the row of
+    T^k holds k!/(k-j)! T^(k-j) for j <= k and 0 past it, so the matrix is
+    triangular with diagonal k!.  `wronskian` is its oracle."""
+    return math.prod(math.factorial(k) for k in range(1, n + 1))
+
+
 def wronskian(curve: Curve) -> Poly:
     """det(gamma'(t), gamma''(t), ..., gamma^(n)(t)) as an exact polynomial."""
     n = curve.n
@@ -191,7 +206,10 @@ def _poly_det(matrix: list[list[Poly]]) -> Poly:
 
 
 def nondegenerate(curve: Curve) -> bool:
-    """True iff the Wronskian has no zero on [0, 1], decided by Sturm counts."""
+    """True iff the Wronskian has no zero on [0, 1], decided by Sturm counts;
+    the moment curve's is the nonzero constant `moment_wronskian`."""
+    if curve.is_moment:
+        return True
     w = wronskian(curve)
     if not w:
         return False
@@ -239,11 +257,10 @@ def bounds_table(table: str, field: FieldSpec, n_max: int) -> list[BoundReport]:
                 formula="max_m n!/(n-m)! * m^(n-m), n! exactly for n <= 3",
             ))
         elif table == "wronskian":
-            w = wronskian(Curve.moment(n))
             rows.append(BoundReport(
                 name="moment_wronskian",
                 parameters={"n": n},
-                value=int(abs(polys.evaluate(w, 0))),
+                value=moment_wronskian(n),
                 formula="det(gamma', ..., gamma^(n)), constant for the moment curve",
             ))
         else:

@@ -12,17 +12,21 @@ decide membership exactly.  Over R the decision is sampled on a rational
 grid, which gives a sound lower approximation (every reported member has
 an exact rational witness).
 
-Power sums and cell multisets are symmetric, so the p-adic engine
-enumerates only the C(q+n-1, n) nondecreasing residue n-tuples mod
-q = p^{ns}, once per (p, n, s), and keeps the pairs of distinct cell
-multisets that share a power-sum key.  Their keys are folded by suffix
+Power sums and cell multisets are symmetric, so the p-adic engine keys
+nondecreasing residue n-tuples mod q = p^{ns}, once per (p, n, s), and
+keeps the pairs of distinct cell multisets that share a power-sum key
+(`_pair_relation`).  A shift by c keeps keys equal or unequal and moves
+p_1 by n * c, so only the tuples with p_1 = r mod q, r < gcd(n, q), are
+keyed, about q^(n-1)/n! of them, built from the sorted (n-1)-tuples; each
+pair found is then shifted by every cell.  Keys are folded by suffix
 copies (`_sorted_folds`): in lexicographic order the sorted (j-1)-tuples
 whose first entry is at least a form a suffix, so the j-tuples starting
 with a are a's value added to that suffix, one contiguous add per a, and
 no index columns are built.  S(I) is every ordering of the
 multiset of I and of its partners, so |S(I)| is a sum of orbit sizes.
-The same rows grouped by pair and by key (`_parseval_groups`) carry the
-Parseval sums of the Q_p norms.  The real sampler runs its sorted grid
+All C(q+n-1, n) sorted n-tuples (`_key_rows`), grouped by pair and by key
+(`_parseval_groups`), carry the Parseval sums of the Q_p norms, which
+are not translation-invariant.  The real sampler runs its sorted grid
 n-tuples against every point tuple of the base cells and reports each
 ordering of every cell multiset hit.
 """
@@ -254,26 +258,92 @@ def _key_rows(p: int, n: int, s: int):
     return residue, codes, orbit
 
 
+def _translate_codes(p: int, n: int, s: int) -> np.ndarray:
+    """Codes key * q + multiset, as in `_key_rows`, over the sorted residue
+    n-tuples mod q = p^{ns} whose p_1 is r mod q for some r < g = gcd(n, q):
+    one translate of every key class (see `_pair_relation`).  key packs
+    (r, p_2, ..., p_n), so codes stay below g * q^n.
+
+    The sorted (n-1)-tuples are folded by `_sorted_folds` (power sums, cells
+    and the first position); the new entry is (r - p_1) mod q, and a row is
+    kept iff that entry's position is at most the first, so each n-tuple
+    comes once and its cell opens the multiset, with no sort.
+    """
+    q, tables = _power_tables(p, n, s)
+    ncells, g = p ** s, math.gcd(n, q)
+    span = q // ncells  # residues per cell
+    cell, rest = np.divmod(np.arange(q, dtype=np.int64), span)
+    narrow = np.int32 if n * q < 2 ** 31 else np.int64  # power sums stay below n * q
+    folds = ([(t[cell + ncells * rest].astype(narrow), 1) for t in tables]
+             + [(cell.astype(narrow), ncells), (np.arange(q, dtype=narrow), 0)])
+    (*sums, multiset, first), _ = _sorted_folds(folds, n - 1)
+    codes = []
+    for r in range(g):
+        last = np.remainder(r - sums[0], q)  # the new entry's residue
+        lrest, lcell = np.divmod(last, ncells)
+        lrest += lcell * span  # its position
+        keep = np.flatnonzero(lrest <= first)
+        del lrest
+        last, code = last[keep], np.zeros(keep.size, np.int64)
+        for k in range(len(tables), 1, -1):  # key digits from the highest power sum down
+            code *= q
+            code += (sums[k - 1][keep] + tables[k - 1][last]) % q
+        code *= g
+        code += r
+        code *= q
+        code += lcell[keep] + ncells * multiset[keep]
+        codes.append(code)
+    return np.concatenate(codes)
+
+
+def _shared_pairs(codes: np.ndarray, q: int) -> np.ndarray:
+    """Sorted distinct a * q + b over the ordered pairs of distinct multisets
+    a, b (codes % q) that share a key (codes // q)."""
+    codes = _sorted_unique(codes)  # distinct (key, multiset) pairs
+    key = codes // q
+    shared = key[1:] == key[:-1]
+    if not shared.any():  # every key holds one multiset
+        return codes[:0]
+    start = np.flatnonzero(np.concatenate(([True], ~shared)))
+    size = np.diff(np.append(start, key.size))
+    start, size = start[size > 1], size[size > 1]
+    # every ordered pair (a, b) of multisets in one shared group
+    lengths = np.repeat(size, size)
+    a = np.repeat(codes[_ranges(start, size)] % q, lengths)
+    b = codes[_ranges(np.repeat(start, size), lengths)] % q
+    return _sorted_unique((a * q + b)[a != b])
+
+
+def _shift_pairs(pairs: np.ndarray, ncells: int, n: int) -> np.ndarray:
+    """Sorted distinct a * q + b (q = ncells^n) over every pair of multisets
+    in `pairs` with all its cells shifted by the same c mod ncells."""
+    q = ncells ** n
+    weights = ncells ** np.arange(n, dtype=np.int64)[:, None]
+    digits = [m // weights % ncells for m in np.divmod(pairs, q)]  # (n, pairs) each
+    out = []
+    for c in range(ncells):
+        a, b = ((np.sort((d + c) % ncells, axis=0) * weights).sum(axis=0) for d in digits)
+        out.append(a * q + b)
+    return _sorted_unique(np.concatenate(out))
+
+
 @functools.lru_cache(maxsize=4)
 def _pair_relation(p: int, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """(a, b), sorted: the ordered pairs of distinct cell multisets (coded as
-    in `_key_rows`) whose point tuples share a power-sum key mod p^{ns}.
-    Empty at every configuration tried, p <= n included."""
-    q = p ** (n * s)
-    codes = _sorted_unique(_key_rows(p, n, s)[1])  # distinct (key, multiset) pairs
-    key = codes // q
-    shared = key[1:] == key[:-1]
-    pairs = codes[:0]
-    if shared.any():  # some key holds two multisets
-        start = np.flatnonzero(np.concatenate(([True], ~shared)))
-        size = np.diff(np.append(start, key.size))
-        start, size = start[size > 1], size[size > 1]
-        # every ordered pair (a, b) of multisets in one shared group
-        lengths = np.repeat(size, size)
-        a = np.repeat(codes[_ranges(start, size)] % q, lengths)
-        b = codes[_ranges(np.repeat(start, size), lengths)] % q
-        pairs = _sorted_unique((a * q + b)[a != b])
-    out = np.divmod(pairs, q)
+    in `_key_rows`) whose point tuples share a power-sum key mod q = p^{ns}.
+    Empty at every configuration tried, p <= n included.
+
+    Built from one translate per class.  p_k(t + c) = sum_j C(k, j)
+    c^(k-j) p_j(t) with p_0 = n, so a shift by c keeps two keys equal or
+    unequal, moves p_1 by n * c and every cell by c mod p^s.  So each pair
+    that shares a key has a translate with p_1 = r mod q, r < gcd(n, q):
+    the pairs among `_translate_codes`, shifted by every c, are all of them.
+    """
+    ncells = p ** s
+    pairs = _shared_pairs(_translate_codes(p, n, s), ncells ** n)
+    if pairs.size:
+        pairs = _shift_pairs(pairs, ncells, n)
+    out = np.divmod(pairs, ncells ** n)
     for half in out:
         half.setflags(write=False)  # shared by every caller through the cache
     return out
@@ -308,6 +378,13 @@ def _check_key_rows(p: int, n: int, s: int, budget: int):
     """The guards of `_key_rows`, whose codes key * q + multiset stay below q^(n+1)."""
     q = p ** (n * s)
     check_sorted_tuples(q, n, q ** (n + 1), budget, f"Z/{q}")
+
+
+def _check_pair_rows(p: int, n: int, s: int, budget: int):
+    """The guards of `_pair_relation`: C(q+n-2, n-1) folded rows, and codes
+    below gcd(n, q) * q^n."""
+    q = p ** (n * s)
+    check_sorted_tuples(q, n - 1, math.gcd(n, q) * q ** n, budget, f"Z/{q}")
 
 
 def _get_groups(p: int, n: int, s: int, budget: int = DEFAULT_ENUMERATION_BUDGET):
@@ -368,7 +445,7 @@ def syzygy_set_nonarch(base: CellTuple, curve: Curve | None = None,
     """
     _require_padic_moment(base, curve)
     p, n, s = base.field.prime, base.n, base.scale.exponent
-    _check_key_rows(p, n, s, budget)
+    _check_pair_rows(p, n, s, budget)
     a, b = _pair_relation(p, n, s)
     ncells = p ** s
     cells = sorted(base.indices)
@@ -413,7 +490,7 @@ def scan_strong_diagonal(p: int, n: int, s: int,
         raise ValueError("s must be nonnegative")
     if n < 2:
         raise ValueError("n >= 2")
-    _check_key_rows(p, n, s, budget)
+    _check_pair_rows(p, n, s, budget)
     a, b = _pair_relation(p, n, s)
     ncells = p ** s
     q = ncells ** n

@@ -7,9 +7,9 @@ import pytest
 from momentsq import (COMPLEX, REAL, BoundReport, Curve, bezout_constant,
                       bezout_syzygy_bound, bounds_table, diagonal_refinement_max,
                       fewnomial_constant, field_constant, lipschitz_norm,
-                      nondegenerate, padic, refined_diagonal_bound,
+                      moment_wronskian, nondegenerate, padic, refined_diagonal_bound,
                       theorem1_constant, wronskian)
-from momentsq import polys
+from momentsq import bounds, polys
 from momentsq.bounds import _poly_det
 
 
@@ -116,9 +116,26 @@ def test_wronskian_moment():
     w = wronskian(Curve.moment(3))
     assert w == polys.poly([12])
     for n in range(2, 13):
-        w = wronskian(Curve.moment(n))
+        w = wronskian(Curve.moment(n))  # Bareiss, the closed form's oracle
         expected = math.prod(math.factorial(k) for k in range(1, n + 1))
-        assert polys.degree(w) == 0 and abs(w[0]) == expected
+        assert polys.degree(w) == 0 and w[0] == expected == moment_wronskian(n)
+
+
+def test_moment_curve_skips_the_determinant(monkeypatch):
+    def no_det(matrix):
+        raise AssertionError("the moment curve's Wronskian is a closed form")
+    monkeypatch.setattr(bounds, "_poly_det", no_det)
+    assert nondegenerate(Curve.moment(40))
+    rows = bounds_table("wronskian", COMPLEX, 40)
+    assert [r.value for r in rows] == [moment_wronskian(n) for n in range(2, 41)]
+    assert len(bounds_table("bezout", COMPLEX, 40)) == 39
+
+
+def test_bezout_constant_past_float_range():
+    # prod deg = n! passes float range from n = 171 on; the root is taken by logs
+    for n in (170, 171, 200):
+        expected = (2 * n + 1) * math.exp(math.lgamma(n + 1) / (2 * n))
+        assert bezout_constant(Curve.moment(n), COMPLEX) == pytest.approx(expected, rel=1e-12)
 
 
 def test_wronskian_matches_cofactor_oracle():

@@ -87,6 +87,8 @@ def test_bounds_csv():
     # from n = 3076 over C, C_{K,n} = 5^(2n) has more digits than str() converts
     (["--table", "theorem1", "--field", "complex", "--n-max", "3100"],
      'theorem1,3100,C,278.3882181,"(5^6200)^(1/6200)*sqrt(3100)"'),
+    # the moment curve's Wronskian is a closed form; 171! on is past float range
+    (["--table", "bezout", "--field", "complex", "--n-max", "200"], "bezout,200,C,3470.456413,"),
 ])
 def test_bounds_last_row(args, last):
     lines = run("bounds", *args).splitlines()
@@ -295,6 +297,9 @@ BASELINES = [
     (["syzygy", "--scan", "--p", "3", "--n", "3", "--s", "1"], "syzygy_scan_q3_n3_s1.json"),
     (["syzygy", "--p", "3", "--n", "3", "--s", "1", "--tuple", "0,1,2"],
      "syzygy_q3_n3_s1.json"),
+    # the largest scan config; and gcd(n, q) = 2, so two residues of p_1 are keyed
+    (["syzygy", "--scan", "--p", "7", "--n", "3", "--s", "1"], "syzygy_scan_q7_n3_s1.json"),
+    (["syzygy", "--scan", "--p", "2", "--n", "2", "--s", "2"], "syzygy_scan_q2_n2_s2.json"),
 ]
 
 

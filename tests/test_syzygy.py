@@ -157,13 +157,16 @@ def test_scan_and_sets_match_brute_force(p, n, s):
 
 def test_key_shared_by_two_multisets(monkeypatch):
     # Every real configuration tried is strongly diagonal, so the relation is
-    # built from synthetic key rows: Q_3 with n = 2, s = 1 (3 cells, q = 9),
+    # grouped from synthetic codes: Q_3 with n = 2, s = 1 (3 cells, q = 9),
     # codes key * 9 + multiset, where a multiset (c0 <= c1) is c0 + 3 * c1.
+    # These groups are not closed under cell shifts, so the shift step is left
+    # out; test_pair_relation_matches_full_walk covers it.
     ms = {(0, 0): 0, (0, 1): 3, (1, 1): 4, (0, 2): 6, (1, 2): 7, (2, 2): 8}
     groups = [[(0, 1), (2, 2)], [(0, 0), (0, 2)], [(0, 2)], [(1, 1)], [(1, 2)],
               [(0, 1), (1, 2)], [(2, 2), (0, 1)], [(1, 2), (1, 2)]]  # repeats
     codes = np.array([key * 9 + ms[m] for key, g in enumerate(groups) for m in g][::-1])
-    monkeypatch.setattr(syzygy, "_key_rows", lambda *a: (None, codes, None))
+    monkeypatch.setattr(syzygy, "_translate_codes", lambda *a: codes)
+    monkeypatch.setattr(syzygy, "_shift_pairs", lambda pairs, ncells, n: pairs)
     syzygy.clear_index_cache()
     try:
         scan = scan_strong_diagonal(3, 2, 1)
@@ -174,6 +177,58 @@ def test_key_shared_by_two_multisets(monkeypatch):
         assert syzygy_set_nonarch(q3_tuple(1, 0)).member_indices == [
             (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)]
         assert syzygy_set_nonarch(q3_tuple(1, 1)).member_indices == [(1, 1)]
+    finally:
+        syzygy.clear_index_cache()
+
+
+def _full_walk_relation(p, n, s):
+    """The pair relation read off every row of `_key_rows`, grouped in a dict."""
+    q = p ** (n * s)
+    codes = _sorted_unique(syzygy._key_rows(p, n, s)[1])
+    key = codes // q
+    codes = codes[np.isin(key, key[1:][key[1:] == key[:-1]])]  # keys with two codes
+    groups: dict[int, set] = {}
+    for key, multiset in zip((codes // q).tolist(), (codes % q).tolist()):
+        groups.setdefault(key, set()).add(multiset)
+    pairs = sorted({(a, b) for g in set(map(frozenset, groups.values()))
+                    for a in g for b in g if a != b})
+    return [np.array([pair[i] for pair in pairs], dtype=np.int64) for i in (0, 1)]
+
+
+@pytest.mark.parametrize("p,n,s,size", [
+    (5, 2, 1, 30), (3, 2, 2, 180), (7, 2, 1, 84), (5, 3, 1, 20), (7, 2, 2, 29400),
+    (2, 2, 2, 16), (3, 3, 1, 6),  # gcd(n, q) = 2 and 3: p_1 takes g residues
+])
+def test_pair_relation_matches_full_walk(monkeypatch, p, n, s, size):
+    # The real relation is empty at every config tried; without p_n many
+    # multisets share a key, and the translate reduction must still find each.
+    full = syzygy._power_tables
+
+    def weakened(p, n, s):
+        q, tables = full(p, n, s)
+        return q, tables[:-1]
+    syzygy.clear_index_cache()
+    try:
+        for tables in (full, weakened):
+            monkeypatch.setattr(syzygy, "_power_tables", tables)
+            syzygy.clear_index_cache()
+            got, want = syzygy._pair_relation(p, n, s), _full_walk_relation(p, n, s)
+            assert [a.dtype for a in got] == [np.int64, np.int64]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert got[0].size == size
+    finally:
+        syzygy.clear_index_cache()
+
+
+def test_relation_needs_no_full_key_rows(monkeypatch):
+    # the relation keys one translate per class; `_key_rows` serves the norms
+    def no_key_rows(*args):
+        raise AssertionError("the relation walked every sorted n-tuple")
+    monkeypatch.setattr(syzygy, "_key_rows", no_key_rows)
+    syzygy.clear_index_cache()
+    try:
+        assert scan_strong_diagonal(5, 3, 1).all_match_permutations
+        assert syzygy_set_nonarch(q5_tuple(4, 1)).member_indices == [(1, 4), (4, 1)]
     finally:
         syzygy.clear_index_cache()
 
@@ -189,20 +244,31 @@ def test_set_query_needs_no_tuple_keys(monkeypatch):
 
 
 def test_scan_budget_counts_sorted_tuples(monkeypatch):
-    # (5,2,1) enumerates C(25 + 1, 2) = 325 sorted tuples, not 25^2 = 625
-    assert scan_strong_diagonal(5, 2, 1, budget=325).bases == 25
-    with pytest.raises(BudgetExceededError, match="325 enumeration steps"):
-        scan_strong_diagonal(5, 2, 1, budget=324)  # checked on a cached table too
+    # (5,2,1) folds C(25 + 0, 1) = 25 sorted 1-tuples, one translate per key
+    # class, not the C(25 + 1, 2) = 325 sorted pairs or 25^2 = 625 ordered ones
+    assert scan_strong_diagonal(5, 2, 1, budget=25).bases == 25
+    with pytest.raises(BudgetExceededError, match="25 enumeration steps"):
+        scan_strong_diagonal(5, 2, 1, budget=24)  # checked on a cached table too
 
     def enumerate_nothing(m, n):
         raise AssertionError("enumerated before the budget check")
     monkeypatch.setattr(syzygy, "_sorted_tuples", enumerate_nothing)
-    monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)  # the key rows' kernel
+    monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)  # the relation's kernel
     syzygy.clear_index_cache()
     with pytest.raises(BudgetExceededError, match="enumeration steps"):
-        scan_strong_diagonal(7, 3, 2)  # C(7^6 + 2, 3), about 2.7e14 tuples
+        scan_strong_diagonal(7, 3, 2)  # C(7^6 + 1, 2), about 6.9e9 rows
+    with pytest.raises(BudgetExceededError, match="enumeration steps"):
+        syzygy_set_nonarch(q5_tuple(0, 1, s=9))  # 5^18 rows
     with pytest.raises(BudgetExceededError, match="overflow"):
-        scan_strong_diagonal(2, 2, 16, budget=10 ** 30)  # keys up to 2^96
+        scan_strong_diagonal(2, 2, 16, budget=10 ** 30)  # codes up to gcd(2, q) * q^2 = 2^65
+
+
+def test_pair_guard_admits_the_reach():
+    # (17,3,1) folds C(4914, 2) = 12,071,241 rows and (11,2,3) 11^6 = 1,771,561
+    syzygy._check_pair_rows(17, 3, 1, syzygy.DEFAULT_ENUMERATION_BUDGET)
+    syzygy._check_pair_rows(11, 2, 3, syzygy.DEFAULT_ENUMERATION_BUDGET)
+    with pytest.raises(BudgetExceededError, match="12071241 enumeration steps"):
+        syzygy._check_pair_rows(17, 3, 1, 12071240)
 
 
 def test_clear_index_cache_empties_both_tables():
