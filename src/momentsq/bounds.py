@@ -45,14 +45,13 @@ def field_constant(field: FieldSpec, n: int) -> int:
     return _field_base(field, n) ** (n * field.eta)
 
 
-def _field_constant_text(field: FieldSpec, n: int) -> str:
-    """C_{K,n} in decimal, or as (b^(n*eta)) where its digits pass the
+def _int_text(value: int, expression: str) -> str:
+    """value in decimal, or (expression) where its digits pass the
     int-to-string limit of Python (sys.get_int_max_str_digits)."""
-    value = field_constant(field, n)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit or value < 10 ** limit:
         return str(value)
-    return f"({_field_base(field, n)}^{n * field.eta})"
+    return f"({expression})"
 
 
 def theorem1_constant(field: FieldSpec, n: int) -> float:
@@ -99,6 +98,15 @@ def bezout_constant(curve: Curve, field: FieldSpec) -> float:
     n = curve.n
     ell = _ceil_lipschitz(curve, field)
     return (2 * ell + 1) ** (field.eta / 2) * _root(math.prod(curve.degrees()), 2 * n)
+
+
+def moment_bezout_constant(field: FieldSpec, n: int) -> float:
+    """`bezout_constant` of the moment curve, with ceil(l) = n and
+    prod_i deg gamma_i = n!: gamma_k' = k t^(k-1) peaks at k on [0, 1], and
+    the complex bound |1| * k is k too.  `bezout_constant` is its oracle."""
+    if field.kind is FieldKind.PADIC:
+        raise ValueError("the Bezout bound applies over R and C")
+    return (2 * n + 1) ** (field.eta / 2) * _root(math.factorial(n), 2 * n)
 
 
 def _root(x: int, k: int) -> float:
@@ -225,20 +233,20 @@ def bounds_table(table: str, field: FieldSpec, n_max: int) -> list[BoundReport]:
     rows = []
     for n in range(2, n_max + 1):
         if table == "theorem1":
+            constant = _int_text(field_constant(field, n), f"{_field_base(field, n)}^{n * field.eta}")
             rows.append(BoundReport(
                 name="theorem1",
                 parameters={"field": str(field), "n": n},
                 value=theorem1_constant(field, n),
-                formula=f"{_field_constant_text(field, n)}^(1/{2 * n})*sqrt({n})",
+                formula=f"{constant}^(1/{2 * n})*sqrt({n})",
             ))
-        elif table == "bezout":
-            curve = Curve.moment(n)
-            ell = _ceil_lipschitz(curve, field)
+        elif table == "bezout":  # the moment curve, in closed form
+            degrees = _int_text(math.factorial(n), f"{n}!")
             rows.append(BoundReport(
                 name="bezout",
                 parameters={"field": str(field), "n": n, "curve": "moment"},
-                value=bezout_constant(curve, field),
-                formula=f"(2*{ell}+1)^({field.eta}/2)*{math.prod(curve.degrees())}^(1/{2 * n})",
+                value=moment_bezout_constant(field, n),
+                formula=f"(2*{n}+1)^({field.eta}/2)*{degrees}^(1/{2 * n})",
             ))
         elif table == "fewnomial":
             curve = Curve.moment(n)

@@ -54,10 +54,6 @@ class FieldSpec:
         """Archimedean doubling exponent: 1 for R, 2 for C."""
         return 2 if self.kind is FieldKind.COMPLEX else 1
 
-    @property
-    def archimedean(self) -> bool:
-        return self.kind is not FieldKind.PADIC
-
     def __str__(self):
         if self.kind is FieldKind.PADIC:
             return f"Q_{self.prime}"

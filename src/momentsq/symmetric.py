@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from . import polys
 from .local_field import REAL, FieldKind, FieldSpec, abs_value
-from .polys import Poly
 
 
 def power_sums(points, upto: int | None = None) -> tuple[Fraction, ...]:
@@ -89,10 +88,6 @@ class MonicPolynomial:
     def evaluate(self, x) -> Fraction:
         return polys.evaluate(self.coefficients, x)
 
-    @property
-    def as_poly(self) -> Poly:
-        return self.coefficients
-
 
 def vieta_polynomial(points) -> MonicPolynomial:
     """The monic polynomial prod_i (X - points_i).
@@ -134,8 +129,8 @@ def gn_defect(s, t, field: FieldSpec = REAL) -> GNDefect:
     power_defect = max(abs_value(field, b - a) for a, b in zip(ps, pt))
     es, et = elementary_from_power(ps, n), elementary_from_power(pt, n)
     elementary_defect = max(abs_value(field, b - a) for a, b in zip(es, et))
-    gs = vieta_polynomial(s).as_poly
-    gt = vieta_polynomial(t).as_poly
+    gs = vieta_polynomial(s).coefficients
+    gt = vieta_polynomial(t).coefficients
     diffs = [abs_value(field, b - a) for a, b in zip(gs, gt)]
     if field.kind is FieldKind.PADIC:
         sup_g = max(diffs)

@@ -18,17 +18,19 @@ keeps the pairs of distinct cell multisets that share a power-sum key
 (`_pair_relation`).  A shift by c keeps keys equal or unequal and moves
 p_1 by n * c, so only the tuples with p_1 = r mod q, r < gcd(n, q), are
 keyed, about q^(n-1)/n! of them, built from the sorted (n-1)-tuples; each
-pair found is then shifted by every cell.  Keys are folded by suffix
-copies (`_sorted_folds`): in lexicographic order the sorted (j-1)-tuples
-whose first entry is at least a form a suffix, so the j-tuples starting
-with a are a's value added to that suffix, one contiguous add per a, and
-no index columns are built.  S(I) is every ordering of the
+pair found is then shifted by every cell.  S(I) is every ordering of the
 multiset of I and of its partners, so |S(I)| is a sum of orbit sizes.
-All C(q+n-1, n) sorted n-tuples (`_key_rows`), grouped by pair and by key
-(`_parseval_groups`), carry the Parseval sums of the Q_p norms, which
-are not translation-invariant.  The real sampler runs its sorted grid
-n-tuples against every point tuple of the base cells and reports each
-ordering of every cell multiset hit.
+
+One kernel enumerates sorted tuples, `_sorted_folds`, which folds values
+over them by suffix copies: in lexicographic order the sorted
+(j-1)-tuples whose first entry is at least a form a suffix, so the
+j-tuples starting with a are a's value added to that suffix, one
+contiguous add per a.  Positions are one more fold, packed base m, and
+decoded only where needed.  All C(q+n-1, n) sorted n-tuples
+(`_key_rows`), grouped by pair and by key (`_parseval_groups`), carry the
+Parseval sums of the Q_p norms, which are not translation-invariant.
+The real sampler runs its sorted grid n-tuples against every point tuple
+of the base cells and reports each ordering of every cell multiset hit.
 """
 from __future__ import annotations
 
@@ -169,26 +171,14 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _sorted_tuples(m: int, n: int) -> list[np.ndarray]:
-    """Index columns of every nondecreasing n-tuple over range(m), in
-    lexicographic order: C(m+n-1, n) rows, one per orbit of ordered tuples
-    under permutation (`_orbit_sizes` gives each orbit's size).  Only the
-    Parseval groups and the real sampler need positions; keys come from
-    `_sorted_folds`, which the columns check in the tests."""
-    cols = [np.arange(m, dtype=np.int64)]
-    for _ in range(n - 1):
-        width = m - cols[-1]  # a row ending in v continues with v, ..., m-1
-        row = np.repeat(np.arange(width.size), width)
-        cols = [c[row] for c in cols] + [_ranges(cols[-1], width)]
-    return cols
-
-
 def _sorted_folds(folds, n: int):
     """(values, orbit) over every nondecreasing n-tuple t over range(m), in
-    the lexicographic order of `_sorted_tuples`, for (v, radix) pairs with
-    len(v) = m: values holds, per pair, sum_i v[t_i] * radix^i in v's dtype,
-    and orbit each row's orbit size n!/prod(mult!) in the smallest unsigned
-    dtype that holds n!.
+    lexicographic order (that of itertools.combinations_with_replacement):
+    C(m+n-1, n) rows, one per orbit of ordered tuples under permutation.
+    For (v, radix) pairs with len(v) = m, values holds, per pair,
+    sum_i v[t_i] * radix^i in v's dtype, and orbit each row's orbit size
+    n!/prod(mult!) in the smallest unsigned dtype that holds n!.  The fold
+    (arange(m), m) packs the positions: t_i = fold // m^i % m.
 
     In that order the sorted (j-1)-tuples whose first entry is at least a
     form a suffix, so the j-tuples that start with a fold as
@@ -235,27 +225,29 @@ def _orbit_sizes(cols) -> np.ndarray:
 
 
 def _key_rows(p: int, n: int, s: int):
-    """(residue, codes, orbit) over the sorted residue n-tuples mod q = p^{ns},
-    in the row order of `_sorted_tuples(q, n)`: the residue at each
-    position, each row's code key * q + multiset, and its orbit size.  key
-    packs the power sums mod q, multiset the cells in nondecreasing order
-    (digit i the i-th smallest, base p^s); both come from `_sorted_folds`.
-    Residues are numbered cell by cell, so a row's cells need no sort.
+    """(residue, codes, orbit, pos) over the sorted position n-tuples mod
+    q = p^{ns}, all folded by one `_sorted_folds` call: the residue at each
+    position, each row's code key * q + multiset, its orbit size, and its
+    positions packed base q (t_i = pos // q^i % q).  key packs the power
+    sums mod q, multiset the cells in nondecreasing order (digit i the i-th
+    smallest, base p^s).  Residues are numbered cell by cell, so a row's
+    cells need no sort.
     """
     q, tables = _power_tables(p, n, s)
     ncells = p ** s
     cell, rest = np.divmod(np.arange(q, dtype=np.int64), q // ncells)
     residue = cell + ncells * rest
     narrow = np.int32 if n * q < 2 ** 31 else np.int64  # power sums stay below n * q
-    folds = [(t[residue].astype(narrow), 1) for t in tables] + [(cell.astype(narrow), ncells)]
-    (*sums, multiset), orbit = _sorted_folds(folds, n)
+    folds = ([(t[residue].astype(narrow), 1) for t in tables]
+             + [(cell.astype(narrow), ncells), (np.arange(q, dtype=np.int64), q)])
+    (*sums, multiset, pos), orbit = _sorted_folds(folds, n)
     codes = np.remainder(sums.pop(), q, dtype=np.int64)
     while sums:  # key digits from the highest power sum down, then the multiset
         codes *= q
         codes += np.remainder(sums.pop(), q)
     codes *= q
     codes += multiset
-    return residue, codes, orbit
+    return residue, codes, orbit, pos
 
 
 def _translate_codes(p: int, n: int, s: int) -> np.ndarray:
@@ -354,12 +346,15 @@ def _parseval_groups(p: int, n: int, s: int):
     """The rows of `_key_rows` sorted by code, that is by (key, cell multiset)
     pair: (residue, orbit, fine, fine_key, cell_orbit, *cols) gives each
     row's orbit size and pair, each pair's key group and cell-multiset orbit
-    size, and the rows' position columns.  The Q_p norms sum over them."""
-    residue, codes, orbit = _key_rows(p, n, s)
+    size, and the rows' position columns, decoded from `_key_rows`'s packed
+    positions.  The Q_p norms sum over them."""
+    residue, codes, orbit, pos = _key_rows(p, n, s)
     order = np.argsort(codes)  # rows in pair order: add.at then writes in sequence
-    codes, orbit = codes[order], orbit[order]
-    cols = [c[order] for c in _sorted_tuples(p ** (n * s), n)]  # the rows' positions
+    codes, orbit, pos = codes[order], orbit[order], pos[order]
     del order
+    q = p ** (n * s)
+    cols = [pos // q ** i % q for i in range(n)]  # the rows' positions
+    del pos
     new = codes[1:] != codes[:-1]  # a row that opens a pair
     fine = np.concatenate(([0], np.cumsum(new)))
     pairs = np.concatenate((codes[:1], codes[1:][new]))
@@ -575,29 +570,32 @@ def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = No
 
     # The bound is symmetric in the t_i, so t runs over the sorted grid
     # tuples (their cells come out nondecreasing) and s over every ordered
-    # point tuple of the base cells.
-    t_cols = _sorted_tuples(npts, n)
+    # point tuple of the base cells.  t's points are packed base npts, and
+    # npts^n < 2^62: past it the C(npts+n-1, n) rows or the per_cell^n
+    # point tuples of s could not be allocated.
+    (t_pos,), _ = _sorted_folds([(pts, npts)], n)
+    weights = npts ** np.arange(n, dtype=np.int64)
     s_cols = (np.indices((per_cell,) * n).reshape(n, -1)
               + per_cell * np.array(base.indices)[:, None])
     s_sums = [v[s_cols].sum(axis=0) for v in values]
     rows, witness = [], []  # each hit row and the first point tuple of s it hits
     block = max(1, _SAMPLER_BLOCK // s_cols.shape[1])
-    for lo in range(0, t_cols[0].size, block):
-        t_block = [c[lo:lo + block] for c in t_cols]
-        hits = np.ones((t_block[0].size, s_cols.shape[1]), dtype=bool)
+    for lo in range(0, t_pos.size, block):
+        t_block = t_pos[lo:lo + block] // weights[:, None] % npts
+        hits = np.ones((t_block.shape[1], s_cols.shape[1]), dtype=bool)
         for v, s_sum, thr in zip(values, s_sums, thresholds):
-            diff = np.subtract.outer(sum(v[c] for c in t_block), s_sum)
+            diff = np.subtract.outer(v[t_block].sum(axis=0), s_sum)
             hits &= np.abs(diff, out=diff) <= thr
             del diff  # freed before the next coordinate allocates its own
         hit = np.flatnonzero(hits.any(axis=1))
         rows.append(lo + hit)
         witness.append(hits[hit].argmax(axis=1))
     rows, witness = np.concatenate(rows), np.concatenate(witness)
-    cells, first = np.unique(np.stack([c[rows] // per_cell for c in t_cols], axis=1),
-                             axis=0, return_index=True)
+    t_hit = t_pos[rows][:, None] // weights % npts  # a hit row's points, one per column
+    cells, first = np.unique(t_hit // per_cell, axis=0, return_index=True)
     members = {}  # every ordering of a hit multiset, with the matching witness
-    for multiset, row, col in zip(cells.tolist(), rows[first].tolist(), witness[first].tolist()):
-        t_pt = [Fraction(int(c[row]), G) for c in t_cols]
+    for multiset, row, col in zip(cells.tolist(), t_hit[first].tolist(), witness[first].tolist()):
+        t_pt = [Fraction(a, G) for a in row]
         s_pt = [Fraction(int(a), G) for a in s_cols[:, col]]
         for order in itertools.permutations(range(n)):
             members.setdefault(tuple(multiset[i] for i in order),

@@ -8,7 +8,7 @@ nondecreasing tuples, each standing for its orbit of n!/prod(mult!)
 orderings: m(v) is the sum of the orbit sizes of the sorted tuples with key
 v.  The keys and orbit sizes come from `syzygy._sorted_folds`, which builds
 each level of sorted tuples from suffix copies of the level below (the
-tuples starting with a read v(a) + key(suffix)), so no index columns are
+tuples starting with a read v(a) + key(suffix)), so no positions are
 held: the join keeps an int64 key and a one-byte orbit size (n <= 5) per
 sorted tuple and sorts the keys in place, about 10 bytes per tuple.  The
 budget counts those tuples, and keys past 64 bits are refused.  The
@@ -75,21 +75,20 @@ def permutation_count(n: int, N: int) -> int:
     return t[n]
 
 
-def _orbit_join(keys: np.ndarray, orbit: np.ndarray, rebuild=None) -> int:
+def _orbit_join(fold) -> int:
     """sum over distinct keys v of (sum of orbit over the rows with key v)^2,
-    summed in int64 whatever orbit's unsigned dtype, without an int64 copy
-    of it.  Given rebuild, a function that returns the keys afresh, the keys
-    are sorted in place and rebuilt only if two rows share a key."""
-    if rebuild is not None:
-        keys.sort()  # in place: the caller needs the keys no more
-    ordered = np.sort(keys) if rebuild is None else keys
-    shared = ordered[1:] == ordered[:-1]
+    where fold() returns fresh (keys, orbit) rows, summed in int64 whatever
+    orbit's unsigned dtype, without an int64 copy of it.  The keys are
+    sorted in place, and fold runs again, for the keys in row order, only
+    if two rows share a key."""
+    keys, orbit = fold()
+    keys.sort()
+    shared = keys[1:] == keys[:-1]
     if not shared.any():  # one row per key: no argsort needed
         return int(np.einsum("i,i->", orbit, orbit, dtype=np.int64, casting="unsafe"))
     start = np.flatnonzero(np.concatenate(([True], ~shared)))
-    del ordered, shared
-    if rebuild is not None:
-        keys = rebuild()
+    del keys, shared
+    keys = fold()[0]
     weight = np.add.reduceat(orbit[np.argsort(keys)], start, dtype=np.int64)
     return int(np.dot(weight, weight))
 
@@ -110,7 +109,7 @@ def _moment_join(n: int, N: int, budget: int) -> int:
     def fold():
         (keys,), orbit = _sorted_folds([(phi, 1)], n)
         return keys, orbit
-    return _orbit_join(*fold(), rebuild=lambda: fold()[0])
+    return _orbit_join(fold)
 
 
 def _brute_force_count(curve: Curve, n: int, N: int, budget: int) -> int:

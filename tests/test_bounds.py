@@ -138,6 +138,20 @@ def test_bezout_constant_past_float_range():
         assert bezout_constant(Curve.moment(n), COMPLEX) == pytest.approx(expected, rel=1e-12)
 
 
+def test_moment_bezout_constant_matches_the_curve(monkeypatch):
+    for field in (REAL, COMPLEX):
+        for n in list(range(2, 26)) + [171, 200]:
+            assert bounds.moment_bezout_constant(field, n) == bezout_constant(Curve.moment(n), field)
+    with pytest.raises(ValueError, match="R and C"):
+        bounds.moment_bezout_constant(padic(5), 2)
+
+    def no_curve(n):
+        raise AssertionError("the bezout table builds the moment curve")
+    monkeypatch.setattr(bounds.Curve, "moment", no_curve)
+    rows = bounds_table("bezout", REAL, 30)
+    assert [r.value for r in rows] == [bounds.moment_bezout_constant(REAL, n) for n in range(2, 31)]
+
+
 def test_wronskian_matches_cofactor_oracle():
     curves = [Curve.moment(n) for n in range(2, 8)]
     rng = random.Random(5)

@@ -89,6 +89,9 @@ def test_bounds_csv():
      'theorem1,3100,C,278.3882181,"(5^6200)^(1/6200)*sqrt(3100)"'),
     # the moment curve's Wronskian is a closed form; 171! on is past float range
     (["--table", "bezout", "--field", "complex", "--n-max", "200"], "bezout,200,C,3470.456413,"),
+    # from n = 1559, prod deg = n! has more digits than str() converts
+    (["--table", "bezout", "--field", "real", "--n-max", "1600"],
+     'bezout,1600,R,1374.614605,"(2*1600+1)^(1/2)*(1600!)^(1/3200)"'),
 ])
 def test_bounds_last_row(args, last):
     lines = run("bounds", *args).splitlines()
@@ -300,6 +303,12 @@ BASELINES = [
     # the largest scan config; and gcd(n, q) = 2, so two residues of p_1 are keyed
     (["syzygy", "--scan", "--p", "7", "--n", "3", "--s", "1"], "syzygy_scan_q7_n3_s1.json"),
     (["syzygy", "--scan", "--p", "2", "--n", "2", "--s", "2"], "syzygy_scan_q2_n2_s2.json"),
+    # the sampler's 8.4M hit entries cross 9 blocks of 2^20
+    (["syzygy", "--field", "real", "--n", "2", "--delta-inv", "64", "--tuple", "1,2"],
+     "syzygy_real_n2_d64.json"),
+    # the largest |S| (48) of the n = 3, delta = 1/8 bases
+    (["syzygy", "--field", "real", "--n", "3", "--delta-inv", "8", "--tuple", "2,3,5"],
+     "syzygy_real_n3_d8.json"),
 ]
 
 

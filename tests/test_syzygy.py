@@ -11,8 +11,7 @@ from momentsq import (REAL, BudgetExceededError, Curve, LocallyConstant, cell_tu
                       syzygy_bound, syzygy_set_nonarch, syzygy_set_real)
 from momentsq.bounds import bezout_syzygy_bound
 from momentsq import polys, syzygy
-from momentsq.syzygy import (SyzygyMethod, _orbit_sizes, _sorted_folds, _sorted_tuples,
-                             _sorted_unique)
+from momentsq.syzygy import SyzygyMethod, _orbit_sizes, _sorted_folds, _sorted_unique
 
 
 def q5_tuple(*idx, s=1):
@@ -108,9 +107,8 @@ def test_sorted_unique_matches_np_unique():
 
 @pytest.mark.parametrize("m,n", [(1, 1), (4, 1), (1, 3), (5, 2), (4, 3), (3, 5)])
 def test_sorted_tuples_and_orbit_sizes(m, n):
-    cols = _sorted_tuples(m, n)
-    rows = list(zip(*(c.tolist() for c in cols)))
-    assert rows == list(itertools.combinations_with_replacement(range(m), n))
+    rows = list(itertools.combinations_with_replacement(range(m), n))
+    cols = [np.array(c, dtype=np.int64) for c in zip(*rows)]
     assert _orbit_sizes(cols).tolist() == [len(set(itertools.permutations(r))) for r in rows]
 
 
@@ -119,14 +117,15 @@ def test_sorted_tuples_and_orbit_sizes(m, n):
 def test_sorted_folds_match_combinations(m, n):
     rng = np.random.default_rng(10 * m + n)
     plain, digits = rng.integers(-50, 50, m), rng.integers(0, m, m).astype(np.int32)
-    (sums, codes), orbit = _sorted_folds([(plain, 1), (digits, m)], n)
+    (sums, codes, pos), orbit = _sorted_folds([(plain, 1), (digits, m), (np.arange(m), m)], n)
     rows = list(itertools.combinations_with_replacement(range(m), n))
     assert sums.dtype == np.int64 and codes.dtype == np.int32
     assert sums.tolist() == [sum(int(plain[t]) for t in r) for r in rows]
     assert codes.tolist() == [sum(int(digits[t]) * m ** i for i, t in enumerate(r)) for r in rows]
+    assert [tuple(int(x) // m ** i % m for i in range(n)) for x in pos] == rows
     # n! = 720 from n = 6 on no longer fits uint8; 9! = 362880 needs uint32
     assert orbit.dtype == np.min_scalar_type(math.factorial(n)) and orbit.dtype.kind == "u"
-    assert orbit.tolist() == _orbit_sizes(_sorted_tuples(m, n)).tolist()
+    assert orbit.tolist() == [len(set(itertools.permutations(r))) for r in rows]
 
 
 BRUTE_CONFIGS = [(p, n, s) for p in (2, 3, 5) for n in (2, 3) for s in (1, 2)
@@ -233,6 +232,15 @@ def test_relation_needs_no_full_key_rows(monkeypatch):
         syzygy.clear_index_cache()
 
 
+@pytest.mark.parametrize("p,n,s", [(2, 2, 1), (3, 2, 1)])
+def test_key_rows_positions_are_sorted_tuples(p, n, s):
+    q = p ** (n * s)
+    pos = syzygy._key_rows(p, n, s)[3]
+    assert pos.dtype == np.int64
+    decoded = [tuple(int(x) // q ** i % q for i in range(n)) for x in pos]
+    assert decoded == list(itertools.combinations_with_replacement(range(q), n))
+
+
 def test_set_query_needs_no_tuple_keys(monkeypatch):
     # the set query reads the pair relation; `_tuple_keys` serves the oracle only
     def no_tuple_keys(*args, **kwargs):
@@ -250,10 +258,9 @@ def test_scan_budget_counts_sorted_tuples(monkeypatch):
     with pytest.raises(BudgetExceededError, match="25 enumeration steps"):
         scan_strong_diagonal(5, 2, 1, budget=24)  # checked on a cached table too
 
-    def enumerate_nothing(m, n):
+    def enumerate_nothing(folds, n):
         raise AssertionError("enumerated before the budget check")
-    monkeypatch.setattr(syzygy, "_sorted_tuples", enumerate_nothing)
-    monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)  # the relation's kernel
+    monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)  # the one enumerator
     syzygy.clear_index_cache()
     with pytest.raises(BudgetExceededError, match="enumeration steps"):
         scan_strong_diagonal(7, 3, 2)  # C(7^6 + 1, 2), about 6.9e9 rows
@@ -289,9 +296,8 @@ def test_scan_rejects_negative_s():
 
 @pytest.mark.parametrize("n", [1, 0, -1])
 def test_scan_rejects_n_below_2_before_enumerating(monkeypatch, n):
-    def enumerate_nothing(m, n):
+    def enumerate_nothing(folds, n):
         raise AssertionError("enumerated before the n check")
-    monkeypatch.setattr(syzygy, "_sorted_tuples", enumerate_nothing)
     monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)
     syzygy.clear_index_cache()
     with pytest.raises(ValueError, match="n >= 2"):
@@ -344,9 +350,9 @@ def test_real_sampler_grid_validation():
 
 
 def test_real_sampler_rejects_bad_values(monkeypatch):
-    def enumerate_nothing(m, n):
+    def enumerate_nothing(folds, n):
         raise AssertionError("enumerated before the values were checked")
-    monkeypatch.setattr(syzygy, "_sorted_tuples", enumerate_nothing)
+    monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)
     curve = Curve.moment(2)
     base = cell_tuple(REAL, real_scale(8), (2, 5))
     for step in (Fraction(0), Fraction(-1, 64)):
@@ -400,9 +406,9 @@ def test_real_sampler_budget_counts_hit_matrix(monkeypatch):
     with pytest.raises(BudgetExceededError, match="33792 enumeration steps"):
         syzygy_set_real(curve, base, budget=33791)
 
-    def enumerate_nothing(m, n):
+    def enumerate_nothing(folds, n):
         raise AssertionError("enumerated before the budget check")
-    monkeypatch.setattr(syzygy, "_sorted_tuples", enumerate_nothing)
+    monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)
     with pytest.raises(BudgetExceededError, match="enumeration steps"):
         syzygy_set_real(curve, base, budget=33791)
 

@@ -33,22 +33,26 @@ def test_examples_against_oracle():
 def test_orbit_join_sums_orbits_sharing_a_key():
     # the moment curve never puts two orbits on one key, so feed keys directly
     keys, orbit = np.array([5, 3, 5, 9]), np.array([1, 2, 3, 6])
-    assert _orbit_join(keys, orbit) == (1 + 3) ** 2 + 2 ** 2 + 6 ** 2
-    assert _orbit_join(keys[1:], orbit[1:]) == 2 ** 2 + 3 ** 2 + 6 ** 2
+    assert _orbit_join(lambda: (keys.copy(), orbit)) == (1 + 3) ** 2 + 2 ** 2 + 6 ** 2
+    assert _orbit_join(lambda: (keys[1:].copy(), orbit[1:])) == 2 ** 2 + 3 ** 2 + 6 ** 2
 
 
-@pytest.mark.parametrize("in_place", [False, True])
-def test_orbit_join_sums_small_orbits_in_int64(in_place):
-    # uint8 orbits whose squares pass 255 and whose sum of squares passes 65535
-    distinct, orbit = np.array([7, 2, 9]), np.array([200, 255, 100], dtype=np.uint8)
-    # ... and whose per-key sum passes 255 (one key, 600) before it is squared
-    shared, orbit2 = np.array([4, 1, 4, 4]), np.array([200, 255, 200, 200], dtype=np.uint8)
-    for keys, orb, want in [(distinct, orbit, 200 ** 2 + 255 ** 2 + 100 ** 2),
-                            (shared, orbit2, 600 ** 2 + 255 ** 2)]:
-        given = keys.copy()
-        rebuild = (lambda: keys.copy()) if in_place else None
-        assert _orbit_join(given, orb, rebuild=rebuild) == want
-        assert np.array_equal(given, np.sort(keys) if in_place else keys)
+@pytest.mark.parametrize("shared", [False, True])
+def test_orbit_join_sums_small_orbits_in_int64(shared):
+    if shared:  # uint8 orbits whose per-key sum passes 255 (one key, 600) before squaring
+        keys, orbit = np.array([4, 1, 4, 4]), np.array([200, 255, 200, 200], dtype=np.uint8)
+        want = 600 ** 2 + 255 ** 2
+    else:  # uint8 orbits whose squares pass 255 and whose sum of squares passes 65535
+        keys, orbit = np.array([7, 2, 9]), np.array([200, 255, 100], dtype=np.uint8)
+        want = 200 ** 2 + 255 ** 2 + 100 ** 2
+    given, calls = keys.copy(), []
+
+    def fold():  # the first call hands out `given`, later ones fresh keys
+        calls.append(None)
+        return (given if len(calls) == 1 else keys.copy()), orbit
+    assert _orbit_join(fold) == want
+    assert np.array_equal(given, np.sort(keys))  # sorted in place
+    assert len(calls) == 1 + shared  # folded again only for keys in row order
 
 
 def test_join_bytes_per_sorted_tuple():
