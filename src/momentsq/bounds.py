@@ -138,6 +138,13 @@ def fewnomial_constant(curve: Curve) -> float:
     return (2 * ell + 1) ** 0.5 * 2 ** (m * (m - 1) / (4 * n)) * (n + 1) ** (m / (2 * n))
 
 
+def moment_fewnomial_constant(n: int) -> float:
+    """`fewnomial_constant` of the moment curve, with ceil(l) = n (as in
+    `moment_bezout_constant`) and M = n monomials, in the same float
+    expression.  `fewnomial_constant` is its oracle."""
+    return (2 * n + 1) ** 0.5 * 2 ** (n * (n - 1) / (4 * n)) * (n + 1) ** (n / (2 * n))
+
+
 def factorial_variant_constant(field: FieldSpec, n: int) -> float:
     """(5^(eta*n) * n!)^(1/2n): the sharper Archimedean variant of the
     norm-ratio bound.  Exposed as a computed constant only; no independent
@@ -248,14 +255,12 @@ def bounds_table(table: str, field: FieldSpec, n_max: int) -> list[BoundReport]:
                 value=moment_bezout_constant(field, n),
                 formula=f"(2*{n}+1)^({field.eta}/2)*{degrees}^(1/{2 * n})",
             ))
-        elif table == "fewnomial":
-            curve = Curve.moment(n)
-            m = curve.monomial_count()
+        elif table == "fewnomial":  # the moment curve, in closed form: M = n
             rows.append(BoundReport(
                 name="fewnomial",
-                parameters={"n": n, "curve": "moment", "monomials": m},
-                value=fewnomial_constant(curve),
-                formula=f"(2*ceil(l)+1)^(1/2)*(2^{m * (m - 1) // 2}*{n + 1}^{m})^(1/{2 * n})",
+                parameters={"n": n, "curve": "moment", "monomials": n},
+                value=moment_fewnomial_constant(n),
+                formula=f"(2*ceil(l)+1)^(1/2)*(2^{n * (n - 1) // 2}*{n + 1}^{n})^(1/{2 * n})",
             ))
         elif table == "refined":
             rows.append(BoundReport(

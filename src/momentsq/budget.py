@@ -10,12 +10,20 @@ DEFAULT_ENUMERATION_BUDGET = 10 ** 8   # sorted tuples, point tuples or array en
 DEFAULT_COUNT_BUDGET = 3 * 10 ** 7    # sorted n-tuples over [1,N] held in memory at once;
 # the join holds about 10 bytes per tuple at n <= 5 (an int64 key, a uint8
 # orbit size and the in-place sort's run mask), so at most about 300 MB
+MEMORY_BUDGET = 2 * 2 ** 30  # bytes, checked where a build's bytes per row are measured
 
 
 def check_budget(work: int, budget: int, what: str):
     if work > budget:
         raise BudgetExceededError(
             f"{what} needs {work} enumeration steps, over the budget of {budget}"
+        )
+
+
+def check_bytes(nbytes: int, what: str):
+    if nbytes > MEMORY_BUDGET:
+        raise BudgetExceededError(
+            f"{what} needs about {nbytes} bytes, over the memory budget of {MEMORY_BUDGET} bytes"
         )
 
 

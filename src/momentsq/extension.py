@@ -38,7 +38,8 @@ class LocallyConstant:
     """f constant on the cells of a fine partition.
 
     Over Q_p, precision m means p^m cells (values[a] on a + p^m O); over R,
-    precision M means M equal cells of [0, 1).
+    precision M means M equal cells of [0, 1).  C has no such partition
+    here, so it is refused.
     """
 
     field: FieldSpec
@@ -46,6 +47,8 @@ class LocallyConstant:
     values: tuple[complex, ...]
 
     def __post_init__(self):
+        if self.field.kind is FieldKind.COMPLEX:
+            raise ValueError("locally constant test functions live over R and Q_p")
         expected = (self.field.prime ** self.precision
                     if self.field.kind is FieldKind.PADIC else self.precision)
         if len(self.values) != expected:
@@ -227,7 +230,7 @@ def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
     """
     p, s = f.field.prime, scale.exponent
     q = p ** (n * s)
-    residue, orbit, fine, fine_key, cell_orbit, *cols = syzygy._get_groups(p, n, s, budget)
+    orbit, fine, fine_key, cell_orbit, *cols = syzygy._get_groups(p, n, s, budget)
     # m covers f, q and the center's denominators, so g is exact on a mod p^m
     m_eval = max(f.precision, n * s, 1, *(-padic_valuation(c, p) for c in center if c))
     reps = np.arange(p ** m_eval, dtype=np.int64)
@@ -238,13 +241,14 @@ def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
                   for a in reps]
         g = g * np.array([cmath.exp(2j * cmath.pi * ph) for ph in phases])
     h = np.bincount(reps % q, g.real, q) + 1j * np.bincount(reps % q, g.imag, q)
-    h = h[residue]  # by position
-    w = orbit * h[cols[0]]
+    w = h[cols[0]]  # in place: one row-sized temporary fewer per call
+    w *= orbit
     for c in cols[1:]:
         w *= h[c]
     # np.add.at, not bincount: bincount copies a read-only index array
     b_fine, b_key = np.zeros(fine_key.size, complex), np.zeros(fine_key[-1] + 1, complex)
     np.add.at(b_fine, fine, w)
+    del w
     np.add.at(b_key, fine_key, b_fine)
     c = q ** n / p ** (2 * n * m_eval)  # each coset: Haar measure 1, weight 1
     lhs = float(c * np.sum(np.abs(b_key) ** 2)) ** (1 / (2 * n))

@@ -25,10 +25,12 @@ One kernel enumerates sorted tuples, `_sorted_folds`, which folds values
 over them by suffix copies: in lexicographic order the sorted
 (j-1)-tuples whose first entry is at least a form a suffix, so the
 j-tuples starting with a are a's value added to that suffix, one
-contiguous add per a.  Positions are one more fold, packed base m, and
-decoded only where needed.  All C(q+n-1, n) sorted n-tuples
-(`_key_rows`), grouped by pair and by key (`_parseval_groups`), carry the
-Parseval sums of the Q_p norms, which are not translation-invariant.
+contiguous add per a.  Tuples are one more fold, packed base m; every
+packed code is written and read by numpy's codec, np.ravel_multi_index and
+np.unravel_index, lowest digit first (order="F").  All C(q+n-1, n) sorted
+n-tuples (`_key_rows`), grouped by pair and by key (`_parseval_groups`),
+carry the Parseval sums of the Q_p norms, which are not
+translation-invariant.
 The real sampler runs its sorted grid n-tuples against every point tuple
 of the base cells and reports each ordering of every cell multiset hit.
 """
@@ -44,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import (DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, check_budget,
-                     check_sorted_tuples)
+                     check_bytes, check_sorted_tuples)
 from .curves import Curve
 from .local_field import CellTuple, FieldKind, FieldSpec, cell_tuple
 from . import bounds
@@ -120,14 +122,6 @@ def _require_padic_moment(base: CellTuple, curve: Curve | None):
         raise ValueError("curve dimension does not match tuple length")
 
 
-def _decode(code: int, ncells: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(code % ncells)
-        code //= ncells
-    return tuple(out)
-
-
 def _power_tables(p: int, n: int, s: int):
     q = p ** (n * s)
     r = np.arange(q, dtype=np.int64)
@@ -156,13 +150,18 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     input (no return_index/inverse/counts) takes a hash-table path,
     `_unique_hash`, and sorts its output afterwards.  On 26M random int64
     keys that path is about 100x slower than sorting and masking the run
-    boundaries (47 s against 0.48 s on 2 cores with numpy 2.4.6).
+    starts (47 s against 0.48 s on 2 cores with numpy 2.4.6).
     """
     a = np.sort(a, axis=None)
-    mask = np.empty(a.shape, dtype=bool)
-    mask[:1] = True
-    np.not_equal(a[1:], a[:-1], out=mask[1:])
-    return a[mask]
+    return a[_run_starts(a)]
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """A bool mask over a sorted 1-d array, True where a run of equal values starts."""
+    start = np.empty(a.shape, dtype=bool)
+    start[:1] = True
+    np.not_equal(a[1:], a[:-1], out=start[1:])
+    return start
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -177,8 +176,7 @@ def _sorted_folds(folds, n: int):
     C(m+n-1, n) rows, one per orbit of ordered tuples under permutation.
     For (v, radix) pairs with len(v) = m, values holds, per pair,
     sum_i v[t_i] * radix^i in v's dtype, and orbit each row's orbit size
-    n!/prod(mult!) in the smallest unsigned dtype that holds n!.  The fold
-    (arange(m), m) packs the positions: t_i = fold // m^i % m.
+    n!/prod(mult!) in the smallest unsigned dtype that holds n!.
 
     In that order the sorted (j-1)-tuples whose first entry is at least a
     form a suffix, so the j-tuples that start with a fold as
@@ -186,6 +184,8 @@ def _sorted_folds(folds, n: int):
     contiguous adds into preallocated rows, with no index columns and no
     gathers.  The orbit size of (a, suffix) is j times the suffix's, over
     one more than the suffix's leading run where the suffix starts with a.
+    The fold (arange(m), m) packs the tuples: np.unravel_index(fold,
+    (m,) * n, order="F") are their columns.
     """
     m = len(folds[0][0])
     values = [np.array(v) for v, _ in folds]
@@ -224,30 +224,34 @@ def _orbit_sizes(cols) -> np.ndarray:
     return np.floor_divide(math.factorial(len(cols)), denom, out=denom)
 
 
-def _key_rows(p: int, n: int, s: int):
-    """(residue, codes, orbit, pos) over the sorted position n-tuples mod
-    q = p^{ns}, all folded by one `_sorted_folds` call: the residue at each
-    position, each row's code key * q + multiset, its orbit size, and its
-    positions packed base q (t_i = pos // q^i % q).  key packs the power
-    sums mod q, multiset the cells in nondecreasing order (digit i the i-th
-    smallest, base p^s).  Residues are numbered cell by cell, so a row's
-    cells need no sort.
-    """
+def _residue_folds(p: int, n: int, s: int):
+    """(q, tables, residue, folds) for the residues mod q = p^{ns} numbered
+    cell by cell: position x holds residue[x], the residues of cell 0 first,
+    so the cells of a sorted position tuple are nondecreasing and need no
+    sort.  folds are the `_sorted_folds` pairs, by position, of each power
+    table and of the cells, packed base p^s."""
     q, tables = _power_tables(p, n, s)
     ncells = p ** s
-    cell, rest = np.divmod(np.arange(q, dtype=np.int64), q // ncells)
-    residue = cell + ncells * rest
+    residue = np.arange(q).reshape(-1, ncells).T.ravel()
     narrow = np.int32 if n * q < 2 ** 31 else np.int64  # power sums stay below n * q
-    folds = ([(t[residue].astype(narrow), 1) for t in tables]
-             + [(cell.astype(narrow), ncells), (np.arange(q, dtype=np.int64), q)])
-    (*sums, multiset, pos), orbit = _sorted_folds(folds, n)
-    codes = np.remainder(sums.pop(), q, dtype=np.int64)
-    while sums:  # key digits from the highest power sum down, then the multiset
-        codes *= q
-        codes += np.remainder(sums.pop(), q)
-    codes *= q
-    codes += multiset
-    return residue, codes, orbit, pos
+    cell = np.repeat(np.arange(ncells, dtype=narrow), q // ncells)
+    return q, tables, residue, [(t[residue].astype(narrow), 1) for t in tables] + [(cell, ncells)]
+
+
+def _key_rows(p: int, n: int, s: int):
+    """(codes, orbit, tuples) over the sorted position n-tuples mod
+    q = p^{ns} (see `_residue_folds`), all folded by one `_sorted_folds`
+    call: each row's code key * q + multiset, its orbit size, and its
+    residues packed base q, lowest position first.  key packs the power
+    sums mod q, multiset the cells in nondecreasing order (digit i the i-th
+    smallest, base p^s).
+    """
+    q, _, residue, folds = _residue_folds(p, n, s)
+    (*sums, multiset, tuples), orbit = _sorted_folds(folds + [(residue, q)], n)
+    for k in sums:
+        np.remainder(k, q, out=k)
+    codes = np.ravel_multi_index((multiset, *sums), (q,) * (len(sums) + 1), order="F")
+    return codes, orbit, tuples
 
 
 def _translate_codes(p: int, n: int, s: int) -> np.ndarray:
@@ -261,66 +265,60 @@ def _translate_codes(p: int, n: int, s: int) -> np.ndarray:
     kept iff that entry's position is at most the first, so each n-tuple
     comes once and its cell opens the multiset, with no sort.
     """
-    q, tables = _power_tables(p, n, s)
+    q, tables, residue, folds = _residue_folds(p, n, s)
     ncells, g = p ** s, math.gcd(n, q)
-    span = q // ncells  # residues per cell
-    cell, rest = np.divmod(np.arange(q, dtype=np.int64), span)
-    narrow = np.int32 if n * q < 2 ** 31 else np.int64  # power sums stay below n * q
-    folds = ([(t[cell + ncells * rest].astype(narrow), 1) for t in tables]
-             + [(cell.astype(narrow), ncells), (np.arange(q, dtype=narrow), 0)])
-    (*sums, multiset, first), _ = _sorted_folds(folds, n - 1)
+    cell = folds[-1][0]  # by position
+    position = np.argsort(residue)  # where each residue sits
+    (*sums, multiset, first), _ = _sorted_folds(  # first: the first entry's position
+        folds + [(np.arange(q, dtype=cell.dtype), 0)], n - 1)
     codes = []
     for r in range(g):
         last = np.remainder(r - sums[0], q)  # the new entry's residue
-        lrest, lcell = np.divmod(last, ncells)
-        lrest += lcell * span  # its position
-        keep = np.flatnonzero(lrest <= first)
-        del lrest
-        last, code = last[keep], np.zeros(keep.size, np.int64)
-        for k in range(len(tables), 1, -1):  # key digits from the highest power sum down
-            code *= q
-            code += (sums[k - 1][keep] + tables[k - 1][last]) % q
-        code *= g
-        code += r
-        code *= q
-        code += lcell[keep] + ncells * multiset[keep]
-        codes.append(code)
+        at = position[last]
+        keep = np.flatnonzero(at <= first)
+        last, at = last[keep], at[keep]
+        digits = [(k[keep] + t[last]) % q for k, t in zip(sums[1:], tables[1:])]
+        codes.append(np.ravel_multi_index((cell[at], multiset[keep], r, *digits),
+                                          (ncells, ncells ** (n - 1), g) + (q,) * len(digits),
+                                          order="F"))
     return np.concatenate(codes)
 
 
-def _shared_pairs(codes: np.ndarray, q: int) -> np.ndarray:
+def _shared_pairs(codes: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Sorted distinct a * q + b over the ordered pairs of distinct multisets
-    a, b (codes % q) that share a key (codes // q)."""
-    codes = _sorted_unique(codes)  # distinct (key, multiset) pairs
-    key = codes // q
-    shared = key[1:] == key[:-1]
-    if not shared.any():  # every key holds one multiset
+    a, b that share a key, for codes raveled from (key, multiset) over
+    shape = (keys, q)."""
+    q = shape[1]
+    key, multiset = np.unravel_index(_sorted_unique(codes), shape)  # distinct pairs
+    start = _run_starts(key)
+    if start.all():  # every key holds one multiset
         return codes[:0]
-    start = np.flatnonzero(np.concatenate(([True], ~shared)))
+    start = np.flatnonzero(start)
     size = np.diff(np.append(start, key.size))
     start, size = start[size > 1], size[size > 1]
     # every ordered pair (a, b) of multisets in one shared group
     lengths = np.repeat(size, size)
-    a = np.repeat(codes[_ranges(start, size)] % q, lengths)
-    b = codes[_ranges(np.repeat(start, size), lengths)] % q
-    return _sorted_unique((a * q + b)[a != b])
+    a = np.repeat(multiset[_ranges(start, size)], lengths)
+    b = multiset[_ranges(np.repeat(start, size), lengths)]
+    return _sorted_unique(np.ravel_multi_index((a, b), (q, q))[a != b])
 
 
 def _shift_pairs(pairs: np.ndarray, ncells: int, n: int) -> np.ndarray:
     """Sorted distinct a * q + b (q = ncells^n) over every pair of multisets
     in `pairs` with all its cells shifted by the same c mod ncells."""
-    q = ncells ** n
-    weights = ncells ** np.arange(n, dtype=np.int64)[:, None]
-    digits = [m // weights % ncells for m in np.divmod(pairs, q)]  # (n, pairs) each
+    q, cells = ncells ** n, (ncells,) * n
+    digits = [np.array(np.unravel_index(m, cells, order="F"))  # (n, pairs) each
+              for m in np.unravel_index(pairs, (q, q))]
     out = []
     for c in range(ncells):
-        a, b = ((np.sort((d + c) % ncells, axis=0) * weights).sum(axis=0) for d in digits)
-        out.append(a * q + b)
+        a, b = (np.ravel_multi_index(np.sort((d + c) % ncells, axis=0), cells, order="F")
+                for d in digits)
+        out.append(np.ravel_multi_index((a, b), (q, q)))
     return _sorted_unique(np.concatenate(out))
 
 
 @functools.lru_cache(maxsize=4)
-def _pair_relation(p: int, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_relation(p: int, n: int, s: int) -> np.ndarray:
     """(a, b), sorted: the ordered pairs of distinct cell multisets (coded as
     in `_key_rows`) whose point tuples share a power-sum key mod q = p^{ns}.
     Empty at every configuration tried, p <= n included.
@@ -331,48 +329,56 @@ def _pair_relation(p: int, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     that shares a key has a translate with p_1 = r mod q, r < gcd(n, q):
     the pairs among `_translate_codes`, shifted by every c, are all of them.
     """
-    ncells = p ** s
-    pairs = _shared_pairs(_translate_codes(p, n, s), ncells ** n)
+    ncells, q = p ** s, p ** (n * s)
+    pairs = _shared_pairs(_translate_codes(p, n, s), (math.gcd(n, q) * q ** (n - 1), q))
     if pairs.size:
         pairs = _shift_pairs(pairs, ncells, n)
-    out = np.divmod(pairs, ncells ** n)
-    for half in out:
-        half.setflags(write=False)  # shared by every caller through the cache
+    out = np.array(np.unravel_index(pairs, (q, q)))  # rows a and b, each contiguous
+    out.setflags(write=False)  # shared by every caller through the cache
     return out
 
 
 @functools.lru_cache(maxsize=4)
 def _parseval_groups(p: int, n: int, s: int):
     """The rows of `_key_rows` sorted by code, that is by (key, cell multiset)
-    pair: (residue, orbit, fine, fine_key, cell_orbit, *cols) gives each
-    row's orbit size and pair, each pair's key group and cell-multiset orbit
-    size, and the rows' position columns, decoded from `_key_rows`'s packed
-    positions.  The Q_p norms sum over them."""
-    residue, codes, orbit, pos = _key_rows(p, n, s)
+    pair: (orbit, fine, fine_key, cell_orbit, *cols) gives each row's orbit
+    size and pair, each pair's key group and cell-multiset orbit size, and
+    the rows' residue columns.  The Q_p norms sum over them."""
+    codes, orbit, tuples = _key_rows(p, n, s)
     order = np.argsort(codes)  # rows in pair order: add.at then writes in sequence
-    codes, orbit, pos = codes[order], orbit[order], pos[order]
+    codes, orbit, tuples = codes[order], orbit[order], tuples[order]
     del order
     q = p ** (n * s)
-    cols = [pos // q ** i % q for i in range(n)]  # the rows' positions
-    del pos
-    new = codes[1:] != codes[:-1]  # a row that opens a pair
-    fine = np.concatenate(([0], np.cumsum(new)))
-    pairs = np.concatenate((codes[:1], codes[1:][new]))
+    # the rows' residues, each column contiguous: gathers through the strided
+    # views np.unravel_index returns fault about 2,400 times per warm call
+    cols = np.array(np.unravel_index(tuples, (q,) * n, order="F"))
+    del tuples
+    new = _run_starts(codes)  # a row that opens a pair
+    fine = np.cumsum(new)
+    fine -= 1
+    keys, multisets = np.unravel_index(codes[new], (q ** n, q))
     del codes, new
-    ncells = p ** s
-    keys, multisets = np.divmod(pairs, ncells ** n)
-    fine_key = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))  # keys are sorted
-    cell_orbit = _orbit_sizes([multisets // ncells ** i % ncells for i in range(n)])
-    out = (residue, orbit, fine, fine_key, cell_orbit, *cols)
+    fine_key = np.cumsum(_run_starts(keys))  # keys are sorted
+    fine_key -= 1
+    cell_orbit = _orbit_sizes(np.unravel_index(multisets, (p ** s,) * n, order="F"))
+    out = (orbit, fine, fine_key, cell_orbit, *cols)
     for a in out:
         a.setflags(write=False)  # shared by every caller through the cache
     return out
 
 
+# peak bytes per sorted tuple while `_parseval_groups` builds, traced by
+# tracemalloc: 72.6 at (5,2,2), 74.9 at (7,2,2), 76.3 at (7,3,1)
+_PARSEVAL_BYTES = 80
+
+
 def _check_key_rows(p: int, n: int, s: int, budget: int):
-    """The guards of `_key_rows`, whose codes key * q + multiset stay below q^(n+1)."""
+    """The guards of `_key_rows`, whose codes key * q + multiset stay below
+    q^(n+1), and of the bytes `_parseval_groups` holds while it groups them."""
     q = p ** (n * s)
     check_sorted_tuples(q, n, q ** (n + 1), budget, f"Z/{q}")
+    check_bytes(math.comb(q + n - 1, n) * _PARSEVAL_BYTES,
+                f"grouping the sorted {n}-tuples over Z/{q}")
 
 
 def _check_pair_rows(p: int, n: int, s: int, budget: int):
@@ -442,11 +448,11 @@ def syzygy_set_nonarch(base: CellTuple, curve: Curve | None = None,
     p, n, s = base.field.prime, base.n, base.scale.exponent
     _check_pair_rows(p, n, s, budget)
     a, b = _pair_relation(p, n, s)
-    ncells = p ** s
+    dims = (p ** s,) * n
     cells = sorted(base.indices)
-    code = sum(c * ncells ** i for i, c in enumerate(cells))
+    code = np.ravel_multi_index(cells, dims, order="F")
     lo, hi = np.searchsorted(a, [code, code + 1])
-    multisets = [cells, *(_decode(c, ncells, n) for c in b[lo:hi].tolist())]
+    multisets = [cells, *np.transpose(np.unravel_index(b[lo:hi], dims, order="F")).tolist()]
     members = sorted({perm for m in multisets for perm in itertools.permutations(m)})
     return SyzygyReport(
         base=base,
@@ -487,15 +493,15 @@ def scan_strong_diagonal(p: int, n: int, s: int,
         raise ValueError("n >= 2")
     _check_pair_rows(p, n, s, budget)
     a, b = _pair_relation(p, n, s)
-    ncells = p ** s
-    q = ncells ** n
-    base = np.arange(q, dtype=np.int64)
-    digits = np.sort([base // ncells ** k % ncells for k in range(n)], axis=0)
-    multiset = sum(d * ncells ** i for i, d in enumerate(digits))
-    orbit = _orbit_sizes(list(digits))  # a multiset's code is one of its bases
+    dims = (p ** s,) * n
+    q = math.prod(dims)
+    cells = np.sort(np.unravel_index(np.arange(q), dims, order="F"), axis=0)
+    orbit = _orbit_sizes(cells)  # a multiset's code is one of its bases
+    multiset = np.ravel_multi_index(cells, dims, order="F")
     extra = np.bincount(a, weights=orbit[b], minlength=q).astype(np.int64)[multiset]
     cards = orbit + extra
-    mismatches = tuple(_decode(int(c), ncells, n) for c in np.flatnonzero(extra))
+    mismatches = tuple(map(tuple, np.transpose(
+        np.unravel_index(np.flatnonzero(extra), dims, order="F")).tolist()))
     return StrongDiagonalScan(
         p=p, n=n, s=s,
         bases=q,
@@ -574,14 +580,14 @@ def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = No
     # npts^n < 2^62: past it the C(npts+n-1, n) rows or the per_cell^n
     # point tuples of s could not be allocated.
     (t_pos,), _ = _sorted_folds([(pts, npts)], n)
-    weights = npts ** np.arange(n, dtype=np.int64)
+    dims = (npts,) * n
     s_cols = (np.indices((per_cell,) * n).reshape(n, -1)
               + per_cell * np.array(base.indices)[:, None])
     s_sums = [v[s_cols].sum(axis=0) for v in values]
     rows, witness = [], []  # each hit row and the first point tuple of s it hits
     block = max(1, _SAMPLER_BLOCK // s_cols.shape[1])
     for lo in range(0, t_pos.size, block):
-        t_block = t_pos[lo:lo + block] // weights[:, None] % npts
+        t_block = np.array(np.unravel_index(t_pos[lo:lo + block], dims, order="F"))
         hits = np.ones((t_block.shape[1], s_cols.shape[1]), dtype=bool)
         for v, s_sum, thr in zip(values, s_sums, thresholds):
             diff = np.subtract.outer(v[t_block].sum(axis=0), s_sum)
@@ -591,7 +597,7 @@ def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = No
         rows.append(lo + hit)
         witness.append(hits[hit].argmax(axis=1))
     rows, witness = np.concatenate(rows), np.concatenate(witness)
-    t_hit = t_pos[rows][:, None] // weights % npts  # a hit row's points, one per column
+    t_hit = np.transpose(np.unravel_index(t_pos[rows], dims, order="F"))  # a hit row's points
     cells, first = np.unique(t_hit // per_cell, axis=0, return_index=True)
     members = {}  # every ordering of a hit multiset, with the matching witness
     for multiset, row, col in zip(cells.tolist(), t_hit[first].tolist(), witness[first].tolist()):

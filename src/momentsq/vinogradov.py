@@ -28,7 +28,7 @@ import numpy as np
 
 from .budget import DEFAULT_COUNT_BUDGET, BudgetExceededError, check_budget, check_sorted_tuples
 from .curves import Curve
-from .syzygy import _sorted_folds
+from .syzygy import _run_starts, _sorted_folds
 
 
 class CountMethod(Enum):
@@ -83,11 +83,11 @@ def _orbit_join(fold) -> int:
     if two rows share a key."""
     keys, orbit = fold()
     keys.sort()
-    shared = keys[1:] == keys[:-1]
-    if not shared.any():  # one row per key: no argsort needed
+    start = _run_starts(keys)
+    if start.all():  # one row per key: no argsort needed
         return int(np.einsum("i,i->", orbit, orbit, dtype=np.int64, casting="unsafe"))
-    start = np.flatnonzero(np.concatenate(([True], ~shared)))
-    del keys, shared
+    del keys
+    start = np.flatnonzero(start)
     keys = fold()[0]
     weight = np.add.reduceat(orbit[np.argsort(keys)], start, dtype=np.int64)
     return int(np.dot(weight, weight))

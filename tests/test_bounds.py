@@ -152,6 +152,18 @@ def test_moment_bezout_constant_matches_the_curve(monkeypatch):
     assert [r.value for r in rows] == [bounds.moment_bezout_constant(REAL, n) for n in range(2, 31)]
 
 
+def test_moment_fewnomial_constant_matches_the_curve(monkeypatch):
+    for n in range(2, 13):
+        assert bounds.moment_fewnomial_constant(n) == fewnomial_constant(Curve.moment(n))
+
+    def no_curve(n):
+        raise AssertionError("the fewnomial table builds the moment curve")
+    monkeypatch.setattr(bounds.Curve, "moment", no_curve)
+    rows = bounds_table("fewnomial", REAL, 200)
+    assert [r.value for r in rows] == [bounds.moment_fewnomial_constant(n) for n in range(2, 201)]
+    assert [r.parameters["monomials"] for r in rows] == list(range(2, 201))
+
+
 def test_wronskian_matches_cofactor_oracle():
     curves = [Curve.moment(n) for n in range(2, 8)]
     rng = random.Random(5)

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -6,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentsq import (REAL, AtomicComb, BudgetExceededError, Cell, LocallyConstant,
+from momentsq import (COMPLEX, REAL, AtomicComb, BudgetExceededError, Cell, LocallyConstant,
                       comb_ratio, extension_op, padic, padic_scale,
                       random_locally_constant, real_scale, square_function,
                       weighted_norms)
@@ -127,6 +131,50 @@ def test_weighted_norms_budget_counts_sorted_tuples():
     weighted_norms(f, padic_scale(2, 1), n=2, budget=10)
     with pytest.raises(BudgetExceededError, match="10 enumeration steps"):
         weighted_norms(f, padic_scale(2, 1), n=2, budget=9)
+
+
+def test_parseval_budget_counts_bytes():
+    # Q_3, n = 3, s = 2: C(731, 3) = 64,860,705 sorted tuples pass the step
+    # budget, but grouping them would hold about 5 GB
+    import tracemalloc
+    from momentsq import syzygy
+    syzygy._check_key_rows(7, 3, 1, syzygy.DEFAULT_ENUMERATION_BUDGET)  # 6.8M tuples
+    f = random_locally_constant(padic(3), 1, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="bytes, over the memory budget"):
+            weighted_norms(f, padic_scale(3, 2), n=3)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_warm_qp_norms_fault_few_pages():
+    # A warm call that allocates its row-sized temporaries afresh faults in
+    # about one page per 4 KB of them (over 1,000 per call at (5,2,2)).
+    pytest.importorskip("resource")
+    code = """if True:
+        import resource
+        from momentsq import padic, padic_scale, random_locally_constant, weighted_norms
+        fs = [random_locally_constant(padic(5), 2, k) for k in range(21)]
+        weighted_norms(fs[0], padic_scale(5, 2), n=2)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for f in fs[1:]:
+            weighted_norms(f, padic_scale(5, 2), n=2)
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(pathlib.Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert float(out.stdout) < 100
+
+
+def test_complex_field_has_no_test_functions():
+    with pytest.raises(ValueError, match="R and Q_p"):
+        LocallyConstant(COMPLEX, 4, (1, 0, 0, 0))
+    with pytest.raises(ValueError, match="R and Q_p"):
+        random_locally_constant(COMPLEX, 4, seed=1)
 
 
 def test_weighted_norms_n3_recorded():

@@ -183,7 +183,7 @@ def test_key_shared_by_two_multisets(monkeypatch):
 def _full_walk_relation(p, n, s):
     """The pair relation read off every row of `_key_rows`, grouped in a dict."""
     q = p ** (n * s)
-    codes = _sorted_unique(syzygy._key_rows(p, n, s)[1])
+    codes = _sorted_unique(syzygy._key_rows(p, n, s)[0])
     key = codes // q
     codes = codes[np.isin(key, key[1:][key[1:] == key[:-1]])]  # keys with two codes
     groups: dict[int, set] = {}
@@ -234,11 +234,15 @@ def test_relation_needs_no_full_key_rows(monkeypatch):
 
 @pytest.mark.parametrize("p,n,s", [(2, 2, 1), (3, 2, 1)])
 def test_key_rows_positions_are_sorted_tuples(p, n, s):
-    q = p ** (n * s)
-    pos = syzygy._key_rows(p, n, s)[3]
-    assert pos.dtype == np.int64
-    decoded = [tuple(int(x) // q ** i % q for i in range(n)) for x in pos]
-    assert decoded == list(itertools.combinations_with_replacement(range(q), n))
+    # rows are the sorted position tuples; position x holds residue
+    # x // span + p^s * (x % span), span = q / p^s: cell by cell
+    q, ncells = p ** (n * s), p ** s
+    tuples = syzygy._key_rows(p, n, s)[2]
+    assert tuples.dtype == np.int64
+    decoded = [tuple(int(x) // q ** i % q for i in range(n)) for x in tuples]
+    residue = [x // (q // ncells) + ncells * (x % (q // ncells)) for x in range(q)]
+    assert decoded == [tuple(residue[x] for x in t)
+                       for t in itertools.combinations_with_replacement(range(q), n)]
 
 
 def test_set_query_needs_no_tuple_keys(monkeypatch):
