@@ -133,16 +133,6 @@ def _power_tables(p: int, n: int, s: int):
     return q, tables
 
 
-def _pack_keys(component_sums, q: int) -> np.ndarray:
-    """Pack componentwise sums mod q into one integer, lowest power first."""
-    key = np.zeros_like(component_sums[0])
-    radix = 1
-    for comp in component_sums:
-        key = key + radix * (comp % q)
-        radix *= q
-    return key
-
-
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a 1-d array; the same array np.unique gives.
 
@@ -415,7 +405,7 @@ def _tuple_keys(indices, p: int, n: int, s: int,
             comps = cell_comps
         else:
             comps = [np.add.outer(a, b).ravel() for a, b in zip(cell_comps, comps)]
-    return _sorted_unique(_pack_keys(comps, q))
+    return _sorted_unique(np.ravel_multi_index([c % q for c in comps], (q,) * n, order="F"))
 
 
 def is_syzygy_nonarch(base: CellTuple, other: CellTuple, curve: Curve | None = None,

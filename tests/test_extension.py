@@ -149,6 +149,92 @@ def test_parseval_budget_counts_bytes():
         tracemalloc.stop()
 
 
+def test_weighted_norms_rejects_scale_of_another_field():
+    f = random_locally_constant(padic(5), 1, seed=0)
+    for sc in (padic_scale(7, 1), real_scale(4)):
+        with pytest.raises(ValueError, match=r"does not match p\^\{-s\} for this field"):
+            weighted_norms(f, sc, n=2)
+
+
+def test_qp_residue_enumeration_budget_checked_before_allocating():
+    # 5^12 residues are over the step budget; 5^11 pass it, but at 48
+    # traced bytes each they would hold about 2.3 GB
+    import tracemalloc
+    f = random_locally_constant(padic(5), 1, seed=0)
+    tracemalloc.start()
+    try:
+        for v, match in ((Fraction(1, 5 ** 12), "enumeration steps"),
+                         (Fraction(1, 5 ** 11), "bytes, over the memory budget")):
+            with pytest.raises(BudgetExceededError, match=match):
+                weighted_norms(f, padic_scale(5, 1), center=(v, Fraction(0)))
+            with pytest.raises(BudgetExceededError, match=match):
+                extension_op(f, None, (v, Fraction(0)))
+            with pytest.raises(BudgetExceededError, match=match):
+                square_function(f, padic_scale(5, 1), (v, Fraction(0)))
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    # weighted_norms hands its own budget on: Q_2 at s = 1 groups 10 sorted
+    # tuples, and the centre 1/16 needs the 16 residues mod 2^4
+    g = random_locally_constant(padic(2), 1, seed=0)
+    weighted_norms(g, padic_scale(2, 1), center=(Fraction(1, 16), Fraction(0)), budget=16)
+    with pytest.raises(BudgetExceededError, match="16 enumeration steps"):
+        weighted_norms(g, padic_scale(2, 1), center=(Fraction(1, 16), Fraction(0)), budget=15)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_phase_numerators_match_fractional_parts(data):
+    # exact integers against the Fraction reference, residue by residue
+    from momentsq.extension import _phase_numerators
+    from momentsq.local_field import padic_fractional_part
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    exps = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    x = tuple(Fraction(data.draw(st.integers(-10 ** 4, 10 ** 4)), p ** j) for j in exps)
+    m = max(1, *exps) + data.draw(st.integers(0, 1))
+    got = _phase_numerators(x, p, m)
+    assert got.dtype == np.int64
+    for a in range(p ** m):
+        phase = p ** m * sum(padic_fractional_part(a ** k * v, p) for k, v in enumerate(x, 1))
+        assert phase.denominator == 1
+        assert int(got[a]) == phase.numerator % p ** m
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_qp_evaluations_match_character_sums(data):
+    # E_J f(x) and S_delta f(x) against p^-m sum_a f(a) e(gamma(a) . x), with
+    # e the Fraction-based character: catches a sign or scale slip in the phase
+    from momentsq.local_field import character
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    field, sc = padic(p), padic_scale(p, data.draw(st.integers(1, 2)))
+    precision, seed = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 99))
+    f = random_locally_constant(field, precision, seed=seed)
+    x = tuple(Fraction(data.draw(st.integers(-50, 50)), p ** data.draw(st.integers(0, 3)))
+              for _ in range(data.draw(st.integers(1, 3))))
+    m = 3 + sc.exponent  # clears every denominator of x and the cells
+    cells = [0j] * p ** sc.exponent
+    for a in range(p ** m):
+        e = character(field, sum(a ** k * v for k, v in enumerate(x, 1)))
+        cells[a % p ** sc.exponent] += f.values[a % p ** precision] * e / p ** m
+    for j, e in enumerate(cells):
+        assert extension_op(f, Cell(field, sc, j), x) == pytest.approx(e, abs=1e-12)
+    assert extension_op(f, None, x) == pytest.approx(sum(cells), abs=1e-12)
+    assert square_function(f, sc, x) == pytest.approx(sum(abs(e) ** 2 for e in cells) ** 0.5,
+                                                      abs=1e-12)
+
+
+def test_phase_denominator_must_be_a_power_of_p():
+    from momentsq.extension import _phase_numerators
+    f = random_locally_constant(padic(5), 1, seed=0)
+    with pytest.raises(ValueError, match="not a power of 5"):
+        _phase_numerators((Fraction(1, 5), Fraction(2, 15)), 5, 2)
+    with pytest.raises(ValueError, match="not a power of 5"):
+        extension_op(f, None, (Fraction(1, 3), Fraction(0)))
+    with pytest.raises(ValueError, match="not a power of 5"):
+        weighted_norms(f, padic_scale(5, 1), center=(Fraction(0), Fraction(7, 10)))
+
+
 def test_warm_qp_norms_fault_few_pages():
     # A warm call that allocates its row-sized temporaries afresh faults in
     # about one page per 4 KB of them (over 1,000 per call at (5,2,2)).
