@@ -276,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, help):
         sp = sub.add_parser(name, help=help)
         sp.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; every engine runs "
-                             "single-threaded and output is identical at any value")
+                        help="accepted for compatibility (at least 1); every engine "
+                             "runs single-threaded and output is identical at any value")
         sp.add_argument("--output", help="write to this path instead of stdout")
         sp.add_argument("--format", dest="fmt", default=None,
                         help=" or ".join(_FORMATS[name]) + f"; default {_FORMATS[name][0]}")
@@ -338,6 +338,8 @@ def parse_args(argv) -> argparse.Namespace:
         while argv[i].startswith("-"):  # only --config precedes the subcommand
             i += 1 if "=" in argv[i] else 2
         args = parser.parse_args(argv[:i + 1] + _config_flags(args.config) + argv[i + 1:])
+    if args.threads < 1:
+        raise ValueError(f"--threads {args.threads}: need at least 1")
     formats = ["csv"] if args.command == "vino" and args.N_list else _FORMATS[args.command]
     args.fmt = args.fmt or formats[0]
     if args.fmt not in formats:

@@ -29,7 +29,7 @@ contiguous add per a.  Tuples are one more fold, packed base m; every
 packed code is written and read by numpy's codec, np.ravel_multi_index and
 np.unravel_index, lowest digit first (order="F").  All C(q+n-1, n) sorted
 n-tuples (`_key_rows`), grouped by pair and by key (`_parseval_groups`),
-carry the Parseval sums of the Q_p norms, which are not
+carry the Parseval sums of the Q_p norms (`_parseval_sums`), which are not
 translation-invariant.
 The real sampler runs its sorted grid n-tuples against every point tuple
 of the base cells and reports each ordering of every cell multiset hit.
@@ -378,9 +378,23 @@ def _check_pair_rows(p: int, n: int, s: int, budget: int):
     check_sorted_tuples(q, n - 1, math.gcd(n, q) * q ** n, budget, f"Z/{q}")
 
 
-def _get_groups(p: int, n: int, s: int, budget: int = DEFAULT_ENUMERATION_BUDGET):
+def _parseval_sums(h: np.ndarray, p: int, n: int, s: int, budget: int):
+    """(sum_k |B(k)|^2, sum_{(k,C)} |B(k,C)|^2 / orbit(C)), where B(k, C) sums
+    orbit(M) prod_i h(M_i) over the sorted n-tuples M of residues mod p^{ns}
+    with power-sum key k and cell multiset C, and B(k) sums B(k, C) over C."""
     _check_key_rows(p, n, s, budget)
-    return _parseval_groups(p, n, s)
+    orbit, fine, fine_key, cell_orbit, *cols = _parseval_groups(p, n, s)
+    w = h[cols[0]]  # in place: one row-sized temporary fewer per call
+    w *= orbit
+    for c in cols[1:]:
+        w *= h[c]
+    # np.add.at: bincount copies a read-only index array, and reduceat over the
+    # run starts is slower and moves the last bits (docs/quadrature.md)
+    b_fine, b_key = np.zeros(fine_key.size, complex), np.zeros(fine_key[-1] + 1, complex)
+    np.add.at(b_fine, fine, w)
+    del w
+    np.add.at(b_key, fine_key, b_fine)
+    return np.sum(np.abs(b_key) ** 2), np.sum(np.abs(b_fine) ** 2 / cell_orbit)
 
 
 def clear_index_cache():
@@ -477,6 +491,7 @@ def scan_strong_diagonal(p: int, n: int, s: int,
     """Enumerate S(delta, I; delta^n) for every I in P_delta^n and compare
     with the permutation oracle: |S(I)| is the orbit size of I plus those
     of its partners in the cached pair relation."""
+    field = FieldSpec(FieldKind.PADIC, p)  # checks p before anything is enumerated
     if s < 0:
         raise ValueError("s must be nonnegative")
     if n < 2:
@@ -499,7 +514,7 @@ def scan_strong_diagonal(p: int, n: int, s: int,
         mismatches=mismatches,
         max_cardinality=int(cards.max()),
         cardinalities=tuple(cards.tolist()),
-        bound=syzygy_bound(FieldSpec(FieldKind.PADIC, p), n),
+        bound=syzygy_bound(field, n),
     )
 
 

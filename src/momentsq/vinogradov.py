@@ -5,15 +5,16 @@ with sum_i gamma(t_i) = sum_i gamma(s_i).  For the moment curve this is
 sum_v m(v)^2 over the level sets m(v) = #{t : sum_i gamma(t_i) = v}.  The
 power-sum vector is symmetric, so the join enumerates only the C(N+n-1, n)
 nondecreasing tuples, each standing for its orbit of n!/prod(mult!)
-orderings: m(v) is the sum of the orbit sizes of the sorted tuples with key
-v.  The keys and orbit sizes come from `syzygy._sorted_folds`, which builds
-each level of sorted tuples from suffix copies of the level below (the
-tuples starting with a read v(a) + key(suffix)), so no positions are
-held: the join keeps an int64 key and a one-byte orbit size (n <= 5) per
-sorted tuple and sorts the keys in place, about 10 bytes per tuple.  The
-budget counts those tuples, and keys past 64 bits are refused.  The
-brute-force path compares all pairs of tuples and is the oracle the fast
-paths are checked against.
+orderings.  The first n power sums fix a multiset (Girard-Newton), so each
+key v holds one sorted tuple and m(v) is its orbit size: the join checks
+that the keys are distinct and sums orbit^2.  The keys and orbit sizes
+come from `syzygy._sorted_folds`, which builds each level of sorted tuples
+from suffix copies of the level below (the tuples starting with a read
+v(a) + key(suffix)), so no positions are held: the join keeps an int64
+key and a one-byte orbit size (n <= 5) per sorted tuple and sorts the keys
+in place, about 10 bytes per tuple.  The budget counts those tuples, and
+keys past 64 bits are refused.  The brute-force path compares all pairs of
+tuples and is the oracle the fast paths are checked against.
 """
 from __future__ import annotations
 
@@ -75,24 +76,6 @@ def permutation_count(n: int, N: int) -> int:
     return t[n]
 
 
-def _orbit_join(fold) -> int:
-    """sum over distinct keys v of (sum of orbit over the rows with key v)^2,
-    where fold() returns fresh (keys, orbit) rows, summed in int64 whatever
-    orbit's unsigned dtype, without an int64 copy of it.  The keys are
-    sorted in place, and fold runs again, for the keys in row order, only
-    if two rows share a key."""
-    keys, orbit = fold()
-    keys.sort()
-    start = _run_starts(keys)
-    if start.all():  # one row per key: no argsort needed
-        return int(np.einsum("i,i->", orbit, orbit, dtype=np.int64, casting="unsafe"))
-    del keys
-    start = np.flatnonzero(start)
-    keys = fold()[0]
-    weight = np.add.reduceat(orbit[np.argsort(keys)], start, dtype=np.int64)
-    return int(np.dot(weight, weight))
-
-
 def _moment_join(n: int, N: int, budget: int) -> int:
     """J(N) for the moment curve from the sorted n-tuples over [1, N].
 
@@ -100,16 +83,20 @@ def _moment_join(n: int, N: int, budget: int) -> int:
     sum without carrying, and a tuple's key, below prefix[n] = R_1 ... R_n,
     sums phi(t) = sum_k t^k * prefix[k-1] over its points: one radix-1
     fold of `_sorted_folds`, which also gives the orbit sizes.
+
+    No two sorted tuples share a key (Girard-Newton), so J(N) = sum orbit^2 (in
+    int64, with no copy of orbit), which is `permutation_count`: the join's whole
+    independent content is that its keys, sorted in place, are distinct.
     """
     prefix = [math.prod(n * N ** j + 1 for j in range(1, k + 1)) for k in range(n + 1)]
     check_sorted_tuples(N, n, prefix[n], budget, f"[1,{N}]")
     t = np.arange(1, N + 1, dtype=np.int64)
     phi = sum(prefix[k - 1] * t ** k for k in range(1, n + 1))
-
-    def fold():
-        (keys,), orbit = _sorted_folds([(phi, 1)], n)
-        return keys, orbit
-    return _orbit_join(fold)
+    (keys,), orbit = _sorted_folds([(phi, 1)], n)
+    keys.sort()
+    if not _run_starts(keys).all():
+        raise RuntimeError("two sorted tuples share a power-sum key: Girard-Newton fails")
+    return int(np.einsum("i,i->", orbit, orbit, dtype=np.int64, casting="unsafe"))
 
 
 def _brute_force_count(curve: Curve, n: int, N: int, budget: int) -> int:

@@ -279,6 +279,14 @@ def test_thread_count_byte_identical():
     assert len(outs) == 1
 
 
+def test_threads_below_1_are_usage_errors():
+    base = ["vino", "--n", "2", "--N", "10", "--threads"]
+    for t in ("0", "-4"):
+        proc = subprocess.run(CLI + base + [t], capture_output=True, text=True)
+        assert proc.returncode == 1 and not proc.stdout
+    assert len({run(*base, t) for t in ("1", "2", "8")}) == 1
+
+
 BASELINES = [
     (["syzygy", "--p", "5", "--n", "2", "--s", "1", "--tuple", "0,1"],
      "syzygy_q5_n2_s1.json"),

@@ -101,8 +101,12 @@ def test_weighted_norms_match_pointwise_property(data):
                    for _ in range(2))
     f = random_locally_constant(padic(p), precision, seed=data.draw(st.integers(0, 10 ** 6)))
     sc = padic_scale(p, 1)
-    fast = weighted_norms(f, sc, center=center)
     lhs, rhs = _pointwise_norms(f, sc, center)
+    if rhs < 1e-12:  # E f vanishes on the ball, as at (1/8, 0) over Q_2 with precision 1
+        with pytest.raises(ValueError, match="zero function"):
+            weighted_norms(f, sc, center=center)
+        return
+    fast = weighted_norms(f, sc, center=center)
     assert fast.lhs == pytest.approx(lhs, rel=1e-12)
     assert fast.rhs == pytest.approx(rhs, rel=1e-12)
 
@@ -175,11 +179,12 @@ def test_qp_residue_enumeration_budget_checked_before_allocating():
     finally:
         tracemalloc.stop()
     # weighted_norms hands its own budget on: Q_2 at s = 1 groups 10 sorted
-    # tuples, and the centre 1/16 needs the 16 residues mod 2^4
+    # tuples, and the centre 1/16 needs the 16 residues mod 2^4 (in the
+    # second coordinate: (1/16, 0) makes E f vanish on the ball)
     g = random_locally_constant(padic(2), 1, seed=0)
-    weighted_norms(g, padic_scale(2, 1), center=(Fraction(1, 16), Fraction(0)), budget=16)
+    weighted_norms(g, padic_scale(2, 1), center=(Fraction(0), Fraction(1, 16)), budget=16)
     with pytest.raises(BudgetExceededError, match="16 enumeration steps"):
-        weighted_norms(g, padic_scale(2, 1), center=(Fraction(1, 16), Fraction(0)), budget=15)
+        weighted_norms(g, padic_scale(2, 1), center=(Fraction(0), Fraction(1, 16)), budget=15)
 
 
 @given(st.data())
@@ -411,6 +416,27 @@ def test_weighted_norms_zero_function_error():
     zero = LocallyConstant(f5, 1, (0,) * 5)
     with pytest.raises(ValueError, match="zero"):
         weighted_norms(zero, padic_scale(5, 1), n=2)
+
+
+def test_weighted_norms_zero_on_the_ball_over_qp():
+    # at the centre (1/5^e, 0), e >= 3, folding g mod 25 sums whole sets of
+    # 5-power roots of unity, so E f vanishes on the ball up to rounding
+    f = random_locally_constant(padic(5), 2, seed=0)
+    sc = padic_scale(5, 1)
+    for e in range(3, 8):
+        with pytest.raises(ValueError, match="zero function"):
+            weighted_norms(f, sc, center=(Fraction(1, 5 ** e), Fraction(0)))
+    r = weighted_norms(f, sc, center=(Fraction(1, 25), Fraction(0)))
+    assert r.ratio == pytest.approx(1.1377752672935726, rel=1e-12)
+
+
+def test_weighted_norms_rejects_n_below_1():
+    fp = random_locally_constant(padic(5), 1, seed=0)
+    fr = random_locally_constant(REAL, 4, seed=0)
+    for f, sc in ((fp, padic_scale(5, 1)), (fr, real_scale(4))):
+        for kwargs in ({"n": 0}, {"center": ()}):
+            with pytest.raises(ValueError, match="n >= 1"):
+                weighted_norms(f, sc, **kwargs)
 
 
 def test_weighted_norms_ratio_bound_qp():

@@ -308,6 +308,16 @@ def test_scan_rejects_n_below_2_before_enumerating(monkeypatch, n):
         scan_strong_diagonal(5, n, 1)
 
 
+def test_scan_checks_the_prime_before_enumerating(monkeypatch):
+    def enumerate_nothing(folds, n):
+        raise AssertionError("enumerated before the prime check")
+    monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)
+    syzygy.clear_index_cache()
+    for p, n, s in ((0, 2, 2), (4, 3, 2)):
+        with pytest.raises(ValueError, match="prime must be a prime"):
+            scan_strong_diagonal(p, n, s)
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         syzygy_set_nonarch(q5_tuple(0, 1, s=9))

@@ -13,7 +13,7 @@ from momentsq import (BudgetExceededError, CountMethod, Curve,
                       permutation_count)
 from momentsq import vinogradov
 from momentsq.budget import DEFAULT_COUNT_BUDGET
-from momentsq.vinogradov import _orbit_join
+
 
 def oracle(curve, n, N):
     """Independent 2n-fold enumeration."""
@@ -30,29 +30,14 @@ def test_examples_against_oracle():
         assert count_solutions(curve, n, N, CountMethod.HASH_JOIN).count == expected
 
 
-def test_orbit_join_sums_orbits_sharing_a_key():
-    # the moment curve never puts two orbits on one key, so feed keys directly
-    keys, orbit = np.array([5, 3, 5, 9]), np.array([1, 2, 3, 6])
-    assert _orbit_join(lambda: (keys.copy(), orbit)) == (1 + 3) ** 2 + 2 ** 2 + 6 ** 2
-    assert _orbit_join(lambda: (keys[1:].copy(), orbit[1:])) == 2 ** 2 + 3 ** 2 + 6 ** 2
-
-
-@pytest.mark.parametrize("shared", [False, True])
-def test_orbit_join_sums_small_orbits_in_int64(shared):
-    if shared:  # uint8 orbits whose per-key sum passes 255 (one key, 600) before squaring
-        keys, orbit = np.array([4, 1, 4, 4]), np.array([200, 255, 200, 200], dtype=np.uint8)
-        want = 600 ** 2 + 255 ** 2
-    else:  # uint8 orbits whose squares pass 255 and whose sum of squares passes 65535
-        keys, orbit = np.array([7, 2, 9]), np.array([200, 255, 100], dtype=np.uint8)
-        want = 200 ** 2 + 255 ** 2 + 100 ** 2
-    given, calls = keys.copy(), []
-
-    def fold():  # the first call hands out `given`, later ones fresh keys
-        calls.append(None)
-        return (given if len(calls) == 1 else keys.copy()), orbit
-    assert _orbit_join(fold) == want
-    assert np.array_equal(given, np.sort(keys))  # sorted in place
-    assert len(calls) == 1 + shared  # folded again only for keys in row order
+def test_join_raises_on_a_shared_key(monkeypatch):
+    # Girard-Newton keeps the moment curve's keys distinct, so hand one out twice
+    def repeat_a_key(folds, n):
+        keys = np.array([5, 3, 5, 9], dtype=np.int64)
+        return [keys], np.array([1, 2, 3, 6], dtype=np.uint8)
+    monkeypatch.setattr(vinogradov, "_sorted_folds", repeat_a_key)
+    with pytest.raises(RuntimeError, match="share a power-sum key"):
+        count_solutions(Curve.moment(2), 2, 4, CountMethod.HASH_JOIN)
 
 
 def test_join_bytes_per_sorted_tuple():
@@ -103,7 +88,8 @@ def test_methods_agree(n, N):
 
 
 def test_formula_vs_hash_join_larger():
-    for n, N in [(2, 200), (3, 60), (4, 25)]:
+    # (5, 10): uint8 orbits whose squares pass 255; (6, 4): uint16 orbits
+    for n, N in [(2, 200), (3, 60), (4, 25), (5, 10), (6, 4)]:
         hashed = count_solutions(Curve.moment(n), n, N, CountMethod.HASH_JOIN).count
         assert hashed == permutation_count(n, N)
 
