@@ -7,9 +7,8 @@ class BudgetExceededError(RuntimeError):
 
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 8   # sorted tuples, point tuples or array entries at once
-DEFAULT_COUNT_BUDGET = 3 * 10 ** 7    # sorted n-tuples over [1,N] held in memory at once;
-# the join holds about 10 bytes per tuple at n <= 5 (an int64 key, a uint8
-# orbit size and the in-place sort's run mask), so at most about 300 MB
+DEFAULT_COUNT_BUDGET = 3 * 10 ** 7    # sorted n-tuples over [1,N] the join steps through;
+# it streams them in blocks, so its memory is checked in bytes, not by this count
 MEMORY_BUDGET = 2 * 2 ** 30  # bytes, checked where a build's bytes per row are measured
 
 

@@ -21,11 +21,13 @@ keyed, about q^(n-1)/n! of them, built from the sorted (n-1)-tuples; each
 pair found is then shifted by every cell.  S(I) is every ordering of the
 multiset of I and of its partners, so |S(I)| is a sum of orbit sizes.
 
-One kernel enumerates sorted tuples, `_sorted_folds`, which folds values
-over them by suffix copies: in lexicographic order the sorted
+One kernel enumerates sorted tuples, `_sorted_fold_blocks`, which folds
+values over them by suffix copies: in lexicographic order the sorted
 (j-1)-tuples whose first entry is at least a form a suffix, so the
 j-tuples starting with a are a's value added to that suffix, one
-contiguous add per a.  Tuples are one more fold, packed base m; every
+contiguous add per a.  It hands out the last level in blocks of rows;
+`_sorted_folds` takes it as one block, and the Vinogradov join streams
+it.  Tuples are one more fold, packed base m; every
 packed code is written and read by numpy's codec, np.ravel_multi_index and
 np.unravel_index, lowest digit first (order="F").  All C(q+n-1, n) sorted
 n-tuples (`_key_rows`), grouped by pair and by key (`_parseval_groups`),
@@ -167,39 +169,64 @@ def _sorted_folds(folds, n: int):
     For (v, radix) pairs with len(v) = m, values holds, per pair,
     sum_i v[t_i] * radix^i in v's dtype, and orbit each row's orbit size
     n!/prod(mult!) in the smallest unsigned dtype that holds n!.
+    The fold (arange(m), m) packs the tuples: np.unravel_index(fold,
+    (m,) * n, order="F") are their columns.  It is the one block of
+    `_sorted_fold_blocks` that holds every row.
+    """
+    return next(_sorted_fold_blocks(folds, n, math.comb(len(folds[0][0]) + n - 1, n)))
 
-    In that order the sorted (j-1)-tuples whose first entry is at least a
-    form a suffix, so the j-tuples that start with a fold as
+
+def _sorted_fold_blocks(folds, n: int, block: int):
+    """The rows of `_sorted_folds` in order, as (values, orbit) blocks of at
+    most `block` rows.  The next block overwrites the arrays of the last:
+    a caller that keeps a block copies it.
+
+    In lexicographic order the sorted (j-1)-tuples whose first entry is at
+    least a form a suffix, so the j-tuples that start with a fold as
     v[a] + radix * fold(suffix): each level is one loop over a of
     contiguous adds into preallocated rows, with no index columns and no
     gathers.  The orbit size of (a, suffix) is j times the suffix's, over
     one more than the suffix's leading run where the suffix starts with a.
-    The fold (arange(m), m) packs the tuples: np.unravel_index(fold,
-    (m,) * n, order="F") are their columns.
+    Levels below n are built whole; level n is written run by run of the
+    first entry into the block, which is handed out each time it fills, so
+    only its rows and the C(m+n-2, n-1) rows of level n-1 are held.
     """
     m = len(folds[0][0])
     values = [np.array(v) for v, _ in folds]
     orbit = np.ones(m, np.min_scalar_type(math.factorial(n)))
+    if n == 1:
+        for lo in range(0, m, block):
+            yield [v[lo:lo + block] for v in values], orbit[lo:lo + block]
+        return
     run = np.ones(m, np.uint8)  # equal entries leading each row
     for j in range(2, n + 1):
         rows = math.comb(m + j - 1, j)
+        cap = rows if j < n else min(rows, block)
         suffix = [f * radix if radix != 1 else f for f, (_, radix) in zip(values, folds)]
-        values = [np.empty(rows, f.dtype) for f in suffix]
+        values = [np.empty(cap, f.dtype) for f in suffix]
         scaled, shared = orbit * j, orbit * j // (run + 1)  # suffix after a / starting with a
-        orbit = np.empty(rows, orbit.dtype)
+        orbit = np.empty(cap, orbit.dtype)
         led, run = run + 1, np.ones(rows if j < n else 0, np.uint8)
-        src = dst = 0  # the suffix of the (j-1)-tuples starting at a or later
+        end, src, dst = suffix[0].size, 0, 0  # src: the suffix starting at a or later
         for a in range(m):
-            size = suffix[0].size - src
-            head = math.comb(m - a + j - 3, j - 2)  # of them starting with a
-            for out, f, (v, _) in zip(values, suffix, folds):
-                np.add(f[src:], v[a], out=out[dst:dst + size])
-            orbit[dst:dst + head] = shared[src:src + head]
-            orbit[dst + head:dst + size] = scaled[src + head:]
-            if run.size:
-                run[dst:dst + head] = led[src:src + head]
-            src, dst = src + head, dst + size
-    return values, orbit
+            lo, split = src, src + math.comb(m - a + j - 3, j - 2)  # [src, split) start with a
+            while lo < end:  # one piece [lo, hi) of the suffix per block the run reaches
+                hi = min(end, lo + cap - dst)
+                mid = min(max(split, lo), hi)
+                cut, stop = dst + mid - lo, dst + hi - lo
+                for out, f, (v, _) in zip(values, suffix, folds):
+                    np.add(f[lo:hi], v[a], out=out[dst:stop])
+                orbit[dst:cut] = shared[lo:mid]
+                orbit[cut:stop] = scaled[mid:hi]
+                if run.size:
+                    run[dst:cut] = led[lo:mid]
+                lo, dst = hi, stop
+                if dst == cap and j == n:
+                    yield values, orbit
+                    dst = 0
+            src = split
+    if dst:
+        yield [v[:dst] for v in values], orbit[:dst]
 
 
 def _orbit_sizes(cols) -> np.ndarray:

@@ -5,16 +5,21 @@ with sum_i gamma(t_i) = sum_i gamma(s_i).  For the moment curve this is
 sum_v m(v)^2 over the level sets m(v) = #{t : sum_i gamma(t_i) = v}.  The
 power-sum vector is symmetric, so the join enumerates only the C(N+n-1, n)
 nondecreasing tuples, each standing for its orbit of n!/prod(mult!)
-orderings.  The first n power sums fix a multiset (Girard-Newton), so each
-key v holds one sorted tuple and m(v) is its orbit size: the join checks
-that the keys are distinct and sums orbit^2.  The keys and orbit sizes
-come from `syzygy._sorted_folds`, which builds each level of sorted tuples
-from suffix copies of the level below (the tuples starting with a read
-v(a) + key(suffix)), so no positions are held: the join keeps an int64
-key and a one-byte orbit size (n <= 5) per sorted tuple and sorts the keys
-in place, about 10 bytes per tuple.  The budget counts those tuples, and
-keys past 64 bits are refused.  The brute-force path compares all pairs of
-tuples and is the oracle the fast paths are checked against.
+orderings.  If no two sorted tuples share a key v, m(v) is its tuple's
+orbit size, and J(N) is the sum of orbit^2: the join checks that, and the
+first n power sums fixing a multiset (Girard-Newton) says it holds.  By
+translation the check needs only the tuples with t_1 = 1 (see
+`_moment_join`).  The keys and orbit sizes come from
+`syzygy._sorted_fold_blocks`, which builds each level of sorted tuples from
+suffix copies of the level below (the tuples starting with a read
+v(a) + key(suffix)) and streams the last level in blocks, so the join
+holds the level below the last, the sorted keys of the tuples starting
+with 1, a bitmap of their low bits and one block: at n = 2, N = 5000 that
+is 0.15 traced bytes per sorted tuple, and 0.72 at n = 3, N = 563.  The
+budget counts the sorted tuples, the bytes are checked against
+`budget.MEMORY_BUDGET`, and keys past 64 bits are refused.  The
+brute-force path compares all pairs of tuples and is the oracle the fast
+paths are checked against.
 """
 from __future__ import annotations
 
@@ -27,9 +32,10 @@ from itertools import product
 
 import numpy as np
 
-from .budget import DEFAULT_COUNT_BUDGET, BudgetExceededError, check_budget, check_sorted_tuples
+from .budget import (DEFAULT_COUNT_BUDGET, BudgetExceededError, check_budget, check_bytes,
+                     check_sorted_tuples)
 from .curves import Curve
-from .syzygy import _run_starts, _sorted_folds
+from .syzygy import _run_starts, _sorted_fold_blocks
 
 
 class CountMethod(Enum):
@@ -76,27 +82,63 @@ def permutation_count(n: int, N: int) -> int:
     return t[n]
 
 
+_JOIN_BLOCK = 2 ** 16  # rows of sorted tuples per block of the join
+_JOIN_MARKS = 64  # bitmap entries per head key: 1-2% of later keys are marked
+_JOIN_ROW_BYTES = 32  # per head row and per point of [1, N]; 18-25 traced at large N
+_JOIN_BLOCK_BYTES = 24  # per block row; 18.3 traced
+
+
 def _moment_join(n: int, N: int, budget: int) -> int:
     """J(N) for the moment curve from the sorted n-tuples over [1, N].
 
     Packing: the k-th component sum is below R_k = n*N^k + 1, so the digits
     sum without carrying, and a tuple's key, below prefix[n] = R_1 ... R_n,
     sums phi(t) = sum_k t^k * prefix[k-1] over its points: one radix-1
-    fold of `_sorted_folds`, which also gives the orbit sizes.
+    fold of `_sorted_fold_blocks`, which also gives the orbit sizes.
 
-    No two sorted tuples share a key (Girard-Newton), so J(N) = sum orbit^2 (in
-    int64, with no copy of orbit), which is `permutation_count`: the join's whole
-    independent content is that its keys, sorted in place, are distinct.
+    If no two sorted tuples share a key, J(N) = sum orbit^2 (summed per
+    block in int64, with no copy of orbit), which is `permutation_count`
+    (Girard-Newton).  The join checks that, without assuming it, by
+    translation: p_k(t - c) = sum_j C(k, j) (-c)^(k-j) p_j(t), so shifting
+    two sorted tuples with one key down by c = min(t_1, t'_1) - 1 gives two
+    sorted tuples over [1, N], with one key and the same packing, one of
+    which starts with 1.  So the keys are distinct iff the head keys (the
+    first C(N+n-2, n-1) rows, those with t_1 = 1) are, and no later key is
+    a head key.  The head is sorted and checked by runs; each later block
+    looks its keys' low bits up in a bitmap of the head's and confirms the
+    few marked ones by `searchsorted` into the head.  Only the head, the
+    rows of level n-1, the bitmap and one block are held.
     """
     prefix = [math.prod(n * N ** j + 1 for j in range(1, k + 1)) for k in range(n + 1)]
     check_sorted_tuples(N, n, prefix[n], budget, f"[1,{N}]")
+    rows = math.comb(N + n - 2, n - 1)
+    mask = (1 << (_JOIN_MARKS * rows - 1).bit_length()) - 1
+    check_bytes(_JOIN_ROW_BYTES * (rows + N) + mask + 1 + _JOIN_BLOCK_BYTES * _JOIN_BLOCK,
+                f"the moment-curve join over [1,{N}]")
     t = np.arange(1, N + 1, dtype=np.int64)
     phi = sum(prefix[k - 1] * t ** k for k in range(1, n + 1))
-    (keys,), orbit = _sorted_folds([(phi, 1)], n)
-    keys.sort()
-    if not _run_starts(keys).all():
-        raise RuntimeError("two sorted tuples share a power-sum key: Girard-Newton fails")
-    return int(np.einsum("i,i->", orbit, orbit, dtype=np.int64, casting="unsafe"))
+    head = np.empty(rows, np.int64)
+    filled = total = 0
+    for (keys,), orbit in _sorted_fold_blocks([(phi, 1)], n, _JOIN_BLOCK):
+        total += int(np.einsum("i,i->", orbit, orbit, dtype=np.int64, casting="unsafe"))
+        if filled < rows:  # the head comes first
+            take = min(rows - filled, keys.size)
+            head[filled:filled + take] = keys[:take]
+            keys, filled = keys[take:], filled + take
+            if filled < rows:
+                continue
+            head.sort()
+            if not _run_starts(head).all():
+                raise RuntimeError("two sorted tuples starting with 1 share a power-sum key: "
+                                   "Girard-Newton fails")
+            mark = np.zeros(mask + 1, bool)
+            mark[head & mask] = True
+        marked = keys[mark[keys & mask]]
+        at = np.minimum(np.searchsorted(head, marked), rows - 1)
+        if (head[at] == marked).any():
+            raise RuntimeError("a sorted tuple shares a power-sum key with one starting with 1: "
+                               "Girard-Newton fails")
+    return total
 
 
 def _brute_force_count(curve: Curve, n: int, N: int, budget: int) -> int:

@@ -128,6 +128,23 @@ def test_sorted_folds_match_combinations(m, n):
     assert orbit.tolist() == [len(set(itertools.permutations(r))) for r in rows]
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (5, 1), (1, 3), (5, 2), (4, 3), (3, 5), (6, 4)])
+def test_sorted_fold_blocks_cut_the_rows_in_order(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    folds = [(rng.integers(-50, 50, m), 1), (np.arange(m, dtype=np.int32), m)]
+    whole, orbit = _sorted_folds(folds, n)
+    for block in (1, 2, 3, 7, orbit.size, orbit.size + 1):
+        # a block's arrays are overwritten by the next, so each is copied
+        blocks = [([f.copy() for f in fs], o.copy())
+                  for fs, o in syzygy._sorted_fold_blocks(folds, n, block)]
+        assert all(1 <= o.size <= block for _, o in blocks)
+        assert all(o.size == block for _, o in blocks[:-1])
+        assert np.array_equal(np.concatenate([o for _, o in blocks]), orbit)
+        for i, f in enumerate(whole):
+            joined = np.concatenate([fs[i] for fs, _ in blocks])
+            assert joined.dtype == f.dtype and np.array_equal(joined, f)
+
+
 BRUTE_CONFIGS = [(p, n, s) for p in (2, 3, 5) for n in (2, 3) for s in (1, 2)
                  if p ** (n * s * n) <= 2 * 10 ** 5]
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from momentsq import (BudgetExceededError, CountMethod, Curve,
                       asymptotic_report, count_solutions, diagonal_count,
                       permutation_count)
-from momentsq import vinogradov
+from momentsq import budget, vinogradov
 from momentsq.budget import DEFAULT_COUNT_BUDGET
 
 
@@ -30,18 +30,34 @@ def test_examples_against_oracle():
         assert count_solutions(curve, n, N, CountMethod.HASH_JOIN).count == expected
 
 
+def _hand_out(*blocks):
+    """A stand-in for `_sorted_fold_blocks` that yields the given key blocks."""
+    def fold_blocks(folds, n, block):
+        for keys in blocks:
+            keys = np.array(keys, dtype=np.int64)
+            yield [keys], np.ones(keys.size, dtype=np.uint8)
+    return fold_blocks
+
+
 def test_join_raises_on_a_shared_key(monkeypatch):
-    # Girard-Newton keeps the moment curve's keys distinct, so hand one out twice
-    def repeat_a_key(folds, n):
-        keys = np.array([5, 3, 5, 9], dtype=np.int64)
-        return [keys], np.array([1, 2, 3, 6], dtype=np.uint8)
-    monkeypatch.setattr(vinogradov, "_sorted_folds", repeat_a_key)
-    with pytest.raises(RuntimeError, match="share a power-sum key"):
+    # Girard-Newton keeps the moment curve's keys distinct, so hand out a repeat.
+    # (2, 4) has 4 head rows (t_1 = 1) among its 10 sorted tuples.
+    monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", _hand_out([5, 3, 8], [5, 9, 11]))
+    with pytest.raises(RuntimeError, match="starting with 1 share a power-sum key"):
         count_solutions(Curve.moment(2), 2, 4, CountMethod.HASH_JOIN)
+    # a later row equal to a head key, in the block the head ends in and after it
+    for blocks in ([[5, 3, 8], [9, 11, 3]], [[5, 3, 8], [9, 11, 12], [13, 14, 9]]):
+        monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", _hand_out(*blocks))
+        with pytest.raises(RuntimeError, match="shares a power-sum key with one starting with 1"):
+            count_solutions(Curve.moment(2), 2, 4, CountMethod.HASH_JOIN)
+    # distinct keys pass: sum orbit^2 over the ten rows
+    blocks = _hand_out([5, 3, 8], [9, 11, 12], [13, 14, 10], [4])
+    monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", blocks)
+    assert vinogradov._moment_join(2, 4, DEFAULT_COUNT_BUDGET) == 10
 
 
 def test_join_bytes_per_sorted_tuple():
-    # the join's traced peak stays at or below 20 bytes per sorted tuple
+    # the streamed join's traced peak stays at or below 2 bytes per sorted tuple
     for n, N in [(2, 5000), (3, 563)]:
         tracemalloc.start()
         try:
@@ -50,7 +66,37 @@ def test_join_bytes_per_sorted_tuple():
         finally:
             tracemalloc.stop()
         assert count == permutation_count(n, N)
-        assert peak <= 20 * math.comb(N + n - 1, n), (n, N, peak)
+        assert peak <= 2 * math.comb(N + n - 1, n), (n, N, peak)
+
+
+def test_join_byte_charge_covers_its_peak(monkeypatch):
+    # refused with the memory budget one byte under the traced peak, admitted at twice it
+    peaks = {}
+    for n, N in [(2, 2000), (3, 300), (4, 42)]:
+        tracemalloc.start()
+        try:
+            vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET)
+            peaks[n, N] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    for (n, N), peak in peaks.items():
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", peak - 1)
+        with pytest.raises(BudgetExceededError, match="bytes"):
+            vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * peak)
+        assert vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET) == permutation_count(n, N)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_join_blocks_split_anywhere(monkeypatch, block):
+    # blocks smaller than the head, than a run of one first entry, or than both
+    monkeypatch.setattr(vinogradov, "_JOIN_BLOCK", block)
+    for n in range(2, 6):
+        for N in range(1, 13):
+            prefix = math.prod(n * N ** k + 1 for k in range(1, n + 1))
+            if prefix >= 2 ** 62:  # refused by the overflow guard
+                continue
+            assert vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET) == permutation_count(n, N)
 
 
 def test_closed_forms_small_n():
@@ -140,13 +186,18 @@ def test_join_refuses_overflowing_keys():
 
 
 def test_join_guard_runs_before_enumerating(monkeypatch):
-    def enumerate_nothing(folds, n):
+    def enumerate_nothing(folds, n, block):
         raise AssertionError("enumerated before the guard")
-    monkeypatch.setattr(vinogradov, "_sorted_folds", enumerate_nothing)
+    monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", enumerate_nothing)
+    with pytest.raises(AssertionError, match="enumerated"):  # the seam the join enumerates by
+        count_solutions(Curve.moment(4), 4, 42, CountMethod.HASH_JOIN)
     with pytest.raises(BudgetExceededError, match="enumeration steps"):
         count_solutions(Curve.moment(3), 3, 2000, CountMethod.HASH_JOIN)
     with pytest.raises(BudgetExceededError, match="overflow"):
         count_solutions(Curve.moment(4), 4, 43, CountMethod.HASH_JOIN)
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * 10 ** 6)  # (2, 5000) charges about 2.4 MB
+    with pytest.raises(BudgetExceededError, match="bytes, over the memory budget"):
+        count_solutions(Curve.moment(2), 2, 5000, CountMethod.HASH_JOIN)
 
 
 def test_asymptotic_report():
