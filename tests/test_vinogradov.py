@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from momentsq import (BudgetExceededError, CountMethod, Curve,
                       asymptotic_report, count_solutions, diagonal_count,
                       permutation_count)
-from momentsq import budget, vinogradov
+from momentsq import budget, syzygy, vinogradov
 from momentsq.budget import DEFAULT_COUNT_BUDGET
 
 
@@ -50,10 +50,22 @@ def test_join_raises_on_a_shared_key(monkeypatch):
         monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", _hand_out(*blocks))
         with pytest.raises(RuntimeError, match="shares a power-sum key with one starting with 1"):
             count_solutions(Curve.moment(2), 2, 4, CountMethod.HASH_JOIN)
-    # distinct keys pass: sum orbit^2 over the ten rows
+    # distinct keys pass, and J comes from the level below, not from the blocks
     blocks = _hand_out([5, 3, 8], [9, 11, 12], [13, 14, 10], [4])
     monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", blocks)
-    assert vinogradov._moment_join(2, 4, DEFAULT_COUNT_BUDGET) == 10
+    assert vinogradov._moment_join(2, 4, DEFAULT_COUNT_BUDGET) == permutation_count(2, 4) == 28
+
+
+def test_level_below_sum_is_sum_orbit_squared():
+    # against sum orbit^2 over the level-n columns themselves, and the closed form
+    # (5, 10): orbit squares pass uint8; (6, 4): they pass uint16
+    cases = [(n, N) for n in range(2, 7) for N in range(1, 13)
+             if math.prod(n * N ** k + 1 for k in range(1, n + 1)) < 2 ** 62]
+    for n, N in cases + [(5, 10), (6, 4)]:
+        (code,), _ = syzygy._sorted_folds([(np.arange(N, dtype=np.int64), N)], n)
+        orbit = syzygy._orbit_sizes(np.unravel_index(code, (N,) * n, order="F"))
+        expected = int(orbit @ orbit)
+        assert vinogradov._orbit_square_sum(n, N) == expected == permutation_count(n, N), (n, N)
 
 
 def test_join_bytes_per_sorted_tuple():
@@ -215,3 +227,46 @@ def test_asymptotic_report_falls_back_to_formula():
     rows = asymptotic_report(3, [2000], budget=10 ** 6)
     assert rows[0].method is CountMethod.PERMUTATION_FORMULA
     assert rows[0].count == permutation_count(3, 2000)
+
+
+def test_asymptotic_report_joins_once(monkeypatch):
+    entered = []
+
+    def counted(folds, n, block):
+        entered.append((n, block))
+        return syzygy._sorted_fold_blocks(folds, n, block)
+    monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", counted)
+    rows = asymptotic_report(3, (10, 50, 30))
+    assert len(entered) == 1
+    assert [(r.N, r.count, r.method) for r in rows] == [
+        (N, permutation_count(3, N), CountMethod.HASH_JOIN) for N in (10, 50, 30)]
+
+
+def test_asymptotic_report_raises_on_a_shared_key_at_the_largest_N(monkeypatch):
+    # (2, 4) is the largest N and hands out a repeat: no row is labelled hash_join
+    monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", _hand_out([5, 3, 8], [9, 11, 3]))
+    with pytest.raises(RuntimeError, match="Girard-Newton fails"):
+        asymptotic_report(2, [3, 4, 2])
+
+
+def test_asymptotic_report_matches_count_solutions_per_N():
+    # unsorted, with a repeat and an N the budget refuses
+    budget_ = 10 ** 6
+    N_list = [300, 10, 2000, 10, 100]
+    rows = asymptotic_report(3, N_list, budget=budget_)
+    expected = []
+    for N in N_list:
+        try:
+            res = count_solutions(Curve.moment(3), 3, N, CountMethod.HASH_JOIN, budget=budget_)
+        except BudgetExceededError:
+            res = count_solutions(Curve.moment(3), 3, N, CountMethod.PERMUTATION_FORMULA)
+        expected.append((N, res.count, res.method))
+    assert [(r.N, r.count, r.method) for r in rows] == expected
+    assert [r.method for r in rows].count(CountMethod.HASH_JOIN) == 3
+
+
+def test_asymptotic_report_edges():
+    for N_list in ([10, 0], [-1], [5, 10, -3]):
+        with pytest.raises(ValueError, match="N >= 1"):
+            asymptotic_report(2, N_list)
+    assert asymptotic_report(2, []) == []
