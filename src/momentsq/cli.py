@@ -8,7 +8,8 @@ ratio is exact by counting; its JSON keeps grid_step = 1/4 as a fixed
 field, the step of the midpoint quadrature that it replaced.
 
 Exit codes: 0 success, 1 usage/input error (argparse's own errors
-included), 2 enumeration budget exceeded, 3 invariant failure (verify).
+included), 2 enumeration budget exceeded, 3 invariant failure (a failed
+verify check, or an engine's own check raising: one stderr line).
 A flag a command would ignore is a usage error.
 
 --config FILE reads key = value lines, each standing for the flag of that
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -194,7 +196,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
-    import math
     results = [{"N": N, "ratio": round(comb_ratio(args.n, N), 12)}
                for N in _n_values(args, 40)]
     doc = {
@@ -364,9 +365,12 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except BudgetExceededError as exc:
+    except BudgetExceededError as exc:  # a RuntimeError: caught first
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

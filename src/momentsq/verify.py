@@ -6,13 +6,14 @@ byte-identical reports regardless of thread count.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import bounds, extension, symmetric, syzygy, vinogradov
+from . import bounds, extension, polys, symmetric, syzygy, vinogradov
 from .curves import Curve
 from .local_field import (REAL, abs_value, cell_representatives, cell_tuple,
                           character, padic, padic_scale, partition, real_scale)
@@ -241,9 +242,6 @@ def _check_theorem1(seed: int, trials: int) -> list[CheckResult]:
 
 
 def _check_bounds(seed: int) -> list[CheckResult]:
-    import math
-
-    from . import polys
     out = []
     ok = all(bounds.theorem1_constant(padic(5), n) ** (2 * n) - n ** n < 1e-6 * n ** n
              for n in range(2, 9))

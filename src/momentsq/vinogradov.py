@@ -6,23 +6,22 @@ sum_v m(v)^2 over the level sets m(v) = #{t : sum_i gamma(t_i) = v}.  The
 power-sum vector is symmetric, so the join enumerates only the C(N+n-1, n)
 nondecreasing tuples, each standing for its orbit of n!/prod(mult!)
 orderings.  If no two sorted tuples share a key v, m(v) is its tuple's
-orbit size, and J(N) is the sum of orbit^2: the join checks that, and the
-first n power sums fixing a multiset (Girard-Newton) says it holds.  By
-translation the check needs only the tuples with t_1 = 1 (see
+orbit size, and J(N) is the sum of orbit^2 over the sorted tuples, which
+counts the pairs of reorderings: `permutation_count`.  The first n power
+sums fix a multiset (Girard-Newton), so no two do; the join only checks
+that, and by translation the check needs only the tuples with t_1 = 1 (see
 `_moment_join`).  The keys come from `syzygy._sorted_fold_blocks`, which
 builds each level of sorted tuples from suffix copies of the level below
 (the tuples starting with a read v(a) + key(suffix)) and streams the last
 level in blocks, so the join holds the level below the last, the sorted
 keys of the tuples starting with 1, a bitmap of their low bits and one
 block: at n = 2, N = 5000 that is 0.15 traced bytes per sorted tuple, and
-0.72 at n = 3, N = 563.  The sum of orbit^2 needs only the level below:
-the n-tuples are (a, s) with a <= s_1, and the orbit of (a, s) is a fixed
-multiple of the orbit of s (`_orbit_square_sum`).  A report over many N
-joins once, at the largest N the guards admit: vectors distinct over
-[1, N] stay distinct over any smaller range.  The budget counts the
-sorted tuples, the bytes are checked against `budget.MEMORY_BUDGET`, and
-keys past 64 bits are refused.  The brute-force path compares all pairs
-of tuples and is the oracle the fast paths are checked against.
+0.70 at n = 3, N = 563.  A report over many N joins once, at the largest
+N the guards admit: vectors distinct over [1, N] stay distinct over any
+smaller range.  The budget counts the sorted tuples, the bytes are
+checked against `budget.MEMORY_BUDGET`, and keys past 64 bits are
+refused.  The brute-force path compares all pairs of tuples and is the
+oracle the fast paths are checked against.
 """
 from __future__ import annotations
 
@@ -62,8 +61,8 @@ class CountResult:
 
 def diagonal_count(n: int, N: int) -> int:
     """The diagonal contribution N^n (t a reordering of itself, s = t)."""
-    if N < 1:
-        raise ValueError("N >= 1")
+    if n < 0 or N < 1:
+        raise ValueError("n >= 0 and N >= 1")
     return N ** n
 
 
@@ -76,8 +75,8 @@ def permutation_count(n: int, N: int) -> int:
     k!^2, reads T_k = (1/k) sum_{j=1..k} ((N+1)j - k) C(k, j)^2 T_{k-j},
     with T_0 = 1.
     """
-    if N < 1:
-        raise ValueError("N >= 1")
+    if n < 0 or N < 1:
+        raise ValueError("n >= 0 and N >= 1")
     t = [1]
     for k in range(1, n + 1):
         t.append(sum(((N + 1) * j - k) * math.comb(k, j) ** 2 * t[k - j]
@@ -92,7 +91,8 @@ _JOIN_BLOCK_BYTES = 24  # per block row; 18.3 traced
 
 
 def _moment_join(n: int, N: int, budget: int) -> int:
-    """J(N) for the moment curve from the sorted n-tuples over [1, N].
+    """J(N) for the moment curve: `permutation_count`, once the sorted
+    n-tuples over [1, N] are checked to have distinct keys.
 
     Packing: the k-th component sum is below R_k = n*N^k + 1, so the digits
     sum without carrying, and a tuple's key, below prefix[n] = R_1 ... R_n,
@@ -105,14 +105,14 @@ def _moment_join(n: int, N: int, budget: int) -> int:
     p_j(t), so shifting two sorted tuples with one key down by
     c = min(t_1, t'_1) - 1 gives two sorted tuples over [1, N], with one
     key and the same packing, one of which starts with 1.  So the keys are
-    distinct iff the head keys (the first C(N+n-2, n-1) rows, those with
-    t_1 = 1) are, and no later key is a head key.  The head is sorted and
-    checked by runs; each later block looks its keys' low bits up in a
-    bitmap of the head's and confirms the few marked ones by `searchsorted`
-    into the head.  Only the head, the rows of level n-1, the bitmap and one
-    block are held.  Level n's orbit sizes are not read: once the head and
-    the bitmap are freed, `_orbit_square_sum` takes sum orbit^2 from the
-    level below.
+    distinct iff the head keys (the C(N+n-2, n-1) rows (1, s), phi(1) plus
+    the keys of the sorted (n-1)-tuples s) are, and no later key is a head
+    key.  The head is built from the level below, sorted and checked by
+    runs; the head rows also lead the level-n stream, so they are skipped
+    there by position, and each later block looks its keys' low bits up in
+    a bitmap of the head's and confirms the few marked ones by
+    `searchsorted` into the head.  Only the head, the rows of level n-1,
+    the bitmap and one block are held.
     """
     prefix = [math.prod(n * N ** j + 1 for j in range(1, k + 1)) for k in range(n + 1)]
     check_sorted_tuples(N, n, prefix[n], budget, f"[1,{N}]")
@@ -120,49 +120,24 @@ def _moment_join(n: int, N: int, budget: int) -> int:
     mask = (1 << (_JOIN_MARKS * rows - 1).bit_length()) - 1
     check_bytes(_JOIN_ROW_BYTES * (rows + N) + mask + 1 + _JOIN_BLOCK_BYTES * _JOIN_BLOCK,
                 f"the moment-curve join over [1,{N}]")
-    t = np.arange(1, N + 1, dtype=np.int64)
-    phi = sum(prefix[k - 1] * t ** k for k in range(1, n + 1))
-    head = np.empty(rows, np.int64)
-    filled = 0
+    phi = sum(prefix[k - 1] * np.arange(1, N + 1, dtype=np.int64) ** k for k in range(1, n + 1))
+    head = _sorted_folds([(phi, 1)], n - 1)[0][0]  # a fresh array: its orbits are dropped
+    head += phi[0]
+    head.sort()
+    if not _run_starts(head).all():
+        raise RuntimeError("two sorted tuples starting with 1 share a power-sum key: "
+                           "Girard-Newton fails")
+    mark = np.zeros(mask + 1, bool)
+    mark[head & mask] = True
+    skip = rows  # the stream hands out the head rows first
     for (keys,), _ in _sorted_fold_blocks([(phi, 1)], n, _JOIN_BLOCK):
-        if filled < rows:  # the head comes first
-            take = min(rows - filled, keys.size)
-            head[filled:filled + take] = keys[:take]
-            keys, filled = keys[take:], filled + take
-            if filled < rows:
-                continue
-            head.sort()
-            if not _run_starts(head).all():
-                raise RuntimeError("two sorted tuples starting with 1 share a power-sum key: "
-                                   "Girard-Newton fails")
-            mark = np.zeros(mask + 1, bool)
-            mark[head & mask] = True
+        keys, skip = keys[skip:], max(skip - keys.size, 0)
         marked = keys[mark[keys & mask]]
         at = np.minimum(np.searchsorted(head, marked), rows - 1)
         if (head[at] == marked).any():
             raise RuntimeError("a sorted tuple shares a power-sum key with one starting with 1: "
                                "Girard-Newton fails")
-    del head, mark  # freed before the level-below sum
-    return _orbit_square_sum(n, N)
-
-
-def _orbit_square_sum(n: int, N: int) -> int:
-    """sum orbit^2 over the sorted n-tuples of [1, N], from the
-    C(N+n-2, n-1) sorted (n-1)-tuples below them; `permutation_count`.
-
-    The sorted n-tuples are the (a, s) with s a sorted (n-1)-tuple and
-    a <= s_1.  With o the orbit size of s and l the multiplicity of s_1 in
-    s, (a, s) has orbit n*o for a < s_1 and n*o/(l+1) for a = s_1 (the
-    kernel's `scaled` and `shared`), so the sum is
-    sum_s (n*o/(l+1))^2 + (s_1 - 1) (n*o)^2.  It is taken in int64: it is
-    at most n! N^n, below the key bound prefix[n] < 2^62 of any N the
-    join admits.
-    """
-    (code,), orbit = _sorted_folds([(np.arange(N, dtype=np.int64), N)], n - 1)
-    cols = np.unravel_index(code, (N,) * (n - 1), order="F")  # cols[0] = s_1 - 1
-    scaled = orbit.astype(np.int64) * n
-    shared = scaled // (sum(c == cols[0] for c in cols) + 1)
-    return int(shared @ shared + cols[0] @ (scaled * scaled))
+    return permutation_count(n, N)
 
 
 def _brute_force_count(curve: Curve, n: int, N: int, budget: int) -> int:
@@ -208,36 +183,33 @@ class AsymptoticRow:
 def asymptotic_report(n: int, N_list, budget: int = DEFAULT_COUNT_BUDGET) -> list[AsymptoticRow]:
     """Tabulate J(N) against its leading term n! N^n over a list of N.
 
-    The join runs once, at the largest N it admits.  The power-sum vectors
-    over [1, N] are among those over any larger range, and every N packs
-    them without carries, so keys checked distinct there are distinct at
-    every smaller N, whose J(N) is then the level-below sum
-    `_orbit_square_sum`.  The join's guards grow with N, so the N they
-    refuse are those above it, and those take `permutation_count`.
+    Every J(N) is `permutation_count`; the join runs once, at the largest N
+    it admits, to check that.  The power-sum vectors over [1, N] are among
+    those over any larger range, and every N packs them without carries,
+    so keys checked distinct there are distinct at every smaller N: those
+    rows are labelled `HASH_JOIN`.  The join's guards grow with N, so the
+    N they refuse are those above it, labelled `PERMUTATION_FORMULA`.
     """
     N_list = list(N_list)
     if any(N < 1 for N in N_list):
         raise ValueError("N >= 1")
     curve = Curve.moment(n)
-    counts = {}
-    joined = False
+    joined = 0  # the largest N the join admits
     for N in sorted(set(N_list), reverse=True):
-        if joined:  # keys checked distinct at a larger N
-            counts[N] = _orbit_square_sum(n, N), CountMethod.HASH_JOIN
-            continue
         try:
-            res = count_solutions(curve, n, N, CountMethod.HASH_JOIN, budget=budget)
-            joined = True
+            count_solutions(curve, n, N, CountMethod.HASH_JOIN, budget=budget)
         except BudgetExceededError:
-            res = count_solutions(curve, n, N, CountMethod.PERMUTATION_FORMULA)
-        counts[N] = res.count, res.method
+            continue
+        joined = N
+        break
     rows = []
     for N in N_list:
-        count, method = counts[N]
+        count = permutation_count(n, N)
         leading = math.factorial(n) * N ** n
         residual = leading - count
         rows.append(AsymptoticRow(
             N=N, count=count, leading=leading, residual=residual,
-            residual_ratio=Fraction(residual, N ** (n - 1)), method=method,
+            residual_ratio=Fraction(residual, N ** (n - 1)),
+            method=CountMethod.HASH_JOIN if N <= joined else CountMethod.PERMUTATION_FORMULA,
         ))
     return rows

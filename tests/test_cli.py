@@ -4,7 +4,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from momentsq import cli, vinogradov
 
 CLI = [sys.executable, "-m", "momentsq.cli"]
 BASELINE_DIR = pathlib.Path(__file__).parent.parent / "docs" / "baselines"
@@ -218,6 +221,18 @@ def test_vino_overflowing_keys_exit_2():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and not proc.stdout
     assert "overflow" in proc.stderr
+
+
+def test_engine_invariant_failure_exits_3(monkeypatch, capsys):
+    # a repeated head key makes the join raise: one stderr line, no traceback
+    def repeated_keys(folds, n):
+        return [np.array([0, 0, 1, 2], dtype=np.int64)], np.ones(4, dtype=np.uint8)
+    monkeypatch.setattr(vinogradov, "_sorted_folds", repeated_keys)
+    assert cli.main(["vino", "--n", "2", "--N", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("invariant failure: ") and "Girard-Newton fails" in err
+    assert err.count("\n") == 1
 
 
 def test_ratio_n8_approaches_limit():

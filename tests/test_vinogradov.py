@@ -30,42 +30,60 @@ def test_examples_against_oracle():
         assert count_solutions(curve, n, N, CountMethod.HASH_JOIN).count == expected
 
 
-def _hand_out(*blocks):
-    """A stand-in for `_sorted_fold_blocks` that yields the given key blocks."""
+def _hand_out(monkeypatch, head, *blocks):
+    """Stand-ins for the join's two seams: `_sorted_folds` gives the head keys
+    (less phi(1), which the join adds back), `_sorted_fold_blocks` the key
+    blocks of level n, whose first head-many rows the join skips."""
+    def folds_below(folds, n):
+        keys = np.array(head, dtype=np.int64) - folds[0][0][0]
+        return [keys], np.ones(keys.size, dtype=np.uint8)
+
     def fold_blocks(folds, n, block):
         for keys in blocks:
             keys = np.array(keys, dtype=np.int64)
             yield [keys], np.ones(keys.size, dtype=np.uint8)
-    return fold_blocks
+    monkeypatch.setattr(vinogradov, "_sorted_folds", folds_below)
+    monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", fold_blocks)
 
 
 def test_join_raises_on_a_shared_key(monkeypatch):
     # Girard-Newton keeps the moment curve's keys distinct, so hand out a repeat.
     # (2, 4) has 4 head rows (t_1 = 1) among its 10 sorted tuples.
-    monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", _hand_out([5, 3, 8], [5, 9, 11]))
+    _hand_out(monkeypatch, [5, 3, 8, 5], [5, 3, 8], [5, 9, 11])
     with pytest.raises(RuntimeError, match="starting with 1 share a power-sum key"):
         count_solutions(Curve.moment(2), 2, 4, CountMethod.HASH_JOIN)
-    # a later row equal to a head key, in the block the head ends in and after it
-    for blocks in ([[5, 3, 8], [9, 11, 3]], [[5, 3, 8], [9, 11, 12], [13, 14, 9]]):
-        monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", _hand_out(*blocks))
+    # a later row equal to a head key: the first row past the head, and in a later block
+    for blocks in ([[5, 3, 8], [9, 3, 11]], [[5, 3, 8], [9, 11, 12], [13, 14, 9]]):
+        _hand_out(monkeypatch, [5, 3, 8, 9], *blocks)
         with pytest.raises(RuntimeError, match="shares a power-sum key with one starting with 1"):
             count_solutions(Curve.moment(2), 2, 4, CountMethod.HASH_JOIN)
-    # distinct keys pass, and J comes from the level below, not from the blocks
-    blocks = _hand_out([5, 3, 8], [9, 11, 12], [13, 14, 10], [4])
-    monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", blocks)
+    # distinct keys pass, and J is the permutation count
+    _hand_out(monkeypatch, [5, 3, 8, 9], [5, 3, 8], [9, 11, 12], [13, 14, 10], [4])
     assert vinogradov._moment_join(2, 4, DEFAULT_COUNT_BUDGET) == permutation_count(2, 4) == 28
 
 
+def _admitted(n_values, N_values):
+    """The (n, N) whose packed keys the join's overflow guard admits."""
+    return [(n, N) for n in n_values for N in N_values
+            if math.prod(n * N ** k + 1 for k in range(1, n + 1)) < 2 ** 62]
+
+
 def test_level_below_sum_is_sum_orbit_squared():
-    # against sum orbit^2 over the level-n columns themselves, and the closed form
+    # sum orbit^2 over the level-n columns themselves is the closed form
     # (5, 10): orbit squares pass uint8; (6, 4): they pass uint16
-    cases = [(n, N) for n in range(2, 7) for N in range(1, 13)
-             if math.prod(n * N ** k + 1 for k in range(1, n + 1)) < 2 ** 62]
-    for n, N in cases + [(5, 10), (6, 4)]:
+    for n, N in _admitted(range(2, 7), range(1, 13)) + [(5, 10), (6, 4)]:
         (code,), _ = syzygy._sorted_folds([(np.arange(N, dtype=np.int64), N)], n)
         orbit = syzygy._orbit_sizes(np.unravel_index(code, (N,) * n, order="F"))
-        expected = int(orbit @ orbit)
-        assert vinogradov._orbit_square_sum(n, N) == expected == permutation_count(n, N), (n, N)
+        assert int(orbit @ orbit) == permutation_count(n, N), (n, N)
+
+
+def test_head_from_the_level_below_leads_the_stream():
+    # the join skips the head rows of the stream by position: they must come first
+    for n, N in _admitted(range(2, 6), range(1, 13)):
+        phi = np.arange(1, N + 1, dtype=np.int64) * (N + 1) + 7  # any fold
+        (below,), _ = syzygy._sorted_folds([(phi, 1)], n - 1)
+        (level,), _ = syzygy._sorted_folds([(phi, 1)], n)
+        assert np.array_equal(below + phi[0], level[:math.comb(N + n - 2, n - 1)]), (n, N)
 
 
 def test_join_bytes_per_sorted_tuple():
@@ -103,12 +121,8 @@ def test_join_byte_charge_covers_its_peak(monkeypatch):
 def test_join_blocks_split_anywhere(monkeypatch, block):
     # blocks smaller than the head, than a run of one first entry, or than both
     monkeypatch.setattr(vinogradov, "_JOIN_BLOCK", block)
-    for n in range(2, 6):
-        for N in range(1, 13):
-            prefix = math.prod(n * N ** k + 1 for k in range(1, n + 1))
-            if prefix >= 2 ** 62:  # refused by the overflow guard
-                continue
-            assert vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET) == permutation_count(n, N)
+    for n, N in _admitted(range(2, 6), range(1, 13)):
+        assert vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET) == permutation_count(n, N)
 
 
 def test_closed_forms_small_n():
@@ -134,6 +148,13 @@ def test_diagonal_count():
     assert diagonal_count(2, 10) == 100
     assert diagonal_count(3, 5) == 125
     assert diagonal_count(2, 1) == 1
+
+
+def test_counts_reject_negative_n():
+    for count in (diagonal_count, permutation_count):
+        with pytest.raises(ValueError, match="n >= 0"):
+            count(-1, 5)
+        assert count(0, 5) == 1  # the empty tuple
 
 
 @given(st.integers(2, 3), st.integers(1, 8))
@@ -244,7 +265,7 @@ def test_asymptotic_report_joins_once(monkeypatch):
 
 def test_asymptotic_report_raises_on_a_shared_key_at_the_largest_N(monkeypatch):
     # (2, 4) is the largest N and hands out a repeat: no row is labelled hash_join
-    monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", _hand_out([5, 3, 8], [9, 11, 3]))
+    _hand_out(monkeypatch, [5, 3, 8, 9], [5, 3, 8], [9, 11, 3])
     with pytest.raises(RuntimeError, match="Girard-Newton fails"):
         asymptotic_report(2, [3, 4, 2])
 
