@@ -59,14 +59,6 @@ def _json_int(v: int):
     return v if abs(v) < 2 ** 53 else str(v)
 
 
-def _field_of(args: argparse.Namespace) -> FieldSpec:
-    if args.field == "padic":
-        return padic(5 if args.p is None else args.p)
-    if args.p is not None:
-        raise ValueError("--p applies over Q_p only")
-    return REAL if args.field == "real" else FieldSpec(FieldKind.COMPLEX)
-
-
 def cmd_syzygy(args: argparse.Namespace) -> int:
     if args.field == "padic" and any(
             v is not None for v in (args.epsilon, args.grid_step, args.delta_inv)):
@@ -184,7 +176,14 @@ def _g10(value: float | int) -> str:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    field = _field_of(args)
+    if args.table not in ("theorem1", "bezout") and (args.field or args.p) is not None:
+        raise ValueError(f"--field and --p do not apply to the {args.table} table")
+    if args.field in (None, "padic"):
+        field = padic(5 if args.p is None else args.p)
+    elif args.p is not None:
+        raise ValueError("--p applies over Q_p only")
+    else:
+        field = REAL if args.field == "real" else FieldSpec(FieldKind.COMPLEX)
     rows = bounds_mod.bounds_table(args.table, field, args.n_max)
     lines = ["name,n,field,value,formula"]
     for r in rows:
@@ -214,7 +213,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         doc = {
             "schema": SCHEMA, "command": "verify",
-            "suite": args.suite, "seed": args.seed,
+            "suite": args.suite,
+            "seed": verify_mod.DEFAULT_SEED if args.seed is None else args.seed,
             "results": [{"suite": r.suite, "name": r.name, "passed": r.passed,
                          "detail": r.detail} for r in results],
             "all_passed": all(r.passed for r in results),
@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("bounds", "tabulate the explicit constants")
     sp.add_argument("--table", choices=["theorem1", "bezout", "fewnomial",
                                         "refined", "wronskian"], default="theorem1")
-    sp.add_argument("--field", choices=["padic", "real", "complex"], default="padic")
+    sp.add_argument("--field", choices=["padic", "real", "complex"], default=None,
+                    help="default padic; with --p, for theorem1 and bezout only")
     sp.add_argument("--p", type=int, default=None, help="the prime over Q_p (default 5)")
     sp.add_argument("--n-max", type=int, default=5)
 
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("verify", "run the invariant suite")
     sp.add_argument("--suite", default="all")
-    sp.add_argument("--seed", type=int, default=7)
+    sp.add_argument("--seed", type=int, default=None, help="default 7; rejected where --trials is")
     sp.add_argument("--trials", type=int, default=None,
                     help="random draws per check; a usage error with a single "
                          "suite that draws none (vinogradov, bounds)")

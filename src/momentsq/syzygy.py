@@ -32,9 +32,12 @@ packed code is written and read by numpy's codec, np.ravel_multi_index and
 np.unravel_index, lowest digit first (order="F").  All C(q+n-1, n) sorted
 n-tuples (`_key_rows`), grouped by pair and by key (`_parseval_groups`),
 carry the Parseval sums of the Q_p norms (`_parseval_sums`), which are not
-translation-invariant.
+translation-invariant.  The kernel folds values only: a row's orbit size
+is a function of its columns, `_orbit_sizes` the one orbit rule, and
+`_orderings` the one place a report expands the orderings of multisets.
 The real sampler runs its sorted grid n-tuples against every point tuple
-of the base cells and reports each ordering of every cell multiset hit.
+of the base cells, re-checks one witness per cell multiset hit exactly,
+and reports each ordering of those multisets.
 """
 from __future__ import annotations
 
@@ -94,10 +97,16 @@ def permutation_predicate(base: CellTuple, other: CellTuple) -> bool:
     return sorted(base.indices) == sorted(other.indices)
 
 
+def _orderings(base: CellTuple, multisets) -> list[CellTuple]:
+    """Every distinct ordering of each cell multiset, as tuples over the
+    base's field and scale, sorted by index vector."""
+    seen = sorted({perm for m in multisets for perm in itertools.permutations(m)})
+    return [cell_tuple(base.field, base.scale, idx) for idx in seen]
+
+
 def permutation_orbit(base: CellTuple) -> list[CellTuple]:
     """All distinct reorderings of a tuple, sorted by index vector."""
-    seen = sorted(set(itertools.permutations(base.indices)))
-    return [cell_tuple(base.field, base.scale, idx) for idx in seen]
+    return _orderings(base, [base.indices])
 
 
 def syzygy_set_oracle(base: CellTuple) -> SyzygyReport:
@@ -163,21 +172,20 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _sorted_folds(folds, n: int):
-    """(values, orbit) over every nondecreasing n-tuple t over range(m), in
+    """Values over every nondecreasing n-tuple t over range(m), in
     lexicographic order (that of itertools.combinations_with_replacement):
     C(m+n-1, n) rows, one per orbit of ordered tuples under permutation.
-    For (v, radix) pairs with len(v) = m, values holds, per pair,
-    sum_i v[t_i] * radix^i in v's dtype, and orbit each row's orbit size
-    n!/prod(mult!) in the smallest unsigned dtype that holds n!.
-    The fold (arange(m), m) packs the tuples: np.unravel_index(fold,
-    (m,) * n, order="F") are their columns.  It is the one block of
-    `_sorted_fold_blocks` that holds every row.
+    For (v, radix) pairs with len(v) = m, the list holds, per pair,
+    sum_i v[t_i] * radix^i in v's dtype.  The fold (arange(m), m) packs
+    the tuples: np.unravel_index(fold, (m,) * n, order="F") are their
+    columns, and `_orbit_sizes` of those gives each row's orbit size.  It is
+    the one block of `_sorted_fold_blocks` that holds every row.
     """
     return next(_sorted_fold_blocks(folds, n, math.comb(len(folds[0][0]) + n - 1, n)))
 
 
 def _sorted_fold_blocks(folds, n: int, block: int):
-    """The rows of `_sorted_folds` in order, as (values, orbit) blocks of at
+    """The rows of `_sorted_folds` in order, as lists of value blocks of at
     most `block` rows.  The next block overwrites the arrays of the last:
     a caller that keeps a block copies it.
 
@@ -185,53 +193,41 @@ def _sorted_fold_blocks(folds, n: int, block: int):
     least a form a suffix, so the j-tuples that start with a fold as
     v[a] + radix * fold(suffix): each level is one loop over a of
     contiguous adds into preallocated rows, with no index columns and no
-    gathers.  The orbit size of (a, suffix) is j times the suffix's, over
-    one more than the suffix's leading run where the suffix starts with a.
-    Levels below n are built whole; level n is written run by run of the
-    first entry into the block, which is handed out each time it fills, so
-    only its rows and the C(m+n-2, n-1) rows of level n-1 are held.
+    gathers.  Levels below n are built whole; level n is written run by
+    run of the first entry into the block, which is handed out each time
+    it fills, so only its rows and the C(m+n-2, n-1) rows of level n-1 are
+    held.
     """
     m = len(folds[0][0])
     values = [np.array(v) for v, _ in folds]
-    orbit = np.ones(m, np.min_scalar_type(math.factorial(n)))
     if n == 1:
         for lo in range(0, m, block):
-            yield [v[lo:lo + block] for v in values], orbit[lo:lo + block]
+            yield [v[lo:lo + block] for v in values]
         return
-    run = np.ones(m, np.uint8)  # equal entries leading each row
     for j in range(2, n + 1):
         rows = math.comb(m + j - 1, j)
         cap = rows if j < n else min(rows, block)
         suffix = [f * radix if radix != 1 else f for f, (_, radix) in zip(values, folds)]
         values = [np.empty(cap, f.dtype) for f in suffix]
-        scaled, shared = orbit * j, orbit * j // (run + 1)  # suffix after a / starting with a
-        orbit = np.empty(cap, orbit.dtype)
-        led, run = run + 1, np.ones(rows if j < n else 0, np.uint8)
-        end, src, dst = suffix[0].size, 0, 0  # src: the suffix starting at a or later
+        end, dst = suffix[0].size, 0
         for a in range(m):
-            lo, split = src, src + math.comb(m - a + j - 3, j - 2)  # [src, split) start with a
+            lo = end - math.comb(m - a + j - 2, j - 1)  # the suffix starting at a or later
             while lo < end:  # one piece [lo, hi) of the suffix per block the run reaches
                 hi = min(end, lo + cap - dst)
-                mid = min(max(split, lo), hi)
-                cut, stop = dst + mid - lo, dst + hi - lo
+                stop = dst + hi - lo
                 for out, f, (v, _) in zip(values, suffix, folds):
                     np.add(f[lo:hi], v[a], out=out[dst:stop])
-                orbit[dst:cut] = shared[lo:mid]
-                orbit[cut:stop] = scaled[mid:hi]
-                if run.size:
-                    run[dst:cut] = led[lo:mid]
                 lo, dst = hi, stop
                 if dst == cap and j == n:
-                    yield values, orbit
+                    yield values
                     dst = 0
-            src = split
     if dst:
-        yield [v[:dst] for v in values], orbit[:dst]
+        yield [v[:dst] for v in values]
 
 
 def _orbit_sizes(cols) -> np.ndarray:
-    """n!/prod(mult!) for each row of nondecreasing columns: the number of
-    distinct orderings of the row."""
+    """n!/prod(mult!), the number of distinct orderings, for each row of n
+    columns whose equal entries are adjacent: the one orbit rule."""
     run = np.ones(cols[0].shape, dtype=np.int64)  # equal values ending here
     denom = run.copy()
     for a, b in zip(cols, cols[1:]):
@@ -256,19 +252,19 @@ def _residue_folds(p: int, n: int, s: int):
 
 
 def _key_rows(p: int, n: int, s: int):
-    """(codes, orbit, tuples) over the sorted position n-tuples mod
-    q = p^{ns} (see `_residue_folds`), all folded by one `_sorted_folds`
-    call: each row's code key * q + multiset, its orbit size, and its
-    residues packed base q, lowest position first.  key packs the power
+    """(codes, tuples) over the sorted position n-tuples mod q = p^{ns}
+    (see `_residue_folds`), all folded by one `_sorted_folds` call: each
+    row's code key * q + multiset, and its residues packed base q, lowest
+    position first.  key packs the power
     sums mod q, multiset the cells in nondecreasing order (digit i the i-th
     smallest, base p^s).
     """
     q, _, residue, folds = _residue_folds(p, n, s)
-    (*sums, multiset, tuples), orbit = _sorted_folds(folds + [(residue, q)], n)
+    *sums, multiset, tuples = _sorted_folds(folds + [(residue, q)], n)
     for k in sums:
         np.remainder(k, q, out=k)
     codes = np.ravel_multi_index((multiset, *sums), (q,) * (len(sums) + 1), order="F")
-    return codes, orbit, tuples
+    return codes, tuples
 
 
 def _translate_codes(p: int, n: int, s: int) -> np.ndarray:
@@ -286,7 +282,7 @@ def _translate_codes(p: int, n: int, s: int) -> np.ndarray:
     ncells, g = p ** s, math.gcd(n, q)
     cell = folds[-1][0]  # by position
     position = np.argsort(residue)  # where each residue sits
-    (*sums, multiset, first), _ = _sorted_folds(  # first: the first entry's position
+    *sums, multiset, first = _sorted_folds(  # first: the first entry's position
         folds + [(np.arange(q, dtype=cell.dtype), 0)], n - 1)
     codes = []
     for r in range(g):
@@ -361,15 +357,17 @@ def _parseval_groups(p: int, n: int, s: int):
     pair: (orbit, fine, fine_key, cell_orbit, *cols) gives each row's orbit
     size and pair, each pair's key group and cell-multiset orbit size, and
     the rows' residue columns.  The Q_p norms sum over them."""
-    codes, orbit, tuples = _key_rows(p, n, s)
+    codes, tuples = _key_rows(p, n, s)
     order = np.argsort(codes)  # rows in pair order: add.at then writes in sequence
-    codes, orbit, tuples = codes[order], orbit[order], tuples[order]
+    codes, tuples = codes[order], tuples[order]
     del order
     q = p ** (n * s)
     # the rows' residues, each column contiguous: gathers through the strided
     # views np.unravel_index returns fault about 2,400 times per warm call
     cols = np.array(np.unravel_index(tuples, (q,) * n, order="F"))
     del tuples
+    # a row's equal residues sit at equal, so adjacent, positions
+    orbit = _orbit_sizes(cols).astype(np.min_scalar_type(math.factorial(n)))
     new = _run_starts(codes)  # a row that opens a pair
     fine = np.cumsum(new)
     fine -= 1
@@ -398,11 +396,20 @@ def _check_key_rows(p: int, n: int, s: int, budget: int):
                 f"grouping the sorted {n}-tuples over Z/{q}")
 
 
+# peak bytes of `_pair_relation`: per folded row n + 2 int32 columns and 20 more,
+# per code (about gcd(n, q)/n of the rows) 16, per residue 64.  Traced per row:
+# 38.7 at (13,3,1), 49.6 at (3,3,2), 53.2 at (2,4,2), 46.0 at (2,5,1); 87-97 at n = 2
+_PAIR_ROW_BYTES, _PAIR_CODE_BYTES, _PAIR_TABLE_BYTES = 20, 16, 64
+
+
 def _check_pair_rows(p: int, n: int, s: int, budget: int):
-    """The guards of `_pair_relation`: C(q+n-2, n-1) folded rows, and codes
-    below gcd(n, q) * q^n."""
+    """The guards of `_pair_relation`: C(q+n-2, n-1) folded rows, codes
+    below gcd(n, q) * q^n, and the bytes it holds while it builds."""
     q = p ** (n * s)
     check_sorted_tuples(q, n - 1, math.gcd(n, q) * q ** n, budget, f"Z/{q}")
+    rows = math.comb(q + n - 2, n - 1)
+    check_bytes(rows * (4 * (n + 2) + _PAIR_ROW_BYTES) + q * _PAIR_TABLE_BYTES
+                + rows * math.gcd(n, q) // n * _PAIR_CODE_BYTES, f"the pair relation over Z/{q}")
 
 
 def _parseval_sums(h: np.ndarray, p: int, n: int, s: int, budget: int):
@@ -484,11 +491,10 @@ def syzygy_set_nonarch(base: CellTuple, curve: Curve | None = None,
     code = np.ravel_multi_index(cells, dims, order="F")
     lo, hi = np.searchsorted(a, [code, code + 1])
     multisets = [cells, *np.transpose(np.unravel_index(b[lo:hi], dims, order="F")).tolist()]
-    members = sorted({perm for m in multisets for perm in itertools.permutations(m)})
     return SyzygyReport(
         base=base,
         epsilon=base.scale.delta ** n,
-        members=tuple(cell_tuple(base.field, base.scale, m) for m in members),
+        members=tuple(_orderings(base, multisets)),
         method=SyzygyMethod.CONGRUENCE_EXACT,
     )
 
@@ -611,7 +617,7 @@ def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = No
     # point tuple of the base cells.  t's points are packed base npts, and
     # npts^n < 2^62: past it the C(npts+n-1, n) rows or the per_cell^n
     # point tuples of s could not be allocated.
-    (t_pos,), _ = _sorted_folds([(pts, npts)], n)
+    (t_pos,) = _sorted_folds([(pts, npts)], n)
     dims = (npts,) * n
     s_cols = (np.indices((per_cell,) * n).reshape(n, -1)
               + per_cell * np.array(base.indices)[:, None])
@@ -631,30 +637,20 @@ def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = No
     rows, witness = np.concatenate(rows), np.concatenate(witness)
     t_hit = np.transpose(np.unravel_index(t_pos[rows], dims, order="F"))  # a hit row's points
     cells, first = np.unique(t_hit // per_cell, axis=0, return_index=True)
-    members = {}  # every ordering of a hit multiset, with the matching witness
     for multiset, row, col in zip(cells.tolist(), t_hit[first].tolist(), witness[first].tolist()):
+        # exact re-check of the witness every ordering of the multiset shares
         t_pt = [Fraction(a, G) for a in row]
         s_pt = [Fraction(int(a), G) for a in s_cols[:, col]]
-        for order in itertools.permutations(range(n)):
-            members.setdefault(tuple(multiset[i] for i in order),
-                               ([t_pt[i] for i in order], s_pt))
-    for member, (t_pt, s_pt) in members.items():
-        # exact re-check: the witness lies in its cells and satisfies the bound
-        for t, j in zip(t_pt, member):
-            if not j * delta <= t < (j + 1) * delta:
+        for points, idx in ((t_pt, multiset), (s_pt, base.indices)):
+            if not all(i * delta <= x < (i + 1) * delta for x, i in zip(points, idx)):
                 raise RuntimeError("sampled witness left its cell")
-        for s_val, i in zip(s_pt, base.indices):
-            if not i * delta <= s_val < (i + 1) * delta:
-                raise RuntimeError("sampled witness left its cell")
-        for k in range(n):
-            diff = (sum(curve.evaluate(t)[k] for t in t_pt)
-                    - sum(curve.evaluate(s)[k] for s in s_pt))
-            if abs(diff) > epsilon:
-                raise RuntimeError("sampled witness failed the exact re-check")
+        t_sum, s_sum = ([sum(c) for c in zip(*map(curve.evaluate, pt))] for pt in (t_pt, s_pt))
+        if any(abs(a - b) > epsilon for a, b in zip(t_sum, s_sum)):
+            raise RuntimeError("sampled witness failed the exact re-check")
     return SyzygyReport(
         base=base,
         epsilon=epsilon,
-        members=tuple(cell_tuple(base.field, base.scale, m) for m in sorted(members)),
+        members=tuple(_orderings(base, cells.tolist())),
         method=SyzygyMethod.REAL_SAMPLED,
     )
 

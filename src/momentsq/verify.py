@@ -154,7 +154,7 @@ def _check_syzygy(seed: int, trials: int) -> list[CheckResult]:
     return out
 
 
-def _check_vinogradov(seed: int) -> list[CheckResult]:
+def _check_vinogradov() -> list[CheckResult]:
     out = []
     ok = True
     details = []
@@ -241,7 +241,7 @@ def _check_theorem1(seed: int, trials: int) -> list[CheckResult]:
     return out
 
 
-def _check_bounds(seed: int) -> list[CheckResult]:
+def _check_bounds() -> list[CheckResult]:
     out = []
     ok = all(bounds.theorem1_constant(padic(5), n) ** (2 * n) - n ** n < 1e-6 * n ** n
              for n in range(2, 9))
@@ -271,36 +271,38 @@ def _check_bounds(seed: int) -> list[CheckResult]:
 
 
 # Suites that draw random inputs, with the number of draws when --trials is
-# not given.  The other suites take no trials.
+# not given.  The other suites draw nothing and take no seed or trials.
 _DEFAULT_TRIALS = {"local_field": 200, "symmetric": 300, "syzygy": 30,
                    "extension": 25, "theorem1": 25}
+DEFAULT_SEED = 7
 
 _SUITES = {
     "local_field": _check_partitions,
     "symmetric": _check_symmetric,
     "syzygy": _check_syzygy,
-    "vinogradov": lambda seed, trials: _check_vinogradov(seed),
+    "vinogradov": lambda seed, trials: _check_vinogradov(),
     "extension": _check_extension,
     "theorem1": _check_theorem1,
-    "bounds": lambda seed, trials: _check_bounds(seed),
+    "bounds": lambda seed, trials: _check_bounds(),
 }
 
 
-def run_suite(suite: str = "all", seed: int = 7, trials: int | None = None) -> list[CheckResult]:
-    """Run one suite, or every suite for "all".  trials sets the number of
-    random draws of each suite that takes it; naming a single suite that
-    takes none together with trials is an error."""
+def run_suite(suite: str = "all", seed: int | None = None,
+              trials: int | None = None) -> list[CheckResult]:
+    """Run one suite, or every suite for "all".  seed (DEFAULT_SEED if None)
+    seeds the draws, and trials sets their number, of each suite that draws;
+    naming a single suite that draws none together with either is an error."""
     if suite == "all":
         names = list(_SUITES)
     elif suite in _SUITES:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from all, {', '.join(_SUITES)}")
-    if trials is not None:
-        if trials < 1:
-            raise ValueError("trials must be at least 1")
-        if suite != "all" and suite not in _DEFAULT_TRIALS:
-            raise ValueError(f"suite {suite!r} takes no trials")
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be at least 1")
+    if suite != "all" and suite not in _DEFAULT_TRIALS and (seed, trials) != (None, None):
+        raise ValueError(f"suite {suite!r} draws nothing: it takes no seed or trials")
+    seed = DEFAULT_SEED if seed is None else seed
     results = []
     for name in names:
         draws = _DEFAULT_TRIALS.get(name) if trials is None else trials

@@ -121,7 +121,7 @@ def _moment_join(n: int, N: int, budget: int) -> int:
     check_bytes(_JOIN_ROW_BYTES * (rows + N) + mask + 1 + _JOIN_BLOCK_BYTES * _JOIN_BLOCK,
                 f"the moment-curve join over [1,{N}]")
     phi = sum(prefix[k - 1] * np.arange(1, N + 1, dtype=np.int64) ** k for k in range(1, n + 1))
-    head = _sorted_folds([(phi, 1)], n - 1)[0][0]  # a fresh array: its orbits are dropped
+    (head,) = _sorted_folds([(phi, 1)], n - 1)  # a fresh array, owned here
     head += phi[0]
     head.sort()
     if not _run_starts(head).all():
@@ -130,7 +130,7 @@ def _moment_join(n: int, N: int, budget: int) -> int:
     mark = np.zeros(mask + 1, bool)
     mark[head & mask] = True
     skip = rows  # the stream hands out the head rows first
-    for (keys,), _ in _sorted_fold_blocks([(phi, 1)], n, _JOIN_BLOCK):
+    for (keys,) in _sorted_fold_blocks([(phi, 1)], n, _JOIN_BLOCK):
         keys, skip = keys[skip:], max(skip - keys.size, 0)
         marked = keys[mark[keys & mask]]
         at = np.minimum(np.searchsorted(head, marked), rows - 1)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from momentsq import (REAL, BudgetExceededError, Curve, LocallyConstant, cell_tu
                       permutation_predicate, real_scale, scan_strong_diagonal,
                       syzygy_bound, syzygy_set_nonarch, syzygy_set_real)
 from momentsq.bounds import bezout_syzygy_bound
-from momentsq import polys, syzygy
+from momentsq import budget, cli, polys, syzygy
 from momentsq.syzygy import SyzygyMethod, _orbit_sizes, _sorted_folds, _sorted_unique
 
 
@@ -117,14 +118,30 @@ def test_sorted_tuples_and_orbit_sizes(m, n):
 def test_sorted_folds_match_combinations(m, n):
     rng = np.random.default_rng(10 * m + n)
     plain, digits = rng.integers(-50, 50, m), rng.integers(0, m, m).astype(np.int32)
-    (sums, codes, pos), orbit = _sorted_folds([(plain, 1), (digits, m), (np.arange(m), m)], n)
+    sums, codes, pos = _sorted_folds([(plain, 1), (digits, m), (np.arange(m), m)], n)
     rows = list(itertools.combinations_with_replacement(range(m), n))
     assert sums.dtype == np.int64 and codes.dtype == np.int32
     assert sums.tolist() == [sum(int(plain[t]) for t in r) for r in rows]
     assert codes.tolist() == [sum(int(digits[t]) * m ** i for i, t in enumerate(r)) for r in rows]
     assert [tuple(int(x) // m ** i % m for i in range(n)) for x in pos] == rows
-    # n! = 720 from n = 6 on no longer fits uint8; 9! = 362880 needs uint32
+    # the kernel hands out values only: each row's orbit size comes from its columns
+    orbit = _orbit_sizes(np.unravel_index(pos, (m,) * n, order="F"))
+    assert orbit.tolist() == [len(set(itertools.permutations(r))) for r in rows]
+
+
+@pytest.mark.parametrize("p,n,s", [(2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 4, 1),  # p <= n
+                                   (5, 2, 1), (7, 2, 1), (5, 3, 1)])
+def test_parseval_orbit_column_counts_orderings(p, n, s):
+    # each row's orbit size, taken over its residue columns, in the smallest
+    # unsigned dtype that holds n!, so the cached column takes one byte a row
+    syzygy.clear_index_cache()
+    try:
+        orbit, _, _, _, *cols = syzygy._parseval_groups(p, n, s)
+    finally:
+        syzygy.clear_index_cache()
     assert orbit.dtype == np.min_scalar_type(math.factorial(n)) and orbit.dtype.kind == "u"
+    rows = np.transpose(cols).tolist()
+    assert len(rows) == math.comb(p ** (n * s) + n - 1, n)
     assert orbit.tolist() == [len(set(itertools.permutations(r))) for r in rows]
 
 
@@ -132,16 +149,15 @@ def test_sorted_folds_match_combinations(m, n):
 def test_sorted_fold_blocks_cut_the_rows_in_order(m, n):
     rng = np.random.default_rng(10 * m + n)
     folds = [(rng.integers(-50, 50, m), 1), (np.arange(m, dtype=np.int32), m)]
-    whole, orbit = _sorted_folds(folds, n)
-    for block in (1, 2, 3, 7, orbit.size, orbit.size + 1):
+    whole = _sorted_folds(folds, n)
+    rows = whole[0].size
+    for block in (1, 2, 3, 7, rows, rows + 1):
         # a block's arrays are overwritten by the next, so each is copied
-        blocks = [([f.copy() for f in fs], o.copy())
-                  for fs, o in syzygy._sorted_fold_blocks(folds, n, block)]
-        assert all(1 <= o.size <= block for _, o in blocks)
-        assert all(o.size == block for _, o in blocks[:-1])
-        assert np.array_equal(np.concatenate([o for _, o in blocks]), orbit)
+        blocks = [[f.copy() for f in fs] for fs in syzygy._sorted_fold_blocks(folds, n, block)]
+        assert all(1 <= fs[0].size <= block for fs in blocks)
+        assert all(fs[0].size == block for fs in blocks[:-1])
         for i, f in enumerate(whole):
-            joined = np.concatenate([fs[i] for fs, _ in blocks])
+            joined = np.concatenate([fs[i] for fs in blocks])
             assert joined.dtype == f.dtype and np.array_equal(joined, f)
 
 
@@ -254,7 +270,7 @@ def test_key_rows_positions_are_sorted_tuples(p, n, s):
     # rows are the sorted position tuples; position x holds residue
     # x // span + p^s * (x % span), span = q / p^s: cell by cell
     q, ncells = p ** (n * s), p ** s
-    tuples = syzygy._key_rows(p, n, s)[2]
+    tuples = syzygy._key_rows(p, n, s)[1]
     assert tuples.dtype == np.int64
     decoded = [tuple(int(x) // q ** i % q for i in range(n)) for x in tuples]
     residue = [x // (q // ncells) + ncells * (x % (q // ncells)) for x in range(q)]
@@ -292,11 +308,52 @@ def test_scan_budget_counts_sorted_tuples(monkeypatch):
 
 
 def test_pair_guard_admits_the_reach():
-    # (17,3,1) folds C(4914, 2) = 12,071,241 rows and (11,2,3) 11^6 = 1,771,561
+    # (17,3,1) folds C(4914, 2) = 12,071,241 rows, (11,2,3) 11^6 = 1,771,561
+    # and (5,4,1) C(627, 3) = 40,885,625, charged about 1.96e9 bytes
     syzygy._check_pair_rows(17, 3, 1, syzygy.DEFAULT_ENUMERATION_BUDGET)
     syzygy._check_pair_rows(11, 2, 3, syzygy.DEFAULT_ENUMERATION_BUDGET)
+    syzygy._check_pair_rows(5, 4, 1, syzygy.DEFAULT_ENUMERATION_BUDGET)
     with pytest.raises(BudgetExceededError, match="12071241 enumeration steps"):
         syzygy._check_pair_rows(17, 3, 1, 12071240)
+
+
+def test_pair_byte_charge_covers_its_peak(monkeypatch):
+    # refused with the memory budget one byte under the traced peak of the
+    # scan, admitted at twice it: n = 2, where the q-sized tables dominate,
+    # and n = 3, 4 with gcd(n, q) = 1, and (3,3,2), where gcd(n, q) = n
+    # translates each keep about a third of the rows
+    peaks = {}
+    for p, n, s in [(7, 2, 2), (7, 3, 1), (3, 3, 2), (3, 4, 1)]:
+        syzygy.clear_index_cache()
+        tracemalloc.start()
+        try:
+            scan_strong_diagonal(p, n, s)
+            peaks[p, n, s] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    try:
+        for (p, n, s), peak in peaks.items():
+            syzygy.clear_index_cache()
+            monkeypatch.setattr(budget, "MEMORY_BUDGET", peak - 1)
+            with pytest.raises(BudgetExceededError, match="bytes"):
+                scan_strong_diagonal(p, n, s)
+            monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * peak)
+            assert scan_strong_diagonal(p, n, s).all_match_permutations
+    finally:
+        syzygy.clear_index_cache()
+
+
+def test_pair_byte_guard_refuses_before_enumerating(monkeypatch):
+    # (23,3,1) folds C(12168, 2) = 74,018,028 rows, within the step budget,
+    # but would hold about 2.8 GB
+    def enumerate_nothing(folds, n):
+        raise AssertionError("enumerated before the byte guard")
+    monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)
+    syzygy.clear_index_cache()
+    with pytest.raises(BudgetExceededError, match="bytes, over the memory budget"):
+        scan_strong_diagonal(23, 3, 1)
+    with pytest.raises(BudgetExceededError, match="bytes, over the memory budget"):
+        syzygy_set_nonarch(cell_tuple(padic(23), padic_scale(23, 1), (0, 1, 2)))
 
 
 def test_clear_index_cache_empties_both_tables():
@@ -442,6 +499,36 @@ def test_real_sampler_budget_counts_hit_matrix(monkeypatch):
     monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)
     with pytest.raises(BudgetExceededError, match="enumeration steps"):
         syzygy_set_real(curve, base, budget=33791)
+
+
+def _skewed_evaluate(monkeypatch):
+    """Make `Curve.evaluate` disagree with the curve's coefficients, from which
+    the sampler builds its integer grid: every value is scaled by 4096.  Each
+    hit multiset other than the base's own differs from the base cells in some
+    power sum by at least 1/64^2 at delta = 1/8 (grid 1/64), which the scale
+    lifts past eps = 1/64."""
+    true = Curve.evaluate
+    monkeypatch.setattr(Curve, "evaluate",
+                        lambda self, t: tuple(4096 * v for v in true(self, t)))
+
+
+def test_real_sampler_exact_recheck_raises(monkeypatch):
+    curve = Curve.moment(2)
+    base = cell_tuple(REAL, real_scale(8), (2, 5))
+    assert syzygy_set_real(curve, base).cardinality > 2  # multisets beyond the base's
+    _skewed_evaluate(monkeypatch)
+    with pytest.raises(RuntimeError, match="failed the exact re-check"):
+        syzygy_set_real(curve, base)
+
+
+def test_real_sampler_recheck_failure_exits_3(monkeypatch, capsys):
+    _skewed_evaluate(monkeypatch)
+    assert cli.main(["syzygy", "--field", "real", "--n", "2", "--delta-inv", "8",
+                     "--tuple", "2,5"]) == 3
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("invariant failure: ") and "failed the exact re-check" in err
+    assert err.count("\n") == 1
 
 
 def test_permutation_orbit():

@@ -35,13 +35,11 @@ def _hand_out(monkeypatch, head, *blocks):
     (less phi(1), which the join adds back), `_sorted_fold_blocks` the key
     blocks of level n, whose first head-many rows the join skips."""
     def folds_below(folds, n):
-        keys = np.array(head, dtype=np.int64) - folds[0][0][0]
-        return [keys], np.ones(keys.size, dtype=np.uint8)
+        return [np.array(head, dtype=np.int64) - folds[0][0][0]]
 
     def fold_blocks(folds, n, block):
         for keys in blocks:
-            keys = np.array(keys, dtype=np.int64)
-            yield [keys], np.ones(keys.size, dtype=np.uint8)
+            yield [np.array(keys, dtype=np.int64)]
     monkeypatch.setattr(vinogradov, "_sorted_folds", folds_below)
     monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", fold_blocks)
 
@@ -72,7 +70,7 @@ def test_level_below_sum_is_sum_orbit_squared():
     # sum orbit^2 over the level-n columns themselves is the closed form
     # (5, 10): orbit squares pass uint8; (6, 4): they pass uint16
     for n, N in _admitted(range(2, 7), range(1, 13)) + [(5, 10), (6, 4)]:
-        (code,), _ = syzygy._sorted_folds([(np.arange(N, dtype=np.int64), N)], n)
+        (code,) = syzygy._sorted_folds([(np.arange(N, dtype=np.int64), N)], n)
         orbit = syzygy._orbit_sizes(np.unravel_index(code, (N,) * n, order="F"))
         assert int(orbit @ orbit) == permutation_count(n, N), (n, N)
 
@@ -81,8 +79,8 @@ def test_head_from_the_level_below_leads_the_stream():
     # the join skips the head rows of the stream by position: they must come first
     for n, N in _admitted(range(2, 6), range(1, 13)):
         phi = np.arange(1, N + 1, dtype=np.int64) * (N + 1) + 7  # any fold
-        (below,), _ = syzygy._sorted_folds([(phi, 1)], n - 1)
-        (level,), _ = syzygy._sorted_folds([(phi, 1)], n)
+        (below,) = syzygy._sorted_folds([(phi, 1)], n - 1)
+        (level,) = syzygy._sorted_folds([(phi, 1)], n)
         assert np.array_equal(below + phi[0], level[:math.comb(N + n - 2, n - 1)]), (n, N)
 
 
