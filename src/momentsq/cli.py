@@ -178,12 +178,13 @@ def _g10(value: float | int) -> str:
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.table not in ("theorem1", "bezout") and (args.field or args.p) is not None:
         raise ValueError(f"--field and --p do not apply to the {args.table} table")
-    if args.field in (None, "padic"):
+    kind = args.field or ("real" if args.table == "bezout" else "padic")  # bezout has no Q_p row
+    if kind == "padic":
         field = padic(5 if args.p is None else args.p)
     elif args.p is not None:
         raise ValueError("--p applies over Q_p only")
     else:
-        field = REAL if args.field == "real" else FieldSpec(FieldKind.COMPLEX)
+        field = REAL if kind == "real" else FieldSpec(FieldKind.COMPLEX)
     rows = bounds_mod.bounds_table(args.table, field, args.n_max)
     lines = ["name,n,field,value,formula"]
     for r in rows:
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--table", choices=["theorem1", "bezout", "fewnomial",
                                         "refined", "wronskian"], default="theorem1")
     sp.add_argument("--field", choices=["padic", "real", "complex"], default=None,
-                    help="default padic; with --p, for theorem1 and bezout only")
+                    help="default padic (real for bezout); for theorem1 and bezout only")
     sp.add_argument("--p", type=int, default=None, help="the prime over Q_p (default 5)")
     sp.add_argument("--n-max", type=int, default=5)
 

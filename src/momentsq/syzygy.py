@@ -32,7 +32,10 @@ packed code is written and read by numpy's codec, np.ravel_multi_index and
 np.unravel_index, lowest digit first (order="F").  All C(q+n-1, n) sorted
 n-tuples (`_key_rows`), grouped by pair and by key (`_parseval_groups`),
 carry the Parseval sums of the Q_p norms (`_parseval_sums`), which are not
-translation-invariant.  The kernel folds values only: a row's orbit size
+translation-invariant.  For p > n only the ramified tuples, with two
+residues congruent mod p, are grouped: by Hensel's lemma each other tuple
+is alone in its key group, and together they add e_n of the class sums of
+|h|^2 times (n!)^2 and n!.  The kernel folds values only: a row's orbit size
 is a function of its columns, `_orbit_sizes` the one orbit rule, and
 `_orderings` the one place a report expands the orderings of multisets.
 The real sampler runs its sorted grid n-tuples against every point tuple
@@ -252,19 +255,24 @@ def _residue_folds(p: int, n: int, s: int):
 
 
 def _key_rows(p: int, n: int, s: int):
-    """(codes, tuples) over the sorted position n-tuples mod q = p^{ns}
-    (see `_residue_folds`), all folded by one `_sorted_folds` call: each
-    row's code key * q + multiset, and its residues packed base q, lowest
-    position first.  key packs the power
-    sums mod q, multiset the cells in nondecreasing order (digit i the i-th
-    smallest, base p^s).
+    """(codes, tuples, classes) over the sorted position n-tuples mod
+    q = p^{ns} (see `_residue_folds`), all folded by one `_sorted_folds`
+    call: each row's code key * q + multiset, its residues packed base q and,
+    for p > n only (None else), its residues mod p packed base p, lowest
+    position first.  key packs the power sums mod q, multiset the cells in
+    nondecreasing order (digit i the i-th smallest, base p^s).
     """
     q, _, residue, folds = _residue_folds(p, n, s)
-    *sums, multiset, tuples = _sorted_folds(folds + [(residue, q)], n)
+    folds.append((residue, q))
+    if p > n:  # the classes mask the ramified rows in `_parseval_groups`
+        folds.append(((residue % p).astype(np.min_scalar_type(p ** n - 1)), p))
+    out = _sorted_folds(folds, n)
+    classes = out.pop() if p > n else None
+    *sums, multiset, tuples = out
     for k in sums:
         np.remainder(k, q, out=k)
     codes = np.ravel_multi_index((multiset, *sums), (q,) * (len(sums) + 1), order="F")
-    return codes, tuples
+    return codes, tuples, classes
 
 
 def _translate_codes(p: int, n: int, s: int) -> np.ndarray:
@@ -351,13 +359,29 @@ def _pair_relation(p: int, n: int, s: int) -> np.ndarray:
     return out
 
 
+def _ramified(p: int, n: int) -> np.ndarray:
+    """A bool per n-tuple of residues mod p, packed base p as in `_key_rows`:
+    True iff two of them are equal, that is iff the tuple is ramified."""
+    classes = np.sort(np.unravel_index(np.arange(p ** n), (p,) * n, order="F"), axis=0)
+    return _orbit_sizes(classes) < math.factorial(n)
+
+
 @functools.lru_cache(maxsize=4)
 def _parseval_groups(p: int, n: int, s: int):
     """The rows of `_key_rows` sorted by code, that is by (key, cell multiset)
     pair: (orbit, fine, fine_key, cell_orbit, *cols) gives each row's orbit
     size and pair, each pair's key group and cell-multiset orbit size, and
-    the rows' residue columns.  The Q_p norms sum over them."""
-    codes, tuples = _key_rows(p, n, s)
+    the rows' residue columns.  The Q_p norms sum over them.
+
+    For p > n only the ramified rows are kept, those with two residues
+    congruent mod p: every other row is alone in its key group (see
+    `_parseval_sums`).  For p <= n every row is kept.
+    """
+    codes, tuples, classes = _key_rows(p, n, s)
+    if p > n:
+        keep = np.flatnonzero(_ramified(p, n)[classes])
+        codes, tuples = codes[keep], tuples[keep]
+        del keep, classes
     order = np.argsort(codes)  # rows in pair order: add.at then writes in sequence
     codes, tuples = codes[order], tuples[order]
     del order
@@ -382,17 +406,22 @@ def _parseval_groups(p: int, n: int, s: int):
     return out
 
 
-# peak bytes per sorted tuple while `_parseval_groups` builds, traced by
-# tracemalloc: 72.6 at (5,2,2), 74.9 at (7,2,2), 76.3 at (7,3,1)
-_PARSEVAL_BYTES = 80
+# peak bytes of `_parseval_groups`, traced by tracemalloc: folding every sorted
+# tuple holds 4n + 21 a row (29.1 at (7,2,2), 34.0 at (7,3,1)), and grouping the
+# kept rows after it 16(n + 1) a kept row (48.0 at (2,2,5), 64.0 at (2,3,2), 80.0
+# at (3,4,1), 96.0 at (2,5,1)).  Charged 4n + _FOLD_BYTES or 16n + _GROUP_BYTES.
+_FOLD_BYTES, _GROUP_BYTES = 24, 20
 
 
 def _check_key_rows(p: int, n: int, s: int, budget: int):
     """The guards of `_key_rows`, whose codes key * q + multiset stay below
-    q^(n+1), and of the bytes `_parseval_groups` holds while it groups them."""
+    q^(n+1), and of the bytes `_parseval_groups` holds while it folds them
+    and groups the rows it keeps: all, or for p > n the ramified ones."""
     q = p ** (n * s)
     check_sorted_tuples(q, n, q ** (n + 1), budget, f"Z/{q}")
-    check_bytes(math.comb(q + n - 1, n) * _PARSEVAL_BYTES,
+    rows = math.comb(q + n - 1, n)
+    kept = rows - math.comb(p, n) * (q // p) ** n if p > n else rows
+    check_bytes(max(rows * (4 * n + _FOLD_BYTES), kept * (16 * n + _GROUP_BYTES)),
                 f"grouping the sorted {n}-tuples over Z/{q}")
 
 
@@ -415,7 +444,14 @@ def _check_pair_rows(p: int, n: int, s: int, budget: int):
 def _parseval_sums(h: np.ndarray, p: int, n: int, s: int, budget: int):
     """(sum_k |B(k)|^2, sum_{(k,C)} |B(k,C)|^2 / orbit(C)), where B(k, C) sums
     orbit(M) prod_i h(M_i) over the sorted n-tuples M of residues mod p^{ns}
-    with power-sum key k and cell multiset C, and B(k) sums B(k, C) over C."""
+    with power-sum key k and cell multiset C, and B(k) sums B(k, C) over C.
+
+    For p > n the rows `_parseval_groups` leaves out, with residues
+    distinct mod p, are each alone in their key group (Girard-Newton and
+    Hensel's lemma, docs/quadrature.md), with orbit n! and n distinct
+    cells: together they add (n!)^2 e_n(U) and n! e_n(U), where U_r sums
+    |h(a)|^2 over the residues a = r mod p.
+    """
     _check_key_rows(p, n, s, budget)
     orbit, fine, fine_key, cell_orbit, *cols = _parseval_groups(p, n, s)
     w = h[cols[0]]  # in place: one row-sized temporary fewer per call
@@ -424,11 +460,24 @@ def _parseval_sums(h: np.ndarray, p: int, n: int, s: int, budget: int):
         w *= h[c]
     # np.add.at: bincount copies a read-only index array, and reduceat over the
     # run starts is slower and moves the last bits (docs/quadrature.md)
-    b_fine, b_key = np.zeros(fine_key.size, complex), np.zeros(fine_key[-1] + 1, complex)
+    # no rows are kept at n = 1, where every tuple is unramified
+    b_fine = np.zeros(fine_key.size, complex)
+    b_key = np.zeros(fine_key[-1] + 1 if fine_key.size else 0, complex)
     np.add.at(b_fine, fine, w)
     del w
     np.add.at(b_key, fine_key, b_fine)
-    return np.sum(np.abs(b_key) ** 2), np.sum(np.abs(b_fine) ** 2 / cell_orbit)
+    # np.add.reduce: np.sum's arithmetic without its dispatch, which small calls feel
+    key_sum = np.add.reduce(np.abs(b_key) ** 2)
+    cell_sum = np.add.reduce(np.abs(b_fine) ** 2 / cell_orbit)
+    if p > n:
+        e = [1.0] + [0.0] * n  # prod_r (1 + U_r x): every term is positive, nothing cancels
+        # bincount by a mod p: q = p^{ns} may be 1 < p, at s = 0
+        for u in np.bincount(np.arange(h.size) % p, np.abs(h) ** 2, minlength=p).tolist():
+            for k in range(n, 0, -1):
+                e[k] += u * e[k - 1]
+        key_sum += math.factorial(n) ** 2 * e[n]
+        cell_sum += math.factorial(n) * e[n]
+    return key_sum, cell_sum
 
 
 def clear_index_cache():

@@ -101,6 +101,14 @@ def test_bounds_last_row(args, last):
     assert lines[-1].startswith(last)
 
 
+def test_bounds_bezout_defaults_to_the_reals():
+    # the Bezout table has no Q_p row, so without --field it runs over R
+    out = run("bounds", "--table", "bezout")
+    assert out == run("bounds", "--table", "bezout", "--field", "real")
+    assert out.splitlines()[1].startswith("bezout,2,R,")
+    assert run("bounds").splitlines()[1].startswith("theorem1,2,Q_5,")
+
+
 @pytest.mark.parametrize("n_max", ["1", "0"])
 def test_bounds_rejects_n_max_below_2(n_max):
     proc = subprocess.run(CLI + ["bounds", "--n-max", n_max], capture_output=True, text=True)

@@ -122,6 +122,18 @@ def test_weighted_norms_match_pointwise_n3():
     assert fast.rhs == pytest.approx(rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("p,s", [(3, 1), (5, 2), (5, 0)])
+def test_weighted_norms_match_pointwise_n1(p, s):
+    # n = 1 over Q_p: every 1-tuple is unramified, so the sums are closed form only
+    f = random_locally_constant(padic(p), 2, seed=p + s)
+    sc = padic_scale(p, s)
+    center = (Fraction(2, p ** 2),)
+    fast = weighted_norms(f, sc, center=center)
+    lhs, rhs = _pointwise_norms(f, sc, center)
+    assert fast.lhs == pytest.approx(lhs, rel=1e-12)
+    assert fast.rhs == pytest.approx(rhs, rel=1e-12)
+
+
 def test_weighted_norms_budget_checked_before_allocating():
     # Q_5, n = 3, s = 2 would group (Z/5^6)^3, about 3.8e12 tuples
     f = random_locally_constant(padic(5), 1, seed=0)
@@ -139,7 +151,7 @@ def test_weighted_norms_budget_counts_sorted_tuples():
 
 def test_parseval_budget_counts_bytes():
     # Q_3, n = 3, s = 2: C(731, 3) = 64,860,705 sorted tuples pass the step
-    # budget, but grouping them would hold about 5 GB
+    # budget, but grouping them would hold about 4.4 GB
     import tracemalloc
     from momentsq import syzygy
     syzygy._check_key_rows(7, 3, 1, syzygy.DEFAULT_ENUMERATION_BUDGET)  # 6.8M tuples

@@ -141,8 +141,100 @@ def test_parseval_orbit_column_counts_orderings(p, n, s):
         syzygy.clear_index_cache()
     assert orbit.dtype == np.min_scalar_type(math.factorial(n)) and orbit.dtype.kind == "u"
     rows = np.transpose(cols).tolist()
-    assert len(rows) == math.comb(p ** (n * s) + n - 1, n)
+    q = p ** (n * s)
+    # for p > n the rows with n residues distinct mod p are left out: n classes,
+    # q/p residues in each
+    unramified = math.comb(p, n) * (q // p) ** n if p > n else 0
+    assert len(rows) == math.comb(q + n - 1, n) - unramified
     assert orbit.tolist() == [len(set(itertools.permutations(r))) for r in rows]
+
+
+@pytest.mark.parametrize("p,n,s", [(3, 2, 1), (5, 2, 1), (5, 2, 2), (7, 2, 1), (5, 3, 1)])
+def test_unramified_tuples_are_alone_in_their_key_groups(p, n, s):
+    # Hensel's lemma, checked on every sorted tuple: a tuple whose residues
+    # are distinct mod p shares its power-sum key with no other tuple
+    q = p ** (n * s)
+    codes, tuples, classes = syzygy._key_rows(p, n, s)
+    residues = np.array(np.unravel_index(tuples, (q,) * n, order="F"))
+    unramified = np.all(np.diff(np.sort(residues % p, axis=0), axis=0) != 0, axis=0)
+    assert np.array_equal(syzygy._ramified(p, n)[classes], ~unramified)
+    assert unramified.sum() == math.comb(p, n) * (q // p) ** n
+    keys, counts = np.unique(codes // q, return_counts=True)
+    assert np.all(counts[np.searchsorted(keys, codes[unramified] // q)] == 1)
+    assert np.any(counts > 1)  # the ramified keys do collide
+
+
+def test_parseval_byte_charge_covers_its_peak(monkeypatch):
+    # refused with the memory budget one byte under the traced peak of the
+    # build, admitted at twice it: p > n, where the fold of every row is the
+    # peak, and p <= n, where grouping every row is
+    configs = [(5, 2, 2), (5, 3, 1), (3, 2, 3), (2, 2, 5), (2, 3, 2), (2, 5, 1)]
+    peaks = {}
+    try:
+        for p, n, s in configs:
+            syzygy.clear_index_cache()
+            tracemalloc.start()
+            try:
+                syzygy._parseval_groups(p, n, s)
+                peaks[p, n, s] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        for (p, n, s), peak in peaks.items():
+            monkeypatch.setattr(budget, "MEMORY_BUDGET", peak - 1)
+            with pytest.raises(BudgetExceededError, match="bytes"):
+                syzygy._check_key_rows(p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
+            monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * peak)
+            syzygy._check_key_rows(p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
+    finally:
+        syzygy.clear_index_cache()
+
+
+def _brute_parseval_sums(h, p, n, s):
+    """The two Parseval sums over all q^n ordered tuples, grouped by key and
+    by (key, cell multiset) with np.unique; orbit(C) counts the distinct
+    ordered cell tuples that sort to C."""
+    q, ncells = p ** (n * s), p ** s
+    t = np.indices((q,) * n).reshape(n, -1)
+    sums, power = [], np.ones_like(t)
+    for _ in range(n):
+        power = power * t % q
+        sums.append(power.sum(axis=0) % q)
+    key = np.ravel_multi_index(sums, (q,) * n)
+    cells = t % ncells
+    multiset = np.ravel_multi_index(np.sort(cells, axis=0), (ncells,) * n)
+    value = np.prod(h[t], axis=0)
+
+    def grouped(codes):
+        _, at = np.unique(codes, return_inverse=True)
+        return np.bincount(at, value.real) + 1j * np.bincount(at, value.imag)
+    b_key = grouped(key)
+    pair = key * ncells ** n + multiset
+    b_pair = grouped(pair)
+    orderings = np.unique(multiset * ncells ** n + np.ravel_multi_index(cells, (ncells,) * n))
+    orbit = np.bincount(orderings // ncells ** n, minlength=ncells ** n)
+    pair_multiset = np.unique(pair) % ncells ** n
+    return np.sum(np.abs(b_key) ** 2), np.sum(np.abs(b_pair) ** 2 / orbit[pair_multiset])
+
+
+@pytest.mark.parametrize("p,n,s", [(3, 2, 1), (5, 2, 1), (7, 2, 1), (3, 2, 2), (5, 2, 2),
+                                   (5, 3, 1),  # p > n: closed form for the unramified
+                                   (3, 1, 1), (5, 1, 2),  # n = 1: no row is kept
+                                   (5, 2, 0), (5, 1, 0),  # s = 0: q = 1 < p
+                                   (2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 2, 2), (2, 4, 1)])
+def test_parseval_sums_match_brute_force(p, n, s):
+    from momentsq.extension import _modulated_values
+    from momentsq import random_locally_constant
+    q = p ** (n * s)
+    f = random_locally_constant(padic(p), max(n * s, 1), seed=10 * p + n)
+    center = tuple(Fraction((-1) ** k * k, p ** k) for k in range(1, n + 1))
+    _, g = _modulated_values(f, center, n * s, budget.DEFAULT_ENUMERATION_BUDGET)
+    h = g.reshape(-1, q).sum(axis=0)
+    syzygy.clear_index_cache()
+    try:
+        got = syzygy._parseval_sums(h, p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
+    finally:
+        syzygy.clear_index_cache()
+    assert got == pytest.approx(_brute_parseval_sums(h, p, n, s), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (5, 1), (1, 3), (5, 2), (4, 3), (3, 5), (6, 4)])

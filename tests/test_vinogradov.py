@@ -67,8 +67,10 @@ def _admitted(n_values, N_values):
 
 
 def test_level_below_sum_is_sum_orbit_squared():
-    # sum orbit^2 over the level-n columns themselves is the closed form
-    # (5, 10): orbit squares pass uint8; (6, 4): they pass uint16
+    # sum orbit^2 over the level-n columns themselves is the closed form;
+    # at (5, 10) and (6, 4) orbit squares pass 255 and 65535, so the sum
+    # holds only while `_orbit_sizes` stays int64 (`_parseval_groups` narrows
+    # its cached copy to uint8 and uint16 there)
     for n, N in _admitted(range(2, 7), range(1, 13)) + [(5, 10), (6, 4)]:
         (code,) = syzygy._sorted_folds([(np.arange(N, dtype=np.int64), N)], n)
         orbit = syzygy._orbit_sizes(np.unravel_index(code, (N,) * n, order="F"))
@@ -165,7 +167,8 @@ def test_methods_agree(n, N):
 
 
 def test_formula_vs_hash_join_larger():
-    # (5, 10): uint8 orbits whose squares pass 255; (6, 4): uint16 orbits
+    # (5, 10) and (6, 4): the join at n = 5 and 6, whose keys pack the most
+    # power sums, each below n * N^k + 1
     for n, N in [(2, 200), (3, 60), (4, 25), (5, 10), (6, 4)]:
         hashed = count_solutions(Curve.moment(n), n, N, CountMethod.HASH_JOIN).count
         assert hashed == permutation_count(n, N)
