@@ -18,8 +18,8 @@ from .vinogradov import (AsymptoticRow, CountMethod, CountResult,
                          asymptotic_report, count_solutions, diagonal_count,
                          permutation_count)
 from .extension import (AtomicComb, LocallyConstant, NormRatio, TestFunction,
-                        comb_ratio, extension_op, random_locally_constant,
-                        square_function, weighted_norms)
+                        comb_ratio, extension_op, qp_comb_ratio,
+                        random_locally_constant, square_function, weighted_norms)
 from .bounds import (BoundReport, bezout_constant, bezout_syzygy_bound,
                      bounds_table, diagonal_refinement_max,
                      factorial_variant_constant, fewnomial_constant,

@@ -395,6 +395,22 @@ def comb_ratio(n: int, N: int) -> float:
     return (permutation_count(n, N) / square_moment) ** (1 / (2 * n))
 
 
+def qp_comb_ratio(p: int, n: int, s: int) -> float:
+    """Norm ratio over Q_p at scale p^{-s} of the atom function, one atom
+    per cell, exactly (derived in docs/quadrature.md): f = 1 on the
+    residues 0, ..., p^s - 1 at precision n*s and 0 elsewhere, centre 0.
+
+    Then h = f in `syzygy._parseval_sums`, so the key sum counts the pairs of
+    atom n-tuples with equal power sums mod p^{ns}, which are the pairs of
+    reorderings, and each cell tuple holds one atom tuple, so the cell sum
+    counts the p^{sn} atom tuples.  As for `comb_ratio`, n is at most 170.
+    """
+    FieldSpec(FieldKind.PADIC, p)  # checks that p is prime
+    if not (1 <= n <= 170 and s >= 0):
+        raise ValueError("the Q_p comb ratio needs 1 <= n <= 170 and s >= 0")
+    return (permutation_count(n, p ** s) / p ** (s * n)) ** (1 / (2 * n))
+
+
 # ---------------------------------------------------------------------------
 # seeded test functions
 # ---------------------------------------------------------------------------

@@ -29,15 +29,18 @@ contiguous add per a.  It hands out the last level in blocks of rows;
 `_sorted_folds` takes it as one block, and the Vinogradov join streams
 it.  Tuples are one more fold, packed base m; every
 packed code is written and read by numpy's codec, np.ravel_multi_index and
-np.unravel_index, lowest digit first (order="F").  All C(q+n-1, n) sorted
-n-tuples (`_key_rows`), grouped by pair and by key (`_parseval_groups`),
-carry the Parseval sums of the Q_p norms (`_parseval_sums`), which are not
-translation-invariant.  For p > n only the ramified tuples, with two
-residues congruent mod p, are grouped: by Hensel's lemma each other tuple
-is alone in its key group, and together they add e_n of the class sums of
-|h|^2 times (n!)^2 and n!.  The kernel folds values only: a row's orbit size
-is a function of its columns, `_orbit_sizes` the one orbit rule, and
-`_orderings` the one place a report expands the orderings of multisets.
+np.unravel_index, lowest digit first (order="F").  The sorted tuples
+(`_key_rows`), grouped by pair and by key (`_parseval_groups`), carry the
+Parseval sums of the Q_p norms (`_parseval_sums`), which are not
+translation-invariant.  For p > n they factor over the residue classes mod
+p: by Hensel's lemma a key group is the product of its parts in each class,
+and class r's parts are those of class 0 moved by r, so one cached index
+of the sorted j-tuples of the class-0 residues, j = 2..n, serves every
+class, and a polynomial product over the classes gives the sums.  For
+p <= n every sorted n-tuple is grouped, as one class.  The kernel folds
+values only: a row's orbit size is a function of its columns,
+`_orbit_sizes` the one orbit rule, and `_orderings` the one place a
+report expands the orderings of multisets.
 The real sampler runs its sorted grid n-tuples against every point tuple
 of the base cells, re-checks one witness per cell multiset hit exactly,
 and reports each ordering of those multisets.
@@ -240,39 +243,40 @@ def _orbit_sizes(cols) -> np.ndarray:
     return np.floor_divide(math.factorial(len(cols)), denom, out=denom)
 
 
-def _residue_folds(p: int, n: int, s: int):
-    """(q, tables, residue, folds) for the residues mod q = p^{ns} numbered
-    cell by cell: position x holds residue[x], the residues of cell 0 first,
-    so the cells of a sorted position tuple are nondecreasing and need no
-    sort.  folds are the `_sorted_folds` pairs, by position, of each power
-    table and of the cells, packed base p^s."""
+def _residue_folds(p: int, n: int, s: int, stride: int = 1):
+    """(q, tables, residue, folds) for the residues mod q = p^{ns} that are
+    multiples of stride (1 or p), numbered cell by cell: position x holds
+    residue[x], the residues of the first cell first, so the cells of a
+    sorted position tuple are nondecreasing and need no sort.  folds are the
+    `_sorted_folds` pairs, by position, of each power table and of the
+    cells, numbered cell // stride and packed base p^s / stride."""
     q, tables = _power_tables(p, n, s)
-    ncells = p ** s
-    residue = np.arange(q).reshape(-1, ncells).T.ravel()
+    ncells = p ** s // stride
+    residue = np.arange(0, q, stride).reshape(-1, ncells).T.ravel()
     narrow = np.int32 if n * q < 2 ** 31 else np.int64  # power sums stay below n * q
-    cell = np.repeat(np.arange(ncells, dtype=narrow), q // ncells)
+    cell = np.repeat(np.arange(ncells, dtype=narrow), residue.size // ncells)
     return q, tables, residue, [(t[residue].astype(narrow), 1) for t in tables] + [(cell, ncells)]
 
 
-def _key_rows(p: int, n: int, s: int):
-    """(codes, tuples, classes) over the sorted position n-tuples mod
-    q = p^{ns} (see `_residue_folds`), all folded by one `_sorted_folds`
-    call: each row's code key * q + multiset, its residues packed base q and,
-    for p > n only (None else), its residues mod p packed base p, lowest
-    position first.  key packs the power sums mod q, multiset the cells in
-    nondecreasing order (digit i the i-th smallest, base p^s).
+def _key_rows(p: int, n: int, s: int, j: int | None = None, stride: int = 1):
+    """(codes, tuples) over the sorted position j-tuples (j = n by default)
+    of the residues mod q = p^{ns} that are multiples of stride (see
+    `_residue_folds`), all folded by one `_sorted_folds` call: each row's
+    code key * c^j + multiset (c = p^s / stride) and its residues / stride
+    packed base q / stride, lowest position first.  key packs the first j
+    power sums mod q (for j < p they fix the rest, by Girard-Newton),
+    multiset the cells in nondecreasing order (digit i the i-th smallest,
+    base c).
     """
-    q, _, residue, folds = _residue_folds(p, n, s)
-    folds.append((residue, q))
-    if p > n:  # the classes mask the ramified rows in `_parseval_groups`
-        folds.append(((residue % p).astype(np.min_scalar_type(p ** n - 1)), p))
-    out = _sorted_folds(folds, n)
-    classes = out.pop() if p > n else None
-    *sums, multiset, tuples = out
+    j = n if j is None else j
+    q, _, residue, folds = _residue_folds(p, n, s, stride)
+    *tables, (cell, ncells) = folds
+    *sums, multiset, tuples = _sorted_folds(
+        tables[:j] + [(cell, ncells), (residue // stride, residue.size)], j)
     for k in sums:
         np.remainder(k, q, out=k)
-    codes = np.ravel_multi_index((multiset, *sums), (q,) * (len(sums) + 1), order="F")
-    return codes, tuples, classes
+    codes = np.ravel_multi_index((multiset, *sums), (ncells ** j,) + (q,) * len(sums), order="F")
+    return codes, tuples
 
 
 def _translate_codes(p: int, n: int, s: int) -> np.ndarray:
@@ -359,70 +363,85 @@ def _pair_relation(p: int, n: int, s: int) -> np.ndarray:
     return out
 
 
-def _ramified(p: int, n: int) -> np.ndarray:
-    """A bool per n-tuple of residues mod p, packed base p as in `_key_rows`:
-    True iff two of them are equal, that is iff the tuple is ramified."""
-    classes = np.sort(np.unravel_index(np.arange(p ** n), (p,) * n, order="F"), axis=0)
-    return _orbit_sizes(classes) < math.factorial(n)
+def _levels(p: int, n: int, s: int):
+    """(classes, sizes): the residue classes mod p the Parseval sums factor
+    over and the tuple sizes j of the cached levels.  p classes and
+    j = 2..n for p > n, where 1, ..., n are units mod p, and s >= 1, where
+    q >= p and a cell fixes its class (see `_parseval_sums`); else one
+    class, every residue mod q, and j = n."""
+    if p > n and s >= 1:
+        return p, range(2, n + 1)
+    return 1, (n,)
 
 
-@functools.lru_cache(maxsize=4)
-def _parseval_groups(p: int, n: int, s: int):
-    """The rows of `_key_rows` sorted by code, that is by (key, cell multiset)
-    pair: (orbit, fine, fine_key, cell_orbit, *cols) gives each row's orbit
-    size and pair, each pair's key group and cell-multiset orbit size, and
-    the rows' residue columns.  The Q_p norms sum over them.
-
-    For p > n only the ramified rows are kept, those with two residues
-    congruent mod p: every other row is alone in its key group (see
-    `_parseval_sums`).  For p <= n every row is kept.
-    """
-    codes, tuples, classes = _key_rows(p, n, s)
-    if p > n:
-        keep = np.flatnonzero(_ramified(p, n)[classes])
-        codes, tuples = codes[keep], tuples[keep]
-        del keep, classes
+def _parseval_level(p: int, n: int, s: int, j: int, classes: int):
+    """The rows of `_key_rows(p, n, s, j, classes)` sorted by code, that is by
+    (key, cell multiset) pair: (orbit, fine, fine_key, cell_orbit, *cols)
+    gives each row's orbit size and pair, each pair's key group and
+    cell-multiset orbit size, and the rows' j columns y = residue // classes,
+    where class r reads h(classes * y + r)."""
+    codes, tuples = _key_rows(p, n, s, j, classes)
     order = np.argsort(codes)  # rows in pair order: add.at then writes in sequence
     codes, tuples = codes[order], tuples[order]
     del order
-    q = p ** (n * s)
+    q, ncells = p ** (n * s), p ** s // classes
     # the rows' residues, each column contiguous: gathers through the strided
     # views np.unravel_index returns fault about 2,400 times per warm call
-    cols = np.array(np.unravel_index(tuples, (q,) * n, order="F"))
+    cols = np.array(np.unravel_index(tuples, (q // classes,) * j, order="F"))
     del tuples
     # a row's equal residues sit at equal, so adjacent, positions
-    orbit = _orbit_sizes(cols).astype(np.min_scalar_type(math.factorial(n)))
+    orbit = _orbit_sizes(cols).astype(np.min_scalar_type(math.factorial(j)))
     new = _run_starts(codes)  # a row that opens a pair
     fine = np.cumsum(new)
     fine -= 1
-    keys, multisets = np.unravel_index(codes[new], (q ** n, q))
+    keys, multisets = np.unravel_index(codes[new], (q ** j, ncells ** j))
     del codes, new
     fine_key = np.cumsum(_run_starts(keys))  # keys are sorted
     fine_key -= 1
-    cell_orbit = _orbit_sizes(np.unravel_index(multisets, (p ** s,) * n, order="F"))
+    # float: dividing by it then casts nothing, and the quotients are the same
+    cell_orbit = _orbit_sizes(np.unravel_index(multisets, (ncells,) * j, order="F")).astype(float)
     out = (orbit, fine, fine_key, cell_orbit, *cols)
     for a in out:
         a.setflags(write=False)  # shared by every caller through the cache
     return out
 
 
-# peak bytes of `_parseval_groups`, traced by tracemalloc: folding every sorted
-# tuple holds 4n + 21 a row (29.1 at (7,2,2), 34.0 at (7,3,1)), and grouping the
-# kept rows after it 16(n + 1) a kept row (48.0 at (2,2,5), 64.0 at (2,3,2), 80.0
-# at (3,4,1), 96.0 at (2,5,1)).  Charged 4n + _FOLD_BYTES or 16n + _GROUP_BYTES.
-_FOLD_BYTES, _GROUP_BYTES = 24, 20
+@functools.lru_cache(maxsize=4)
+def _parseval_groups(p: int, n: int, s: int):
+    """The levels the Q_p norms sum over, each a `_parseval_level`: with p
+    classes (`_levels`), one per j = 2..n over the sorted j-tuples of the
+    class-0 residues p * y, which class r reuses moved by r; with one, the
+    sorted n-tuples of every residue mod q = p^{ns}."""
+    classes, sizes = _levels(p, n, s)
+    return tuple(_parseval_level(p, n, s, j, classes) for j in sizes)
+
+
+# peak bytes of `_parseval_groups`, traced by tracemalloc: grouping a level of j-tuples
+# holds 16j + 16 bytes a row (48.0 at (2,2,5), (7,2,2) and (5,2,3), 62.1 at (7,3,1),
+# 63.1 at (11,3,1), 80.0 at (3,4,1), 96.0 at (2,5,1)), and the power tables n + 3
+# int64 a residue mod q while they are built.  Charged 16j + _GROUP_BYTES a row
+# and (n + 3) _RESIDUE_BYTES a residue.
+_GROUP_BYTES, _RESIDUE_BYTES = 24, 8
 
 
 def _check_key_rows(p: int, n: int, s: int, budget: int):
-    """The guards of `_key_rows`, whose codes key * q + multiset stay below
-    q^(n+1), and of the bytes `_parseval_groups` holds while it folds them
-    and groups the rows it keeps: all, or for p > n the ramified ones."""
+    """The guards of `_parseval_groups` and `_parseval_sums`: the sorted
+    n-tuples the build folds, over the class-0 residues where the sums
+    factor, and the values a call sums, classes times the rows of every
+    level, against the step budget; codes below c^n q^n (c = p^s, or
+    p^(s-1) for class 0); and the bytes the build holds."""
     q = p ** (n * s)
-    check_sorted_tuples(q, n, q ** (n + 1), budget, f"Z/{q}")
-    rows = math.comb(q + n - 1, n)
-    kept = rows - math.comb(p, n) * (q // p) ** n if p > n else rows
-    check_bytes(max(rows * (4 * n + _FOLD_BYTES), kept * (16 * n + _GROUP_BYTES)),
-                f"grouping the sorted {n}-tuples over Z/{q}")
+    classes, sizes = _levels(p, n, s)
+    m, ncells = q // classes, p ** s // classes
+    check_sorted_tuples(m, n, ncells ** n * q ** n, budget,
+                        f"Z/{q}" if classes == 1 else f"the multiples of {p} in Z/{q}")
+    rows = {j: math.comb(m + j - 1, j) for j in sizes}
+    check_budget(classes * sum(rows.values()), budget, f"the Parseval sums over Z/{q}")
+    check_bytes(sum(r * (16 * j + _GROUP_BYTES) for j, r in rows.items())
+                + q * (n + 3) * _RESIDUE_BYTES, f"grouping the sorted {n}-tuples over Z/{q}")
+
+
+_PARSEVAL_BLOCK = 4096  # values a block of `_parseval_sums`: its temporaries stay small
 
 
 # peak bytes of `_pair_relation`: per folded row n + 2 int32 columns and 20 more,
@@ -441,43 +460,69 @@ def _check_pair_rows(p: int, n: int, s: int, budget: int):
                 + rows * math.gcd(n, q) // n * _PAIR_CODE_BYTES, f"the pair relation over Z/{q}")
 
 
+def _level_sums(values: np.ndarray, level):
+    """(Z, Y), one entry per row r of values: the key sum and the cell sum of
+    one `_parseval_level` with h(y) = values[r, y].  Its rows go in blocks of
+    at most _PARSEVAL_BLOCK values, so every temporary stays small, and
+    np.add.at adds them in row order."""
+    orbit, fine, fine_key, cell_orbit, *cols = level
+    classes, pairs, keys = values.shape[0], cell_orbit.size, fine_key[-1] + 1
+    b_fine = np.zeros((classes, pairs), complex)
+    at = np.arange(0, classes * pairs, pairs)[:, None]  # class r's pairs in the flat b_fine
+    block = max(1, _PARSEVAL_BLOCK // classes)
+    for lo in range(0, orbit.size, block):
+        hi = lo + block
+        w = values.take(cols[0][lo:hi], axis=1)
+        w *= orbit[lo:hi]
+        for c in cols[1:]:
+            w *= values.take(c[lo:hi], axis=1)
+        # np.add.at adds in row order; reduceat over the run starts is slower and
+        # moves the last bits (docs/quadrature.md)
+        np.add.at(b_fine.reshape(-1), (fine[lo:hi] + at).reshape(-1), w.reshape(-1))
+    square = np.abs(b_fine)  # squared, then divided, in place: pair-sized arrays fewer a call
+    square *= square
+    if keys < pairs:  # some key holds two cell multisets
+        b_key = np.zeros((classes, keys), complex)
+        np.add.at(b_key.reshape(-1), (fine_key + np.arange(0, classes * keys, keys)[:, None])
+                  .reshape(-1), b_fine.reshape(-1))
+        key = np.add.reduce(np.abs(b_key) ** 2, axis=1)
+    else:  # B(k) = B(k, C): the pair relation is empty
+        key = np.add.reduce(square, axis=1)
+    square /= cell_orbit
+    # np.add.reduce: np.sum's arithmetic without its dispatch, which small calls feel
+    return key.tolist(), np.add.reduce(square, axis=1).tolist()
+
+
 def _parseval_sums(h: np.ndarray, p: int, n: int, s: int, budget: int):
     """(sum_k |B(k)|^2, sum_{(k,C)} |B(k,C)|^2 / orbit(C)), where B(k, C) sums
     orbit(M) prod_i h(M_i) over the sorted n-tuples M of residues mod p^{ns}
     with power-sum key k and cell multiset C, and B(k) sums B(k, C) over C.
 
-    For p > n the rows `_parseval_groups` leaves out, with residues
-    distinct mod p, are each alone in their key group (Girard-Newton and
-    Hensel's lemma, docs/quadrature.md), with orbit n! and n distinct
-    cells: together they add (n!)^2 e_n(U) and n! e_n(U), where U_r sums
-    |h(a)|^2 over the residues a = r mod p.
+    With p classes (`_levels`), a key group is the product of its
+    parts in each residue class mod p, and each part is a class-0 group
+    moved by r (Girard-Newton and Hensel's lemma, docs/quadrature.md).
+    With Z_r(j), Y_r(j) the two sums over the class-r j-tuples and
+    Z_r(1) = Y_r(1) = U_r = sum_{a = r mod p} |h(a)|^2, the key sum is
+    (n!)^2 [x^n] prod_r (1 + sum_j Z_r(j) x^j / (j!)^2) and the cell sum
+    n! [x^n] prod_r (1 + sum_j Y_r(j) x^j / j!).  Else there is one class,
+    whose one level, j = n, gives both sums.
     """
     _check_key_rows(p, n, s, budget)
-    orbit, fine, fine_key, cell_orbit, *cols = _parseval_groups(p, n, s)
-    w = h[cols[0]]  # in place: one row-sized temporary fewer per call
-    w *= orbit
-    for c in cols[1:]:
-        w *= h[c]
-    # np.add.at: bincount copies a read-only index array, and reduceat over the
-    # run starts is slower and moves the last bits (docs/quadrature.md)
-    # no rows are kept at n = 1, where every tuple is unramified
-    b_fine = np.zeros(fine_key.size, complex)
-    b_key = np.zeros(fine_key[-1] + 1 if fine_key.size else 0, complex)
-    np.add.at(b_fine, fine, w)
-    del w
-    np.add.at(b_key, fine_key, b_fine)
-    # np.add.reduce: np.sum's arithmetic without its dispatch, which small calls feel
-    key_sum = np.add.reduce(np.abs(b_key) ** 2)
-    cell_sum = np.add.reduce(np.abs(b_fine) ** 2 / cell_orbit)
-    if p > n:
-        e = [1.0] + [0.0] * n  # prod_r (1 + U_r x): every term is positive, nothing cancels
-        # bincount by a mod p: q = p^{ns} may be 1 < p, at s = 0
-        for u in np.bincount(np.arange(h.size) % p, np.abs(h) ** 2, minlength=p).tolist():
-            for k in range(n, 0, -1):
-                e[k] += u * e[k - 1]
-        key_sum += math.factorial(n) ** 2 * e[n]
-        cell_sum += math.factorial(n) * e[n]
-    return key_sum, cell_sum
+    classes, sizes = _levels(p, n, s)
+    values = np.ascontiguousarray(h.reshape(-1, classes).T)  # values[r, y] = h(classes * y + r)
+    terms = {j: _level_sums(values, level) for j, level in zip(sizes, _parseval_groups(p, n, s))}
+    if classes > 1:
+        terms[1] = (np.add.reduce(np.abs(values) ** 2, axis=1).tolist(),) * 2
+    # key[k], cell[k]: the coefficients of x^k over the classes so far, times
+    # (k!)^2 and k!; every term is positive, so nothing cancels
+    steps = [(k, j, *terms[j], math.comb(k, j)) for k in range(n, 0, -1)
+             for j in range(1, k + 1) if j in terms]
+    key, cell = [1.0] + [0.0] * n, [1.0] + [0.0] * n
+    for r in range(classes):
+        for k, j, z, y, c in steps:
+            key[k] += key[k - j] * z[r] * (c * c)
+            cell[k] += cell[k - j] * y[r] * c
+    return key[n], cell[n]
 
 
 def clear_index_cache():
@@ -686,13 +731,12 @@ def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = No
     rows, witness = np.concatenate(rows), np.concatenate(witness)
     t_hit = np.transpose(np.unravel_index(t_pos[rows], dims, order="F"))  # a hit row's points
     cells, first = np.unique(t_hit // per_cell, axis=0, return_index=True)
-    for multiset, row, col in zip(cells.tolist(), t_hit[first].tolist(), witness[first].tolist()):
-        # exact re-check of the witness every ordering of the multiset shares
+    for row, col in zip(t_hit[first].tolist(), witness[first].tolist()):
+        # exact re-check of the witness every ordering of the multiset shares; its
+        # points lie in their cells by construction: cell i holds the points
+        # per_cell * i + offset over G = per_cell * ncells
         t_pt = [Fraction(a, G) for a in row]
         s_pt = [Fraction(int(a), G) for a in s_cols[:, col]]
-        for points, idx in ((t_pt, multiset), (s_pt, base.indices)):
-            if not all(i * delta <= x < (i + 1) * delta for x, i in zip(points, idx)):
-                raise RuntimeError("sampled witness left its cell")
         t_sum, s_sum = ([sum(c) for c in zip(*map(curve.evaluate, pt))] for pt in (t_pt, s_pt))
         if any(abs(a - b) > epsilon for a, b in zip(t_sum, s_sum)):
             raise RuntimeError("sampled witness failed the exact re-check")

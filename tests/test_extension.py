@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentsq import (COMPLEX, REAL, AtomicComb, BudgetExceededError, Cell, LocallyConstant,
-                      comb_ratio, extension_op, padic, padic_scale,
+                      comb_ratio, extension_op, padic, padic_scale, qp_comb_ratio,
                       random_locally_constant, real_scale, square_function,
                       weighted_norms)
 from momentsq.extension import fejer_weight
@@ -151,10 +151,10 @@ def test_weighted_norms_budget_counts_sorted_tuples():
 
 def test_parseval_budget_counts_bytes():
     # Q_3, n = 3, s = 2: C(731, 3) = 64,860,705 sorted tuples pass the step
-    # budget, but grouping them would hold about 4.4 GB
+    # budget, but grouping them would hold about 4.1 GB (64 bytes a tuple, traced)
     import tracemalloc
     from momentsq import syzygy
-    syzygy._check_key_rows(7, 3, 1, syzygy.DEFAULT_ENUMERATION_BUDGET)  # 6.8M tuples
+    syzygy._check_key_rows(7, 3, 1, syzygy.DEFAULT_ENUMERATION_BUDGET)  # 22,050 class-0 rows
     f = random_locally_constant(padic(3), 1, seed=0)
     tracemalloc.start()
     try:
@@ -254,23 +254,29 @@ def test_phase_denominator_must_be_a_power_of_p():
 
 def test_warm_qp_norms_fault_few_pages():
     # A warm call that allocates its row-sized temporaries afresh faults in
-    # about one page per 4 KB of them (over 1,000 per call at (5,2,2)).
+    # about one page per 4 KB of them (over 1,000 per call at (5,2,2)).  Over
+    # Q_2 at s = 4 (p <= n, 32,896 rows) 3,000 live 8 KB arrays are kept
+    # between the calls, so the heap has no room left by the cold call.
     pytest.importorskip("resource")
     code = """if True:
-        import resource
+        import resource, sys
+        import numpy as np
         from momentsq import padic, padic_scale, random_locally_constant, weighted_norms
-        fs = [random_locally_constant(padic(5), 2, k) for k in range(21)]
-        weighted_norms(fs[0], padic_scale(5, 2), n=2)
+        p, s, live = map(int, sys.argv[1:])
+        fs = [random_locally_constant(padic(p), 2 * s, k) for k in range(21)]
+        weighted_norms(fs[0], padic_scale(p, s), n=2)
+        kept = [np.ones(1024) for _ in range(live)]
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for f in fs[1:]:
-            weighted_norms(f, padic_scale(5, 2), n=2)
+            weighted_norms(f, padic_scale(p, s), n=2)
         print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
     """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(pathlib.Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert float(out.stdout) < 100
+    for config in (("5", "2", "0"), ("2", "4", "3000")):
+        out = subprocess.run([sys.executable, "-c", code, *config], capture_output=True,
+                             text=True, env=env, check=True)
+        assert float(out.stdout) < 100, config
 
 
 def test_complex_field_has_no_test_functions():
@@ -378,7 +384,8 @@ def test_cached_tables_are_read_only():
     from momentsq.extension import _real_factors
     from momentsq.syzygy import _pair_relation, _parseval_groups
     fine, bounds, w, factors = _real_factors(8, Fraction(1, 4), ((0.0, 0.25, 4),) * 2)
-    arrays = [*_parseval_groups(2, 2, 1), fine, bounds, w, *factors]
+    levels = [*_parseval_groups(2, 2, 1), *_parseval_groups(5, 3, 1)]  # one class, then five
+    arrays = [a for level in levels for a in level] + [fine, bounds, w, *factors]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
@@ -531,6 +538,31 @@ def test_comb_ratio_square_moment_by_quadrature():
             moment = np.mean((N + 2 * np.cos(theta)) ** n)
             expected = (permutation_count(n, N) / moment) ** (1 / (2 * n))
             assert comb_ratio(n, N) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("p,n,s", [(5, 2, 2), (5, 3, 1), (7, 3, 1), (11, 3, 1),
+                                   (2, 2, 2), (3, 3, 1)])  # p <= n too
+def test_qp_comb_ratio_is_the_atom_functions_ratio(p, n, s):
+    # one atom per cell: f = 1 on the residues 0, ..., p^s - 1 at precision ns
+    from momentsq import syzygy
+    atoms, q = p ** s, p ** (n * s)
+    f = LocallyConstant(padic(p), n * s, tuple(float(a < atoms) for a in range(q)))
+    try:
+        ratio = weighted_norms(f, padic_scale(p, s), n=n).ratio
+    finally:
+        syzygy.clear_index_cache()
+    assert ratio == pytest.approx(qp_comb_ratio(p, n, s), rel=1e-12)
+
+
+def test_qp_comb_ratio_values_and_parameters():
+    from momentsq import permutation_count
+    assert qp_comb_ratio(5, 2, 0) == qp_comb_ratio(5, 1, 3) == 1  # one atom; n = 1
+    assert qp_comb_ratio(5, 2, 1) == pytest.approx((45 / 25) ** 0.25, rel=1e-15)
+    assert qp_comb_ratio(7, 3, 2) == pytest.approx(
+        (permutation_count(3, 49) / 49 ** 3) ** (1 / 6), rel=1e-15)
+    for p, n, s in ((4, 2, 1), (5, 0, 1), (5, 171, 1), (5, 2, -1)):
+        with pytest.raises(ValueError):
+            qp_comb_ratio(p, n, s)
 
 
 def test_comb_ratio_rejects_bad_parameters():

@@ -132,36 +132,68 @@ def test_sorted_folds_match_combinations(m, n):
 @pytest.mark.parametrize("p,n,s", [(2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 4, 1),  # p <= n
                                    (5, 2, 1), (7, 2, 1), (5, 3, 1)])
 def test_parseval_orbit_column_counts_orderings(p, n, s):
-    # each row's orbit size, taken over its residue columns, in the smallest
-    # unsigned dtype that holds n!, so the cached column takes one byte a row
+    # each row's orbit size, taken over its columns, in the smallest unsigned
+    # dtype that holds j!, so the cached column takes one byte a row
     syzygy.clear_index_cache()
     try:
-        orbit, _, _, _, *cols = syzygy._parseval_groups(p, n, s)
+        levels = syzygy._parseval_groups(p, n, s)
     finally:
         syzygy.clear_index_cache()
-    assert orbit.dtype == np.min_scalar_type(math.factorial(n)) and orbit.dtype.kind == "u"
-    rows = np.transpose(cols).tolist()
-    q = p ** (n * s)
-    # for p > n the rows with n residues distinct mod p are left out: n classes,
-    # q/p residues in each
-    unramified = math.comb(p, n) * (q // p) ** n if p > n else 0
-    assert len(rows) == math.comb(q + n - 1, n) - unramified
-    assert orbit.tolist() == [len(set(itertools.permutations(r))) for r in rows]
+    # p <= n: one level, every sorted n-tuple mod q, C(q+n-1, n) rows; p > n: a
+    # level per j = 2..n over the q/p class-0 residues, C(q/p+j-1, j) rows each
+    rows = {(2, 2, 1): [10], (2, 3, 1): [120], (3, 3, 1): [3654], (2, 4, 1): [3876],
+            (5, 2, 1): [15], (7, 2, 1): [28], (5, 3, 1): [325, 2925]}[p, n, s]
+    assert [level[0].size for level in levels] == rows
+    for orbit, _, _, _, *cols in levels:
+        assert orbit.dtype == np.min_scalar_type(math.factorial(len(cols)))
+        assert orbit.dtype.kind == "u"
+        assert orbit.tolist() == [len(set(itertools.permutations(r)))
+                                  for r in np.transpose(cols).tolist()]
 
 
 @pytest.mark.parametrize("p,n,s", [(3, 2, 1), (5, 2, 1), (5, 2, 2), (7, 2, 1), (5, 3, 1)])
-def test_unramified_tuples_are_alone_in_their_key_groups(p, n, s):
-    # Hensel's lemma, checked on every sorted tuple: a tuple whose residues
-    # are distinct mod p shares its power-sum key with no other tuple
-    q = p ** (n * s)
-    codes, tuples, classes = syzygy._key_rows(p, n, s)
+def test_key_groups_factor_over_residue_classes(p, n, s):
+    # Hensel's coprime factorisation, checked on every sorted n-tuple: its key
+    # fixes, and is fixed by, the class-count vector (j_r) and, for each class
+    # r, the key group of its residues = r mod p moved to class 0, read off the
+    # cached class-0 index (a single residue is its own group)
+    q, m = p ** (n * s), p ** (n * s - 1)
+    codes, tuples = syzygy._key_rows(p, n, s)
     residues = np.array(np.unravel_index(tuples, (q,) * n, order="F"))
-    unramified = np.all(np.diff(np.sort(residues % p, axis=0), axis=0) != 0, axis=0)
-    assert np.array_equal(syzygy._ramified(p, n)[classes], ~unramified)
-    assert unramified.sum() == math.comb(p, n) * (q // p) ** n
+    syzygy.clear_index_cache()
+    try:
+        levels = syzygy._parseval_groups(p, n, s)
+    finally:
+        syzygy.clear_index_cache()
+
+    def packed(ys):  # sorted, padded to n entries with m
+        ys = np.vstack([ys, np.full((n - len(ys), ys.shape[1]), m)])
+        return np.ravel_multi_index(np.sort(ys, axis=0), (m + 1,) * n, order="F")
+
+    index, group, groups = [], [], 1 + m  # group ids: 0 none, 1 + y one residue y
+    for _, fine, fine_key, _, *cols in levels:
+        index.append(packed(np.array(cols)))
+        group.append(groups + fine_key[fine])
+        groups += fine_key[-1] + 1
+    index, group = np.concatenate(index), np.concatenate(group)
+    order = np.argsort(index)
+    index, group = index[order], group[order]
+    parts = []
+    for r in range(p):
+        ys = np.where(residues % p == r, residues // p, m)
+        j = np.count_nonzero(ys < m, axis=0)
+        part = np.where(j == 1, 1 + ys.min(axis=0), 0)
+        many = packed(ys[:, j >= 2])
+        at = np.searchsorted(index, many)
+        assert np.array_equal(index[at], many)  # every class part is in the index
+        part[j >= 2] = group[at]
+        parts.append(part)
+    _, vector = np.unique(np.transpose(parts), axis=0, return_inverse=True)
     keys, counts = np.unique(codes // q, return_counts=True)
-    assert np.all(counts[np.searchsorted(keys, codes[unramified] // q)] == 1)
-    assert np.any(counts > 1)  # the ramified keys do collide
+    # one vector per key group and one key group per vector
+    assert np.unique(codes // q * (vector.max() + 1) + vector.ravel()).size == keys.size
+    assert vector.max() + 1 == keys.size
+    assert np.any(counts > 1)  # the keys do collide
 
 
 def test_parseval_byte_charge_covers_its_peak(monkeypatch):
@@ -189,17 +221,17 @@ def test_parseval_byte_charge_covers_its_peak(monkeypatch):
         syzygy.clear_index_cache()
 
 
-def _brute_parseval_sums(h, p, n, s):
-    """The two Parseval sums over all q^n ordered tuples, grouped by key and
-    by (key, cell multiset) with np.unique; orbit(C) counts the distinct
-    ordered cell tuples that sort to C."""
+def _brute_parseval_sums(h, p, n, s, keyed=None):
+    """The two Parseval sums over all q^n ordered tuples, grouped by key, the
+    first `keyed` (default n) power sums, and by (key, cell multiset) with
+    np.unique; orbit(C) counts the distinct ordered cell tuples that sort to C."""
     q, ncells = p ** (n * s), p ** s
     t = np.indices((q,) * n).reshape(n, -1)
     sums, power = [], np.ones_like(t)
-    for _ in range(n):
+    for _ in range(n if keyed is None else keyed):
         power = power * t % q
         sums.append(power.sum(axis=0) % q)
-    key = np.ravel_multi_index(sums, (q,) * n)
+    key = np.ravel_multi_index(sums, (q,) * len(sums))
     cells = t % ncells
     multiset = np.ravel_multi_index(np.sort(cells, axis=0), (ncells,) * n)
     value = np.prod(h[t], axis=0)
@@ -217,24 +249,88 @@ def _brute_parseval_sums(h, p, n, s):
 
 
 @pytest.mark.parametrize("p,n,s", [(3, 2, 1), (5, 2, 1), (7, 2, 1), (3, 2, 2), (5, 2, 2),
-                                   (5, 3, 1),  # p > n: closed form for the unramified
-                                   (3, 1, 1), (5, 1, 2),  # n = 1: no row is kept
+                                   (5, 3, 1), (3, 2, 3),  # p > n: factored over the classes
+                                   (3, 1, 1), (5, 1, 2),  # n = 1: no level, U alone
                                    (5, 2, 0), (5, 1, 0),  # s = 0: q = 1 < p
                                    (2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 2, 2), (2, 4, 1)])
 def test_parseval_sums_match_brute_force(p, n, s):
-    from momentsq.extension import _modulated_values
-    from momentsq import random_locally_constant
-    q = p ** (n * s)
-    f = random_locally_constant(padic(p), max(n * s, 1), seed=10 * p + n)
-    center = tuple(Fraction((-1) ** k * k, p ** k) for k in range(1, n + 1))
-    _, g = _modulated_values(f, center, n * s, budget.DEFAULT_ENUMERATION_BUDGET)
-    h = g.reshape(-1, q).sum(axis=0)
+    h = _folded_values(p, n, s)
     syzygy.clear_index_cache()
     try:
         got = syzygy._parseval_sums(h, p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
     finally:
         syzygy.clear_index_cache()
     assert got == pytest.approx(_brute_parseval_sums(h, p, n, s), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p,n,s", [(2, 2, 1), (2, 2, 2), (3, 3, 1)])
+def test_parseval_sums_group_keys_of_several_multisets(monkeypatch, p, n, s):
+    # every key holds one cell multiset at every configuration tried; keyed by
+    # all but the last power sum (p <= n, one class: plain grouping), many do,
+    # and B(k) must then sum B(k, C) over them
+    full = syzygy._power_tables
+
+    def weakened(p, n, s):
+        q, tables = full(p, n, s)
+        return q, tables[:-1]
+    monkeypatch.setattr(syzygy, "_power_tables", weakened)
+    h = _folded_values(p, n, s)
+    syzygy.clear_index_cache()
+    try:
+        (level,) = syzygy._parseval_groups(p, n, s)
+        got = syzygy._parseval_sums(h, p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
+    finally:
+        syzygy.clear_index_cache()
+    assert level[2][-1] + 1 < level[3].size  # fewer keys than pairs
+    assert got == pytest.approx(_brute_parseval_sums(h, p, n, s, keyed=n - 1), rel=1e-12, abs=0)
+
+
+def _folded_values(p, n, s):
+    """h of a seeded random f at a nonzero centre, folded mod q = p^{ns}."""
+    from momentsq.extension import _modulated_values
+    from momentsq import random_locally_constant
+    f = random_locally_constant(padic(p), max(n * s, 1), seed=10 * p + n)
+    center = tuple(Fraction((-1) ** k * k, p ** k) for k in range(1, n + 1))
+    _, g = _modulated_values(f, center, n * s, budget.DEFAULT_ENUMERATION_BUDGET)
+    return g.reshape(-1, p ** (n * s)).sum(axis=0)
+
+
+def _all_rows_parseval_sums(h, p, n, s, buckets=8):
+    """The two Parseval sums over every sorted n-tuple of `_key_rows`, weighted
+    by its orbit size and grouped by code, (key, cell multiset), with np.unique:
+    the grouping of all C(q+n-1, n) rows that the class factorisation replaces.
+    The keys go in `buckets` passes, by key mod buckets, to hold less."""
+    q, ncells = p ** (n * s), p ** s
+    all_codes, all_tuples = syzygy._key_rows(p, n, s)
+    key_sum = cell_sum = 0.0
+    for bucket in range(buckets):
+        rows = np.flatnonzero(all_codes // q % buckets == bucket)
+        codes = all_codes[rows]
+        cols = np.unravel_index(all_tuples[rows], (q,) * n, order="F")
+        value = _orbit_sizes(cols).astype(complex)  # a row's equal residues are adjacent
+        for c in cols:
+            value *= h[c]
+        pairs, at = np.unique(codes, return_inverse=True)
+        b_pair = np.bincount(at, value.real) + 1j * np.bincount(at, value.imag)
+        _, at = np.unique(pairs // q, return_inverse=True)
+        b_key = np.bincount(at, b_pair.real) + 1j * np.bincount(at, b_pair.imag)
+        cell_orbit = _orbit_sizes(np.unravel_index(pairs % q, (ncells,) * n, order="F"))
+        key_sum += np.sum(np.abs(b_key) ** 2)
+        cell_sum += np.sum(np.abs(b_pair) ** 2 / cell_orbit)
+    return key_sum, cell_sum
+
+
+@pytest.mark.parametrize("p,n,s", [(5, 2, 2), (7, 3, 1)])
+def test_parseval_sums_match_all_rows_grouping(p, n, s):
+    # (7,3,1): 6,784,540 sorted rows, 22,050 in the class-0 index; brute force
+    # over 343^3 ordered tuples would hold about 40M rows
+    h = _folded_values(p, n, s)
+    syzygy.clear_index_cache()
+    try:
+        got = syzygy._parseval_sums(h, p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
+    finally:
+        syzygy.clear_index_cache()
+    assert got == pytest.approx(_all_rows_parseval_sums(h, p, n, s), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (5, 1), (1, 3), (5, 2), (4, 3), (3, 5), (6, 4)])
