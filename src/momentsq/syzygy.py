@@ -53,6 +53,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -258,9 +259,9 @@ def _residue_folds(p: int, n: int, s: int, stride: int = 1):
     return q, tables, residue, [(t[residue].astype(narrow), 1) for t in tables] + [(cell, ncells)]
 
 
-def _key_rows(p: int, n: int, s: int, j: int | None = None, stride: int = 1):
-    """(codes, tuples) over the sorted position j-tuples (j = n by default)
-    of the residues mod q = p^{ns} that are multiples of stride (see
+def _key_rows(p: int, n: int, s: int, j: int, stride: int):
+    """(codes, tuples) over the sorted position j-tuples of the residues
+    mod q = p^{ns} that are multiples of stride (see
     `_residue_folds`), all folded by one `_sorted_folds` call: each row's
     code key * c^j + multiset (c = p^s / stride) and its residues / stride
     packed base q / stride, lowest position first.  key packs the first j
@@ -268,7 +269,6 @@ def _key_rows(p: int, n: int, s: int, j: int | None = None, stride: int = 1):
     multiset the cells in nondecreasing order (digit i the i-th smallest,
     base c).
     """
-    j = n if j is None else j
     q, _, residue, folds = _residue_folds(p, n, s, stride)
     *tables, (cell, ncells) = folds
     *sums, multiset, tuples = _sorted_folds(
@@ -374,12 +374,22 @@ def _levels(p: int, n: int, s: int):
     return 1, (n,)
 
 
-def _parseval_level(p: int, n: int, s: int, j: int, classes: int):
-    """The rows of `_key_rows(p, n, s, j, classes)` sorted by code, that is by
-    (key, cell multiset) pair: (orbit, fine, fine_key, cell_orbit, *cols)
-    gives each row's orbit size and pair, each pair's key group and
-    cell-multiset orbit size, and the rows' j columns y = residue // classes,
-    where class r reads h(classes * y + r)."""
+class _Level(NamedTuple):
+    """One cached level of `_parseval_groups`: the rows of `_key_rows(p, n,
+    s, j, classes)` sorted by code, that is by (key, cell multiset) pair,
+    each adding to its pair's sum B(k, C).  A key that holds several pairs
+    (none at any configuration tried) gets a sum B(k) of its own, after the
+    pairs', and its rows again at the end.  A call keeps these sums of every
+    class in one flat array, class r's after class r - 1's."""
+    orbit: np.ndarray       # a row's orbit size
+    fine: np.ndarray        # a row's sum
+    cols: np.ndarray        # (j, rows): a row's y = residue // classes; class r reads h(classes * y + r)
+    cell_orbit: np.ndarray  # a sum's cell-multiset orbit size, float; inf for a B(k)
+    in_key: np.ndarray      # 1.0 for a sum that is its key's B(k), else 0.0
+    at: np.ndarray          # (classes, 1): where class r's sums start
+
+
+def _parseval_level(p: int, n: int, s: int, j: int, classes: int) -> _Level:
     codes, tuples = _key_rows(p, n, s, j, classes)
     order = np.argsort(codes)  # rows in pair order: add.at then writes in sequence
     codes, tuples = codes[order], tuples[order]
@@ -396,29 +406,45 @@ def _parseval_level(p: int, n: int, s: int, j: int, classes: int):
     fine -= 1
     keys, multisets = np.unravel_index(codes[new], (q ** j, ncells ** j))
     del codes, new
-    fine_key = np.cumsum(_run_starts(keys))  # keys are sorted
-    fine_key -= 1
+    pairs = keys.size
+    opens = _run_starts(keys)  # keys are sorted: a pair that opens a key
+    alone = opens & np.append(opens[1:], True)
+    # a key that holds several pairs gets a sum of its own, after the pairs',
+    # and the rows of its pairs again, adding to it
+    key_sum = pairs + np.cumsum(opens & ~alone) - 1  # each shared pair's key's sum
+    again = np.flatnonzero(~alone[fine])
+    orbit, cols = np.append(orbit, orbit[again]), np.append(cols, cols[:, again], axis=1)
+    fine = np.append(fine, key_sum[fine[again]])
+    size = fine[-1] + 1
     # float: dividing by it then casts nothing, and the quotients are the same
-    cell_orbit = _orbit_sizes(np.unravel_index(multisets, (ncells,) * j, order="F")).astype(float)
-    out = (orbit, fine, fine_key, cell_orbit, *cols)
-    for a in out:
+    cell_orbit = np.full(size, np.inf)
+    cell_orbit[:pairs] = _orbit_sizes(np.unravel_index(multisets, (ncells,) * j, order="F"))
+    in_key = np.ones(size)
+    in_key[:pairs] = alone
+    level = _Level(orbit, fine, cols, cell_orbit, in_key, np.arange(0, classes * size, size)[:, None])
+    for a in level:
         a.setflags(write=False)  # shared by every caller through the cache
-    return out
+    return level
 
 
 @functools.lru_cache(maxsize=4)
 def _parseval_groups(p: int, n: int, s: int):
-    """The levels the Q_p norms sum over, each a `_parseval_level`: with p
+    """(levels, steps) the Q_p norms sum over.  levels are `_Level`s: with p
     classes (`_levels`), one per j = 2..n over the sorted j-tuples of the
     class-0 residues p * y, which class r reuses moved by r; with one, the
-    sorted n-tuples of every residue mod q = p^{ns}."""
+    sorted n-tuples of every residue mod q = p^{ns}.  steps (k, j, C(k, j)^2,
+    C(k, j)) multiply in one class's series (see `_parseval_sums`), highest
+    power first."""
     classes, sizes = _levels(p, n, s)
-    return tuple(_parseval_level(p, n, s, j, classes) for j in sizes)
+    powers = {1, *sizes} if classes > 1 else set(sizes)  # the x^j a class's series has
+    steps = tuple((k, j, math.comb(k, j) ** 2, math.comb(k, j))
+                  for k in range(n, 0, -1) for j in range(1, k + 1) if j in powers)
+    return tuple(_parseval_level(p, n, s, j, classes) for j in sizes), steps
 
 
 # peak bytes of `_parseval_groups`, traced by tracemalloc: grouping a level of j-tuples
-# holds 16j + 16 bytes a row (48.0 at (2,2,5), (7,2,2) and (5,2,3), 62.1 at (7,3,1),
-# 63.1 at (11,3,1), 80.0 at (3,4,1), 96.0 at (2,5,1)), and the power tables n + 3
+# holds 16j + 16 to 16j + 19 bytes a row (48.0 at (7,2,2) and (5,2,3), 50.7 at (2,2,5),
+# 62.2 at (7,3,1), 63.1 at (11,3,1), 80.0 at (3,4,1), 96.0 at (2,5,1)), and the power tables n + 3
 # int64 a residue mod q while they are built.  Charged 16j + _GROUP_BYTES a row
 # and (n + 3) _RESIDUE_BYTES a residue.
 _GROUP_BYTES, _RESIDUE_BYTES = 24, 8
@@ -460,36 +486,30 @@ def _check_pair_rows(p: int, n: int, s: int, budget: int):
                 + rows * math.gcd(n, q) // n * _PAIR_CODE_BYTES, f"the pair relation over Z/{q}")
 
 
-def _level_sums(values: np.ndarray, level):
+def _level_sums(values: np.ndarray, level: _Level):
     """(Z, Y), one entry per row r of values: the key sum and the cell sum of
-    one `_parseval_level` with h(y) = values[r, y].  Its rows go in blocks of
-    at most _PARSEVAL_BLOCK values, so every temporary stays small, and
-    np.add.at adds them in row order."""
-    orbit, fine, fine_key, cell_orbit, *cols = level
-    classes, pairs, keys = values.shape[0], cell_orbit.size, fine_key[-1] + 1
-    b_fine = np.zeros((classes, pairs), complex)
-    at = np.arange(0, classes * pairs, pairs)[:, None]  # class r's pairs in the flat b_fine
+    one `_Level` with h(y) = values[r, y].  Its rows go in blocks of at most
+    _PARSEVAL_BLOCK values, so every temporary stays small, and np.add.at
+    adds them in row order."""
+    classes = values.shape[0]
+    b_fine = np.zeros((classes, level.cell_orbit.size), complex)
     block = max(1, _PARSEVAL_BLOCK // classes)
-    for lo in range(0, orbit.size, block):
+    for lo in range(0, level.orbit.size, block):
         hi = lo + block
-        w = values.take(cols[0][lo:hi], axis=1)
-        w *= orbit[lo:hi]
-        for c in cols[1:]:
+        w = values.take(level.cols[0, lo:hi], axis=1)
+        w *= level.orbit[lo:hi]
+        for c in level.cols[1:]:
             w *= values.take(c[lo:hi], axis=1)
         # np.add.at adds in row order; reduceat over the run starts is slower and
         # moves the last bits (docs/quadrature.md)
-        np.add.at(b_fine.reshape(-1), (fine[lo:hi] + at).reshape(-1), w.reshape(-1))
+        np.add.at(b_fine.reshape(-1), (level.fine[lo:hi] + level.at).reshape(-1), w.reshape(-1))
     square = np.abs(b_fine)  # squared, then divided, in place: pair-sized arrays fewer a call
     square *= square
-    if keys < pairs:  # some key holds two cell multisets
-        b_key = np.zeros((classes, keys), complex)
-        np.add.at(b_key.reshape(-1), (fine_key + np.arange(0, classes * keys, keys)[:, None])
-                  .reshape(-1), b_fine.reshape(-1))
-        key = np.add.reduce(np.abs(b_key) ** 2, axis=1)
-    else:  # B(k) = B(k, C): the pair relation is empty
-        key = np.add.reduce(square, axis=1)
-    square /= cell_orbit
-    # np.add.reduce: np.sum's arithmetic without its dispatch, which small calls feel
+    # the key sum over the sums that are a B(k), the cell sum over the pairs'
+    # (a B(k) divides to 0); np.add.reduce: np.sum's arithmetic without its
+    # dispatch, which small calls feel
+    key = np.add.reduce(square * level.in_key, axis=1)
+    square /= level.cell_orbit
     return key.tolist(), np.add.reduce(square, axis=1).tolist()
 
 
@@ -508,19 +528,19 @@ def _parseval_sums(h: np.ndarray, p: int, n: int, s: int, budget: int):
     whose one level, j = n, gives both sums.
     """
     _check_key_rows(p, n, s, budget)
-    classes, sizes = _levels(p, n, s)
+    classes = _levels(p, n, s)[0]
+    levels, steps = _parseval_groups(p, n, s)
     values = np.ascontiguousarray(h.reshape(-1, classes).T)  # values[r, y] = h(classes * y + r)
-    terms = {j: _level_sums(values, level) for j, level in zip(sizes, _parseval_groups(p, n, s))}
+    terms = {level.cols.shape[0]: _level_sums(values, level) for level in levels}
     if classes > 1:
         terms[1] = (np.add.reduce(np.abs(values) ** 2, axis=1).tolist(),) * 2
     # key[k], cell[k]: the coefficients of x^k over the classes so far, times
     # (k!)^2 and k!; every term is positive, so nothing cancels
-    steps = [(k, j, *terms[j], math.comb(k, j)) for k in range(n, 0, -1)
-             for j in range(1, k + 1) if j in terms]
+    steps = [(k, j, *terms[j], cc, c) for k, j, cc, c in steps]
     key, cell = [1.0] + [0.0] * n, [1.0] + [0.0] * n
     for r in range(classes):
-        for k, j, z, y, c in steps:
-            key[k] += key[k - j] * z[r] * (c * c)
+        for k, j, z, y, cc, c in steps:
+            key[k] += key[k - j] * z[r] * cc
             cell[k] += cell[k - j] * y[r] * c
     return key[n], cell[n]
 

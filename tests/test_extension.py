@@ -384,7 +384,7 @@ def test_cached_tables_are_read_only():
     from momentsq.extension import _real_factors
     from momentsq.syzygy import _pair_relation, _parseval_groups
     fine, bounds, w, factors = _real_factors(8, Fraction(1, 4), ((0.0, 0.25, 4),) * 2)
-    levels = [*_parseval_groups(2, 2, 1), *_parseval_groups(5, 3, 1)]  # one class, then five
+    levels = [*_parseval_groups(2, 2, 1)[0], *_parseval_groups(5, 3, 1)[0]]  # one class, then five
     arrays = [a for level in levels for a in level] + [fine, bounds, w, *factors]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):

@@ -136,19 +136,20 @@ def test_parseval_orbit_column_counts_orderings(p, n, s):
     # dtype that holds j!, so the cached column takes one byte a row
     syzygy.clear_index_cache()
     try:
-        levels = syzygy._parseval_groups(p, n, s)
+        levels, _ = syzygy._parseval_groups(p, n, s)
     finally:
         syzygy.clear_index_cache()
     # p <= n: one level, every sorted n-tuple mod q, C(q+n-1, n) rows; p > n: a
     # level per j = 2..n over the q/p class-0 residues, C(q/p+j-1, j) rows each
     rows = {(2, 2, 1): [10], (2, 3, 1): [120], (3, 3, 1): [3654], (2, 4, 1): [3876],
             (5, 2, 1): [15], (7, 2, 1): [28], (5, 3, 1): [325, 2925]}[p, n, s]
-    assert [level[0].size for level in levels] == rows
-    for orbit, _, _, _, *cols in levels:
-        assert orbit.dtype == np.min_scalar_type(math.factorial(len(cols)))
+    assert [level.orbit.size for level in levels] == rows
+    for level in levels:
+        orbit = level.orbit
+        assert orbit.dtype == np.min_scalar_type(math.factorial(len(level.cols)))
         assert orbit.dtype.kind == "u"
         assert orbit.tolist() == [len(set(itertools.permutations(r)))
-                                  for r in np.transpose(cols).tolist()]
+                                  for r in level.cols.T.tolist()]
 
 
 @pytest.mark.parametrize("p,n,s", [(3, 2, 1), (5, 2, 1), (5, 2, 2), (7, 2, 1), (5, 3, 1)])
@@ -158,11 +159,11 @@ def test_key_groups_factor_over_residue_classes(p, n, s):
     # r, the key group of its residues = r mod p moved to class 0, read off the
     # cached class-0 index (a single residue is its own group)
     q, m = p ** (n * s), p ** (n * s - 1)
-    codes, tuples = syzygy._key_rows(p, n, s)
+    codes, tuples = syzygy._key_rows(p, n, s, n, 1)
     residues = np.array(np.unravel_index(tuples, (q,) * n, order="F"))
     syzygy.clear_index_cache()
     try:
-        levels = syzygy._parseval_groups(p, n, s)
+        levels, _ = syzygy._parseval_groups(p, n, s)
     finally:
         syzygy.clear_index_cache()
 
@@ -171,10 +172,11 @@ def test_key_groups_factor_over_residue_classes(p, n, s):
         return np.ravel_multi_index(np.sort(ys, axis=0), (m + 1,) * n, order="F")
 
     index, group, groups = [], [], 1 + m  # group ids: 0 none, 1 + y one residue y
-    for _, fine, fine_key, _, *cols in levels:
-        index.append(packed(np.array(cols)))
-        group.append(groups + fine_key[fine])
-        groups += fine_key[-1] + 1
+    for level in levels:
+        assert level.in_key.all()  # each key group holds one pair
+        index.append(packed(level.cols))
+        group.append(groups + level.fine)
+        groups += level.cell_orbit.size
     index, group = np.concatenate(index), np.concatenate(group)
     order = np.argsort(index)
     index, group = index[order], group[order]
@@ -277,12 +279,39 @@ def test_parseval_sums_group_keys_of_several_multisets(monkeypatch, p, n, s):
     h = _folded_values(p, n, s)
     syzygy.clear_index_cache()
     try:
-        (level,) = syzygy._parseval_groups(p, n, s)
+        (level,), _ = syzygy._parseval_groups(p, n, s)
         got = syzygy._parseval_sums(h, p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
     finally:
         syzygy.clear_index_cache()
-    assert level[2][-1] + 1 < level[3].size  # fewer keys than pairs
+    assert not level.in_key.all()  # some keys hold several pairs
     assert got == pytest.approx(_brute_parseval_sums(h, p, n, s, keyed=n - 1), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p,n,s", [(3, 2, 2), (5, 2, 2), (3, 2, 3)])
+def test_level_sums_of_several_classes_are_each_class_alone(monkeypatch, p, n, s):
+    # keyed by all but the last power sum many keys hold several pairs (the
+    # class-0 residues need two cells, so s >= 2); a call over p classes must
+    # give each class the sums of a call over it alone
+    full = syzygy._power_tables
+
+    def weakened(p, n, s):
+        q, tables = full(p, n, s)
+        return q, tables[:-1]
+    monkeypatch.setattr(syzygy, "_power_tables", weakened)
+    rng = np.random.default_rng(p + n + s)
+    values = rng.normal(size=(p, p ** (n * s - 1))) + 1j * rng.normal(size=(p, p ** (n * s - 1)))
+    syzygy.clear_index_cache()
+    try:
+        levels, _ = syzygy._parseval_groups(p, n, s)
+    finally:
+        syzygy.clear_index_cache()
+    (level,) = levels
+    assert not level.in_key.all()
+    alone = level._replace(at=level.at[:1])  # one class, at offset 0
+    each = [syzygy._level_sums(values[r:r + 1], alone) for r in range(p)]
+    got = syzygy._level_sums(values, level)
+    for i in (0, 1):  # the key sums, then the cell sums
+        assert got[i] == pytest.approx([sums[i][0] for sums in each], rel=1e-14, abs=0)
 
 
 def _folded_values(p, n, s):
@@ -295,26 +324,37 @@ def _folded_values(p, n, s):
     return g.reshape(-1, p ** (n * s)).sum(axis=0)
 
 
-def _all_rows_parseval_sums(h, p, n, s, buckets=8):
-    """The two Parseval sums over every sorted n-tuple of `_key_rows`, weighted
-    by its orbit size and grouped by code, (key, cell multiset), with np.unique:
-    the grouping of all C(q+n-1, n) rows that the class factorisation replaces.
-    The keys go in `buckets` passes, by key mod buckets, to hold less."""
+def _all_rows_parseval_sums(h, p, n, s):
+    """The two Parseval sums over every sorted n-tuple of residues mod q,
+    weighted by its orbit size and grouped by (key, cell multiset) with
+    np.unique: the grouping of all C(q+n-1, n) rows that the class
+    factorisation replaces (n >= 2).  Tuples with different p_1 never share
+    a key, so it runs one p_1 = r at a time: those tuples are each sorted
+    (n-1)-tuple t with a = r - p_1(t) mod q put first when a <= t_1."""
     q, ncells = p ** (n * s), p ** s
-    all_codes, all_tuples = syzygy._key_rows(p, n, s)
+    t = np.array(list(itertools.combinations_with_replacement(range(q), n - 1))).T
+    powers, power = [], np.ones_like(t)
+    for _ in range(n):
+        power = power * t % q
+        powers.append(power.sum(axis=0) % q)
+    value_t = np.prod(h[t], axis=0)
     key_sum = cell_sum = 0.0
-    for bucket in range(buckets):
-        rows = np.flatnonzero(all_codes // q % buckets == bucket)
-        codes = all_codes[rows]
-        cols = np.unravel_index(all_tuples[rows], (q,) * n, order="F")
-        value = _orbit_sizes(cols).astype(complex)  # a row's equal residues are adjacent
-        for c in cols:
-            value *= h[c]
+    for r in range(q):
+        a = (r - powers[0]) % q
+        keep = np.flatnonzero(a <= t[0])
+        a, rows = a[keep], np.vstack([a[keep], t[:, keep]])  # each column sorted
+        sums, power = [], a
+        for k in range(1, n):  # p_1 = r is fixed: the key is (p_2, ..., p_n)
+            power = power * a % q
+            sums.append((powers[k][keep] + power) % q)
+        multiset = np.ravel_multi_index(np.sort(rows % ncells, axis=0), (ncells,) * n)
+        codes = np.ravel_multi_index((*sums, multiset), (q,) * (n - 1) + (ncells ** n,))
+        value = _orbit_sizes(rows) * h[a] * value_t[keep]
         pairs, at = np.unique(codes, return_inverse=True)
         b_pair = np.bincount(at, value.real) + 1j * np.bincount(at, value.imag)
-        _, at = np.unique(pairs // q, return_inverse=True)
+        _, at = np.unique(pairs // ncells ** n, return_inverse=True)
         b_key = np.bincount(at, b_pair.real) + 1j * np.bincount(at, b_pair.imag)
-        cell_orbit = _orbit_sizes(np.unravel_index(pairs % q, (ncells,) * n, order="F"))
+        cell_orbit = _orbit_sizes(np.unravel_index(pairs % ncells ** n, (ncells,) * n))
         key_sum += np.sum(np.abs(b_key) ** 2)
         cell_sum += np.sum(np.abs(b_pair) ** 2 / cell_orbit)
     return key_sum, cell_sum
@@ -322,8 +362,10 @@ def _all_rows_parseval_sums(h, p, n, s, buckets=8):
 
 @pytest.mark.parametrize("p,n,s", [(5, 2, 2), (7, 3, 1)])
 def test_parseval_sums_match_all_rows_grouping(p, n, s):
-    # (7,3,1): 6,784,540 sorted rows, 22,050 in the class-0 index; brute force
-    # over 343^3 ordered tuples would hold about 40M rows
+    # (7,3,1): 6,784,540 sorted rows, 22,050 in the class-0 index; the
+    # grouping takes one p_1 at a time, about 20,000 rows (tracemalloc peak
+    # 7.6 MB), where brute force over 343^3 ordered tuples would hold
+    # about 40M rows
     h = _folded_values(p, n, s)
     syzygy.clear_index_cache()
     try:
@@ -404,7 +446,7 @@ def test_key_shared_by_two_multisets(monkeypatch):
 def _full_walk_relation(p, n, s):
     """The pair relation read off every row of `_key_rows`, grouped in a dict."""
     q = p ** (n * s)
-    codes = _sorted_unique(syzygy._key_rows(p, n, s)[0])
+    codes = _sorted_unique(syzygy._key_rows(p, n, s, n, 1)[0])
     key = codes // q
     codes = codes[np.isin(key, key[1:][key[1:] == key[:-1]])]  # keys with two codes
     groups: dict[int, set] = {}
@@ -458,7 +500,7 @@ def test_key_rows_positions_are_sorted_tuples(p, n, s):
     # rows are the sorted position tuples; position x holds residue
     # x // span + p^s * (x % span), span = q / p^s: cell by cell
     q, ncells = p ** (n * s), p ** s
-    tuples = syzygy._key_rows(p, n, s)[1]
+    tuples = syzygy._key_rows(p, n, s, n, 1)[1]
     assert tuples.dtype == np.int64
     decoded = [tuple(int(x) // q ** i % q for i in range(n)) for x in tuples]
     residue = [x // (q // ncells) + ncells * (x % (q // ncells)) for x in range(q)]
