@@ -92,31 +92,24 @@ def cmd_syzygy(args: argparse.Namespace) -> int:
             }
             _emit(args, _json(doc))
             return 0
-        base = cell_tuple(field, padic_scale(p, s), indices)
-        report = syzygy_set_nonarch(base)
-        doc = {
-            "schema": SCHEMA, "command": "syzygy", "mode": "single",
-            "field": "padic", "p": p, "n": args.n, "s": s,
-            "base": list(base.indices),
-            "epsilon": str(report.epsilon),
-            "members": [list(ix) for ix in report.member_indices],
-            "cardinality": report.cardinality,
-            "method": report.method.value,
-            "bound": _json_int(syzygy_bound(field, args.n)),
-            "within_bound": report.cardinality <= syzygy_bound(field, args.n),
-        }
-        _emit(args, _json(doc))
+        report = syzygy_set_nonarch(cell_tuple(field, padic_scale(p, s), indices))
+        _emit(args, _json(_single_doc(report, syzygy_bound(field, args.n),
+                                      field="padic", p=p, n=args.n, s=s)))
         return 0
     delta_inv = 8 if args.delta_inv is None else args.delta_inv
-    base = cell_tuple(REAL, real_scale(delta_inv), indices)
     curve = Curve.moment(args.n)
-    report = syzygy_set_real(curve, base, epsilon=args.epsilon,
-                             grid_step=args.grid_step)
-    bound = bounds_mod.bezout_syzygy_bound(curve, REAL)
-    doc = {
-        "schema": SCHEMA, "command": "syzygy", "mode": "single",
-        "field": "real", "n": args.n, "delta": f"1/{delta_inv}",
-        "base": list(base.indices),
+    report = syzygy_set_real(curve, cell_tuple(REAL, real_scale(delta_inv), indices),
+                             epsilon=args.epsilon, grid_step=args.grid_step)
+    _emit(args, _json(_single_doc(report, bounds_mod.bezout_syzygy_bound(curve, REAL),
+                                  field="real", n=args.n, delta=f"1/{delta_inv}")))
+    return 0
+
+
+def _single_doc(report, bound: int, **config) -> dict:
+    """The JSON document of one base tuple's set, over the field `config` names."""
+    return {
+        "schema": SCHEMA, "command": "syzygy", "mode": "single", **config,
+        "base": list(report.base.indices),
         "epsilon": str(report.epsilon),
         "members": [list(ix) for ix in report.member_indices],
         "cardinality": report.cardinality,
@@ -124,8 +117,6 @@ def cmd_syzygy(args: argparse.Namespace) -> int:
         "bound": _json_int(bound),
         "within_bound": report.cardinality <= bound,
     }
-    _emit(args, _json(doc))
-    return 0
 
 
 def _n_values(args: argparse.Namespace, default: int) -> tuple[int, ...]:

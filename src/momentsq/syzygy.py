@@ -30,17 +30,17 @@ contiguous add per a.  It hands out the last level in blocks of rows;
 it.  Tuples are one more fold, packed base m; every
 packed code is written and read by numpy's codec, np.ravel_multi_index and
 np.unravel_index, lowest digit first (order="F").  The sorted tuples
-(`_key_rows`), grouped by pair and by key (`_parseval_groups`), carry the
-Parseval sums of the Q_p norms (`_parseval_sums`), which are not
-translation-invariant.  For p > n they factor over the residue classes mod
-p: by Hensel's lemma a key group is the product of its parts in each class,
-and class r's parts are those of class 0 moved by r, so one cached index
-of the sorted j-tuples of the class-0 residues, j = 2..n, serves every
-class, and a polynomial product over the classes gives the sums.  For
-p <= n every sorted n-tuple is grouped, as one class.  The kernel folds
-values only: a row's orbit size is a function of its columns,
-`_orbit_sizes` the one orbit rule, and `_orderings` the one place a
-report expands the orderings of multisets.
+(`_key_rows`), grouped by key (`_parseval_groups`; each key holds one cell
+multiset), carry the Parseval sums of the Q_p norms (`_parseval_sums`),
+which are not translation-invariant.  For p > n they factor over the
+residue classes mod p: by Hensel's lemma a key group is the product of its
+parts in each class, and class r's parts are those of class 0 moved by r,
+so one cached index of the sorted j-tuples of the class-0 residues,
+j = 2..n, serves every class, and a polynomial product over the classes
+gives the sums.  For p <= n every sorted n-tuple is grouped, as one class.
+The kernel folds values only: a row's orbit size is a function of its
+columns, `_orbit_sizes` the one orbit rule, and `_orderings` the one place
+a report expands the orderings of multisets.
 The real sampler runs its sorted grid n-tuples against every point tuple
 of the base cells, re-checks one witness per cell multiset hit exactly,
 and reports each ordering of those multisets.
@@ -346,7 +346,7 @@ def _shift_pairs(pairs: np.ndarray, ncells: int, n: int) -> np.ndarray:
 def _pair_relation(p: int, n: int, s: int) -> np.ndarray:
     """(a, b), sorted: the ordered pairs of distinct cell multisets (coded as
     in `_key_rows`) whose point tuples share a power-sum key mod q = p^{ns}.
-    Empty at every configuration tried, p <= n included.
+    Empty for p > n (docs/quadrature.md) and at every p <= n config tried.
 
     Built from one translate per class.  p_k(t + c) = sum_j C(k, j)
     c^(k-j) p_j(t) with p_0 = n, so a shift by c keeps two keys equal or
@@ -376,22 +376,20 @@ def _levels(p: int, n: int, s: int):
 
 class _Level(NamedTuple):
     """One cached level of `_parseval_groups`: the rows of `_key_rows(p, n,
-    s, j, classes)` sorted by code, that is by (key, cell multiset) pair,
-    each adding to its pair's sum B(k, C).  A key that holds several pairs
-    (none at any configuration tried) gets a sum B(k) of its own, after the
-    pairs', and its rows again at the end.  A call keeps these sums of every
-    class in one flat array, class r's after class r - 1's."""
+    s, j, classes)` sorted by code, that is by key, each adding to its key's
+    sum B(k).  A key holds one cell multiset C, so B(k) = B(k, C) (checked
+    at build, docs/quadrature.md).  A call keeps these sums of every class
+    in one flat array, class r's after class r - 1's."""
     orbit: np.ndarray       # a row's orbit size
     fine: np.ndarray        # a row's sum
     cols: np.ndarray        # (j, rows): a row's y = residue // classes; class r reads h(classes * y + r)
-    cell_orbit: np.ndarray  # a sum's cell-multiset orbit size, float; inf for a B(k)
-    in_key: np.ndarray      # 1.0 for a sum that is its key's B(k), else 0.0
+    cell_orbit: np.ndarray  # a sum's cell-multiset orbit size, float
     at: np.ndarray          # (classes, 1): where class r's sums start
 
 
 def _parseval_level(p: int, n: int, s: int, j: int, classes: int) -> _Level:
     codes, tuples = _key_rows(p, n, s, j, classes)
-    order = np.argsort(codes)  # rows in pair order: add.at then writes in sequence
+    order = np.argsort(codes)  # rows in key order: add.at then writes in sequence
     codes, tuples = codes[order], tuples[order]
     del order
     q, ncells = p ** (n * s), p ** s // classes
@@ -406,22 +404,11 @@ def _parseval_level(p: int, n: int, s: int, j: int, classes: int) -> _Level:
     fine -= 1
     keys, multisets = np.unravel_index(codes[new], (q ** j, ncells ** j))
     del codes, new
-    pairs = keys.size
-    opens = _run_starts(keys)  # keys are sorted: a pair that opens a key
-    alone = opens & np.append(opens[1:], True)
-    # a key that holds several pairs gets a sum of its own, after the pairs',
-    # and the rows of its pairs again, adding to it
-    key_sum = pairs + np.cumsum(opens & ~alone) - 1  # each shared pair's key's sum
-    again = np.flatnonzero(~alone[fine])
-    orbit, cols = np.append(orbit, orbit[again]), np.append(cols, cols[:, again], axis=1)
-    fine = np.append(fine, key_sum[fine[again]])
-    size = fine[-1] + 1
+    if not _run_starts(keys).all():  # never for p > n (docs/quadrature.md); checked for p <= n
+        raise RuntimeError(f"a power-sum key mod {q} holds two cell multisets of {j}-tuples")
     # float: dividing by it then casts nothing, and the quotients are the same
-    cell_orbit = np.full(size, np.inf)
-    cell_orbit[:pairs] = _orbit_sizes(np.unravel_index(multisets, (ncells,) * j, order="F"))
-    in_key = np.ones(size)
-    in_key[:pairs] = alone
-    level = _Level(orbit, fine, cols, cell_orbit, in_key, np.arange(0, classes * size, size)[:, None])
+    cell_orbit = _orbit_sizes(np.unravel_index(multisets, (ncells,) * j, order="F")).astype(float)
+    level = _Level(orbit, fine, cols, cell_orbit, np.arange(0, classes * keys.size, keys.size)[:, None])
     for a in level:
         a.setflags(write=False)  # shared by every caller through the cache
     return level
@@ -443,8 +430,8 @@ def _parseval_groups(p: int, n: int, s: int):
 
 
 # peak bytes of `_parseval_groups`, traced by tracemalloc: grouping a level of j-tuples
-# holds 16j + 16 to 16j + 19 bytes a row (48.0 at (7,2,2) and (5,2,3), 50.7 at (2,2,5),
-# 62.2 at (7,3,1), 63.1 at (11,3,1), 80.0 at (3,4,1), 96.0 at (2,5,1)), and the power tables n + 3
+# holds up to 16j + 16 bytes a row (48.0 at (7,2,2), (5,2,3) and (2,2,5), 62.1 at
+# (7,3,1), 63.1 at (11,3,1), 80.0 at (3,4,1), 96.0 at (2,5,1)), and the power tables n + 3
 # int64 a residue mod q while they are built.  Charged 16j + _GROUP_BYTES a row
 # and (n + 3) _RESIDUE_BYTES a residue.
 _GROUP_BYTES, _RESIDUE_BYTES = 24, 8
@@ -503,12 +490,10 @@ def _level_sums(values: np.ndarray, level: _Level):
         # np.add.at adds in row order; reduceat over the run starts is slower and
         # moves the last bits (docs/quadrature.md)
         np.add.at(b_fine.reshape(-1), (level.fine[lo:hi] + level.at).reshape(-1), w.reshape(-1))
-    square = np.abs(b_fine)  # squared, then divided, in place: pair-sized arrays fewer a call
+    square = np.abs(b_fine)  # squared, then divided, in place: key-sized arrays fewer a call
     square *= square
-    # the key sum over the sums that are a B(k), the cell sum over the pairs'
-    # (a B(k) divides to 0); np.add.reduce: np.sum's arithmetic without its
-    # dispatch, which small calls feel
-    key = np.add.reduce(square * level.in_key, axis=1)
+    # np.add.reduce: np.sum's arithmetic without its dispatch, which small calls feel
+    key = np.add.reduce(square, axis=1)
     square /= level.cell_orbit
     return key.tolist(), np.add.reduce(square, axis=1).tolist()
 
@@ -516,7 +501,8 @@ def _level_sums(values: np.ndarray, level: _Level):
 def _parseval_sums(h: np.ndarray, p: int, n: int, s: int, budget: int):
     """(sum_k |B(k)|^2, sum_{(k,C)} |B(k,C)|^2 / orbit(C)), where B(k, C) sums
     orbit(M) prod_i h(M_i) over the sorted n-tuples M of residues mod p^{ns}
-    with power-sum key k and cell multiset C, and B(k) sums B(k, C) over C.
+    with power-sum key k and cell multiset C, and B(k) sums B(k, C) over C:
+    one C, as `_parseval_groups` checks.
 
     With p classes (`_levels`), a key group is the product of its
     parts in each residue class mod p, and each part is a class-0 group

@@ -173,7 +173,6 @@ def test_key_groups_factor_over_residue_classes(p, n, s):
 
     index, group, groups = [], [], 1 + m  # group ids: 0 none, 1 + y one residue y
     for level in levels:
-        assert level.in_key.all()  # each key group holds one pair
         index.append(packed(level.cols))
         group.append(groups + level.fine)
         groups += level.cell_orbit.size
@@ -223,14 +222,14 @@ def test_parseval_byte_charge_covers_its_peak(monkeypatch):
         syzygy.clear_index_cache()
 
 
-def _brute_parseval_sums(h, p, n, s, keyed=None):
-    """The two Parseval sums over all q^n ordered tuples, grouped by key, the
-    first `keyed` (default n) power sums, and by (key, cell multiset) with
-    np.unique; orbit(C) counts the distinct ordered cell tuples that sort to C."""
+def _brute_parseval_sums(h, p, n, s):
+    """The two Parseval sums over all q^n ordered tuples, grouped by key and
+    by (key, cell multiset) with np.unique; orbit(C) counts the distinct
+    ordered cell tuples that sort to C."""
     q, ncells = p ** (n * s), p ** s
     t = np.indices((q,) * n).reshape(n, -1)
     sums, power = [], np.ones_like(t)
-    for _ in range(n if keyed is None else keyed):
+    for _ in range(n):
         power = power * t % q
         sums.append(power.sum(axis=0) % q)
     key = np.ravel_multi_index(sums, (q,) * len(sums))
@@ -265,39 +264,51 @@ def test_parseval_sums_match_brute_force(p, n, s):
     assert got == pytest.approx(_brute_parseval_sums(h, p, n, s), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("p,n,s", [(2, 2, 1), (2, 2, 2), (3, 3, 1)])
-def test_parseval_sums_group_keys_of_several_multisets(monkeypatch, p, n, s):
-    # every key holds one cell multiset at every configuration tried; keyed by
-    # all but the last power sum (p <= n, one class: plain grouping), many do,
-    # and B(k) must then sum B(k, C) over them
+def _weaken_power_tables(monkeypatch):
+    """Key by every power sum but the last: then keys hold several cell
+    multisets, for p <= n and p > n alike."""
     full = syzygy._power_tables
 
     def weakened(p, n, s):
         q, tables = full(p, n, s)
         return q, tables[:-1]
     monkeypatch.setattr(syzygy, "_power_tables", weakened)
+
+
+@pytest.mark.parametrize("p,n,s", [(2, 2, 1), (5, 2, 2)])  # one class, and p classes
+def test_parseval_groups_refuse_a_key_of_two_multisets(monkeypatch, p, n, s):
+    # every key holds one cell multiset (for p > n a lemma, docs/quadrature.md);
+    # the build checks it, so a weakened key is refused before any sum is taken
+    _weaken_power_tables(monkeypatch)
     h = _folded_values(p, n, s)
     syzygy.clear_index_cache()
     try:
-        (level,), _ = syzygy._parseval_groups(p, n, s)
-        got = syzygy._parseval_sums(h, p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
+        with pytest.raises(RuntimeError, match="holds two cell multisets"):
+            syzygy._parseval_groups(p, n, s)
+        with pytest.raises(RuntimeError, match="holds two cell multisets"):
+            syzygy._parseval_sums(h, p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
     finally:
         syzygy.clear_index_cache()
-    assert not level.in_key.all()  # some keys hold several pairs
-    assert got == pytest.approx(_brute_parseval_sums(h, p, n, s, keyed=n - 1), rel=1e-12, abs=0)
+
+
+def test_parseval_key_guard_exits_3(monkeypatch, capsys):
+    _weaken_power_tables(monkeypatch)
+    syzygy.clear_index_cache()
+    try:
+        assert cli.main(["verify", "--suite", "theorem1", "--trials", "1"]) == 3
+    finally:
+        syzygy.clear_index_cache()
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("invariant failure: ") and "holds two cell multisets" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("p,n,s", [(3, 2, 2), (5, 2, 2), (3, 2, 3)])
-def test_level_sums_of_several_classes_are_each_class_alone(monkeypatch, p, n, s):
-    # keyed by all but the last power sum many keys hold several pairs (the
-    # class-0 residues need two cells, so s >= 2); a call over p classes must
-    # give each class the sums of a call over it alone
-    full = syzygy._power_tables
-
-    def weakened(p, n, s):
-        q, tables = full(p, n, s)
-        return q, tables[:-1]
-    monkeypatch.setattr(syzygy, "_power_tables", weakened)
+def test_level_sums_of_several_classes_are_each_class_alone(p, n, s):
+    # the class-0 residues span several cells (s >= 2), so each class has
+    # several sums; a call over p classes must give each class the sums of a
+    # call over it alone
     rng = np.random.default_rng(p + n + s)
     values = rng.normal(size=(p, p ** (n * s - 1))) + 1j * rng.normal(size=(p, p ** (n * s - 1)))
     syzygy.clear_index_cache()
@@ -306,7 +317,6 @@ def test_level_sums_of_several_classes_are_each_class_alone(monkeypatch, p, n, s
     finally:
         syzygy.clear_index_cache()
     (level,) = levels
-    assert not level.in_key.all()
     alone = level._replace(at=level.at[:1])  # one class, at offset 0
     each = [syzygy._level_sums(values[r:r + 1], alone) for r in range(p)]
     got = syzygy._level_sums(values, level)
