@@ -11,7 +11,10 @@ so the norm integral is a finite sum over coset representatives, and
 Parseval turns that sum into sum_k |B(k)|^2 over power-sum groups of
 sorted residue n-tuples mod p^{ns}.  Over R the xi-integrals use composite
 Gauss-Legendre panels sized to the phase bandwidth, and the norm
-quadrature is the midpoint rule on the weighted box.  The L^{2n}
+quadrature is the midpoint rule on the weighted box.  On that grid
+E_J f = sum over the f-cells j in J of f_j G_j, where G_j, the extension of
+the indicator of cell j, does not depend on f: the G_j are cached once
+per grid, and a norm call is a weighted sum of cached grids.  The L^{2n}
 integrands hold frequencies up to n along each axis, so
 the step is 1/4 for n <= 3 and 1/(n+1) from n = 4, where 1/4 would alias.
 The atomic comb's ratio is a closed form: its L^{2n} norm counts
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,7 +171,17 @@ def _extension_padic(f: LocallyConstant, cell: Cell | None, x) -> complex:
     return complex(g[index::f.field.prime ** s].sum()) / f.field.prime ** m
 
 
-def _real_xi_nodes(a: float, b: float, x, order: int = 16):
+@functools.cache
+def _gauss_legendre_16():
+    """The 16-node Gauss-Legendre rule on [-1, 1]: (nodes, weights), read-only.
+    The grid route and the pointwise oracle share it."""
+    rule = np.polynomial.legendre.leggauss(16)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def _real_xi_nodes(a: float, b: float, x):
     """Gauss-Legendre nodes/weights on [a, b], paneled to the phase bandwidth.
 
     The phase xi*x_1 + ... + xi^n*x_n has at most sum_k k*|x_k| cycles per
@@ -177,7 +189,7 @@ def _real_xi_nodes(a: float, b: float, x, order: int = 16):
     """
     rate = sum(k * abs(float(v)) for k, v in enumerate(x, start=1)) + 1.0
     panels = max(1, math.ceil((b - a) * rate / 4.0))
-    nodes, wts = np.polynomial.legendre.leggauss(order)
+    nodes, wts = _gauss_legendre_16()
     xi = np.concatenate([a + (i + (nodes + 1) / 2) * (b - a) / panels
                          for i in range(panels)])
     ww = np.tile(wts * (b - a) / (2 * panels), panels)
@@ -257,7 +269,7 @@ def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
 
 
 # ---------------------------------------------------------------------------
-# R norms: one matrix product per cell over cached factor matrices
+# R norms: a weighted sum of cached per-cell grids
 # ---------------------------------------------------------------------------
 
 def _real_axes(axes):
@@ -271,47 +283,86 @@ def _real_panels(res: int, grid) -> int:
     return max(1, math.ceil(rate / (4.0 * res)))
 
 
-@functools.lru_cache(maxsize=4)
-def _real_factors(count: int, delta: Fraction, axes: tuple):
-    """(fine, bounds, weights, factors) for GL-16 panels on the count cells of
-    f: node t lies in f-cell fine[t] and in cell J for bounds[J] <= t <
-    bounds[J + 1], and F_k[t, x] = e(-t^(k+1) x_k) on the grid.  Every
-    caller with the same grid shares these arrays: read-only."""
-    per = count * delta
-    if per.denominator != 1:
-        raise ValueError("f resolution must refine the partition")
+# peak bytes of a real norm call besides the cached grids, traced by tracemalloc:
+# per grid point 24 where each partition cell is one f-cell and 46 where not, plus
+# numpy's ufunc buffers, at most 3 operands of np.getbufsize() complex entries
+_REAL_POINT_BYTES = 48
+_REAL_CALL_BYTES = 3 * 16 * np.getbufsize()
+
+
+@functools.lru_cache(maxsize=1)
+def _real_grids(count: int, delta: Fraction, axes: tuple):
+    """(G, G2, W) on the grid of `axes`, for the count cells of f and the
+    partition of scale delta.  G[j] is the extension of the indicator of
+    f-cell j, G_j(x) = int over cell j of e(-gamma(t) . x) dt by GL-16
+    panels, so E_J f = sum over the f-cells j in J of f_j G_j.  It is one
+    matrix product over the cell's nodes t, F_0^T KhatriRao(w, F_1, ...,
+    F_{n-1}), with F_k[t, x] = e(-t^(k+1) x_k) and w the GL weights.
+    G2 = |G|^2 where every partition cell is one f-cell, else None, and W
+    is the weight of the norms on the grid: the product over the axes of
+    `fejer_weight((x_k - c_k) / delta^{-n})`, c_k the origin of axis k.
+
+    One grid is kept, and a new grid drops it before being built, so the
+    resident bytes are one charge of `_checked_real_grids`.  Every caller
+    with the same grid shares these arrays: read-only."""
+    _real_grids.cache_clear()
     grid = _real_axes(axes)
     panels = _real_panels(count, grid)
-    nodes, wts = np.polynomial.legendre.leggauss(16)
+    nodes, wts = _gauss_legendre_16()
     width = 1.0 / count
-    t = (np.arange(count)[:, None, None] / count
-         + (np.arange(panels)[:, None] + (nodes + 1) / 2) * width / panels).ravel()
-    fine = np.repeat(np.arange(count), panels * nodes.size)
-    w = np.tile(wts * width / (2 * panels), count * panels)
-    bounds = np.searchsorted(fine // int(per), np.arange(delta.denominator + 1))
-    factors = [np.exp(np.multiply.outer(-2j * np.pi * t ** (k + 1), x))
-               for k, x in enumerate(grid)]
-    for a in (fine, bounds, w, *factors):
-        a.setflags(write=False)
-    return fine, bounds, w, factors
+    offsets = ((np.arange(panels)[:, None] + (nodes + 1) / 2) * width / panels).ravel()
+    w = np.tile(wts * width / (2 * panels), panels)
+    stack = np.empty((count, *(g.size for g in grid)), complex)
+    for j, gj in enumerate(stack):
+        tj = j / count + offsets
+        f0, *rest = [np.exp(np.multiply.outer(-2j * np.pi * tj ** (k + 1), x))
+                     for k, x in enumerate(grid)]
+        kr = w[:, None]
+        for fk in rest:
+            kr = (kr[:, :, None] * fk[:, None]).reshape(tj.size, kr.shape[1] * fk.shape[1])
+        np.matmul(f0.T, kr, out=gj.reshape(f0.shape[1], -1))
+    power = None
+    if count == delta.denominator:
+        power = np.abs(stack)
+        power *= power
+    radius = float(Fraction(1) / delta ** len(axes))
+    weight = functools.reduce(np.multiply.outer, [fejer_weight((x - lo) / radius)
+                                                  for x, (lo, _, _) in zip(grid, axes)])
+    for a in (stack, power, weight):
+        if a is not None:
+            a.setflags(write=False)
+    return stack, power, weight
+
+
+def _checked_real_grids(f: LocallyConstant, scale: Scale, axes: tuple, budget: int):
+    """`_real_grids` for f on the grid of `axes`.  Before any is built, the
+    step budget counts the grid points and the phase-factor and Khatri-Rao
+    entries of every f-cell, and the memory budget the cached grids, one
+    f-cell's build and a call's grids."""
+    per = f.precision * scale.delta
+    if per.denominator != 1:
+        raise ValueError("f resolution must refine the partition")
+    shape = tuple(m for _, _, m in axes)
+    points = math.prod(shape)
+    check_budget(points, budget, "real norm grid")
+    cell_nodes = 16 * _real_panels(f.precision, _real_axes(axes))
+    check_budget(f.precision * cell_nodes * (sum(shape) + math.prod(shape[1:])), budget,
+                 "real factor matrices")
+    cached = points * (f.precision * (24 if per == 1 else 16) + 8)  # G, G2 if per == 1, and W
+    # one f-cell's build: its factor matrices, each with its phases, and its Khatri-Rao rows
+    build = 16 * cell_nodes * (2 * sum(shape) + math.prod(shape[1:]))
+    check_bytes(cached + build + points * _REAL_POINT_BYTES + _REAL_CALL_BYTES, "real norm grids")
+    return _real_grids(f.precision, scale.delta, axes)
 
 
 def _cell_extensions(f: LocallyConstant, scale: Scale, axes: tuple, budget: int):
-    """Yield E_J f on the grid of `axes`, cell by cell: one matrix product
-    E_J = F_0[J]^T @ KhatriRao(c_J, F_1[J], ..., F_{n-1}[J]) over the cell's
-    nodes t (rows), with c_t = f(t) w_t.  The budget counts the factor entries
-    and a cell's Khatri-Rao entries before any is built."""
-    shape = tuple(m for _, _, m in axes)
-    check_budget(math.prod(shape), budget, "real norm grid")
-    nodes = f.precision * 16 * _real_panels(f.precision, _real_axes(axes))
-    check_budget(nodes * (sum(shape) + math.prod(shape[1:])), budget, "real factor matrices")
-    fine, bounds, w, factors = _real_factors(f.precision, scale.delta, axes)
-    c = np.asarray(f.values, dtype=complex)[fine] * w
-    for lo, hi in itertools.pairwise(bounds):
-        kr = c[lo:hi, None]
-        for fk in factors[1:]:
-            kr = (kr[:, :, None] * fk[lo:hi, None]).reshape(hi - lo, kr.shape[1] * fk.shape[1])
-        yield (factors[0][lo:hi].T @ kr).reshape(shape)
+    """Yield E_J f on the grid of `axes`, cell by cell: the sum of f_j G_j
+    over the f-cells j in J."""
+    stack = _checked_real_grids(f, scale, axes, budget)[0]
+    vals = np.asarray(f.values, dtype=complex)
+    per = len(vals) // scale.delta.denominator
+    for lo in range(0, len(vals), per):
+        yield np.tensordot(vals[lo:lo + per], stack[lo:lo + per], 1)
 
 
 def _weighted_norms_real(f: LocallyConstant, scale: Scale, center, n: int,
@@ -319,16 +370,17 @@ def _weighted_norms_real(f: LocallyConstant, scale: Scale, center, n: int,
     radius = float(Fraction(1) / scale.delta ** n)
     step = 1 / max(4, n + 1)  # the midpoint rule aliases no frequency below n + 1
     axes = tuple((float(c), step, int(round(radius / step))) for c in center)
-    cells = _cell_extensions(f, scale, axes, budget)
-    e_full = next(cells)  # the budget checks run before this first allocation
-    sq = np.abs(e_full) ** 2
-    for ej in cells:
-        e_full += ej
-        sq += np.abs(ej) ** 2
-    w = functools.reduce(np.multiply.outer, [fejer_weight((x - float(c)) / radius)
-                                             for x, c in zip(_real_axes(axes), center)])
-    return NormRatio(float(np.sum(np.abs(e_full) ** (2 * n) * w) * step ** n) ** (1 / (2 * n)),
-                     float(np.sum(sq ** n * w) * step ** n) ** (1 / (2 * n)))
+    stack, power, weight = _checked_real_grids(f, scale, axes, budget)
+    vals = np.asarray(f.values, dtype=complex)
+    lhs = np.abs(np.tensordot(vals, stack, 1))
+    if power is None:  # a partition cell holds several f-cells
+        rhs = sum(np.abs(ej) ** 2 for ej in _cell_extensions(f, scale, axes, budget))
+    else:  # E_J f = f_j G_j for the one f-cell j of J
+        rhs = np.tensordot(np.abs(vals) ** 2, power, 1)
+    lhs **= 2 * n
+    rhs **= n
+    return NormRatio(float(np.vdot(lhs, weight) * step ** n) ** (1 / (2 * n)),
+                     float(np.vdot(rhs, weight) * step ** n) ** (1 / (2 * n)))
 
 
 def weighted_norms(f: TestFunction, scale: Scale, center=None, n: int | None = None,

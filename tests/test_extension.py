@@ -360,6 +360,10 @@ def test_real_grid_route_matches_pointwise():
     # n = 3 around a nonzero centre
     f = random_locally_constant(REAL, 4, seed=3)
     _assert_cells_match_pointwise(f, real_scale(2), ((1.5, 0.75, 3), (-2.0, 0.5, 2), (0.25, 1.25, 2)))
+    # n = 4 at step 1/5, three f-cells in the one partition cell
+    f = random_locally_constant(REAL, 3, seed=11)
+    _assert_cells_match_pointwise(f, real_scale(1), ((0.5, 0.2, 2), (-1.0, 0.2, 2), (0.0, 0.2, 1),
+                                                     (0.75, 0.2, 2)))
 
 
 def test_comb_cells_pointwise():
@@ -380,12 +384,13 @@ def test_comb_cells_pointwise():
 
 
 def test_cached_tables_are_read_only():
-    # the lru_cache builders hand the same arrays to every caller
-    from momentsq.extension import _real_factors
+    # the cached builders hand the same arrays to every caller
+    from momentsq.extension import _gauss_legendre_16, _real_grids
     from momentsq.syzygy import _pair_relation, _parseval_groups
-    fine, bounds, w, factors = _real_factors(8, Fraction(1, 4), ((0.0, 0.25, 4),) * 2)
+    grids = _real_grids(8, Fraction(1, 8), ((0.0, 0.25, 4),) * 2)  # G, |G|^2 and the weight
+    assert _real_grids(8, Fraction(1, 4), ((0.0, 0.25, 4),) * 2)[1] is None  # two f-cells a cell
     levels = [*_parseval_groups(2, 2, 1)[0], *_parseval_groups(5, 3, 1)[0]]  # one class, then five
-    arrays = [a for level in levels for a in level] + [fine, bounds, w, *factors]
+    arrays = [a for level in levels for a in level] + [*grids, *_gauss_legendre_16()]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
@@ -407,6 +412,61 @@ def test_real_norms_budget_counts_factor_entries():
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+def test_real_norms_refuse_their_bytes_before_allocating():
+    # n = 2 at scale 1/24: the step budget admits it, but G and |G|^2 alone
+    # would hold 24 * 5,308,416 grid points at 24 bytes, about 3.1 GB
+    import tracemalloc
+    f = random_locally_constant(REAL, 24, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="real norm grids needs about"):
+            weighted_norms(f, real_scale(24), n=2)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_real_byte_charge_covers_its_peak(monkeypatch):
+    # refused with the memory budget one byte under the traced peak of a
+    # call that builds its grids, and admitted at twice it where the grids
+    # are the bulk; at n = 3 one f-cell's build is, and n = 4 takes the
+    # three f-cells of scale 1
+    import tracemalloc
+    from momentsq import budget, extension
+    weighted_norms(random_locally_constant(REAL, 2, seed=0), real_scale(2), n=2)  # lazy set-up
+    limit = budget.MEMORY_BUDGET
+    for n, res, cells in ((2, 4, 4), (2, 8, 8), (2, 12, 12), (3, 2, 2), (4, 3, 1)):
+        f, scale = random_locally_constant(REAL, res, seed=1), real_scale(cells)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", limit)
+        extension._real_grids.cache_clear()
+        tracemalloc.start()
+        try:
+            weighted_norms(f, scale, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", peak - 1)
+        with pytest.raises(BudgetExceededError, match="real norm grids"):
+            weighted_norms(f, scale, n=n)
+        if n < 4:
+            monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * peak)
+            weighted_norms(f, scale, n=n)
+
+
+def test_real_ratios_recorded():
+    # values of the per-cell matrix-product route, which these grids replaced
+    recorded = {(4, 0): 1.030996645601956, (4, 1): 0.8878690080013248,
+                (4, 20004): 1.0229642051468202, (8, 0): 1.0833779481456733,
+                (8, 1): 1.2384206488870457, (8, 40007): 0.9754286328632819}
+    for (res, seed), ratio in recorded.items():
+        r = weighted_norms(random_locally_constant(REAL, res, seed=seed), real_scale(res), n=2)
+        assert r.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
+    # f finer than the partition, around a nonzero centre
+    f = random_locally_constant(REAL, 8, seed=5)
+    r = weighted_norms(f, real_scale(4), center=(Fraction(1, 3), Fraction(-2)))
+    assert r.ratio == pytest.approx(1.2417990919293178, rel=1e-12, abs=0)
 
 
 def test_weighted_norms_single_cell_ratio_one():
