@@ -27,4 +27,14 @@ from .bounds import (BoundReport, bezout_constant, bezout_syzygy_bound,
                      nondegenerate, refined_diagonal_bound, theorem1_constant,
                      wronskian)
 
+from . import extension, syzygy
+
 __version__ = "0.1.0"
+
+
+def clear_caches():
+    """Empty every cache: the Q_p pair relations and Parseval levels
+    (`syzygy.clear_index_cache`) and the resident real norm grid, which
+    holds 411 MB after an n = 2 call at resolution 16."""
+    syzygy.clear_index_cache()
+    extension._real_grids.cache_clear()

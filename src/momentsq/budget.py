@@ -7,8 +7,8 @@ class BudgetExceededError(RuntimeError):
 
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 8   # sorted tuples, point tuples or array entries at once
-DEFAULT_COUNT_BUDGET = 3 * 10 ** 7    # sorted n-tuples over [1,N] the join steps through;
-# it streams them in blocks, so its memory is checked in bytes, not by this count
+DEFAULT_COUNT_BUDGET = 3 * 10 ** 7    # sorted n-tuples over [1,N] the join's check covers;
+# it folds only those with t_1 = 1, so its memory is checked in bytes, not by this count
 MEMORY_BUDGET = 2 * 2 ** 30  # bytes, checked where a build's bytes per row are measured
 
 

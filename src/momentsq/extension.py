@@ -355,10 +355,9 @@ def _checked_real_grids(f: LocallyConstant, scale: Scale, axes: tuple, budget: i
     return _real_grids(f.precision, scale.delta, axes)
 
 
-def _cell_extensions(f: LocallyConstant, scale: Scale, axes: tuple, budget: int):
-    """Yield E_J f on the grid of `axes`, cell by cell: the sum of f_j G_j
-    over the f-cells j in J."""
-    stack = _checked_real_grids(f, scale, axes, budget)[0]
+def _cell_extensions(f: LocallyConstant, scale: Scale, stack: np.ndarray):
+    """Yield E_J f on the grid of `stack`, the G of `_real_grids`, cell by
+    cell: the sum of f_j G_j over the f-cells j in J."""
     vals = np.asarray(f.values, dtype=complex)
     per = len(vals) // scale.delta.denominator
     for lo in range(0, len(vals), per):
@@ -374,7 +373,7 @@ def _weighted_norms_real(f: LocallyConstant, scale: Scale, center, n: int,
     vals = np.asarray(f.values, dtype=complex)
     lhs = np.abs(np.tensordot(vals, stack, 1))
     if power is None:  # a partition cell holds several f-cells
-        rhs = sum(np.abs(ej) ** 2 for ej in _cell_extensions(f, scale, axes, budget))
+        rhs = sum(np.abs(ej) ** 2 for ej in _cell_extensions(f, scale, stack))
     else:  # E_J f = f_j G_j for the one f-cell j of J
         rhs = np.tensordot(np.abs(vals) ** 2, power, 1)
     lhs **= 2 * n

@@ -21,18 +21,18 @@ keyed, about q^(n-1)/n! of them, built from the sorted (n-1)-tuples; each
 pair found is then shifted by every cell.  S(I) is every ordering of the
 multiset of I and of its partners, so |S(I)| is a sum of orbit sizes.
 
-One kernel enumerates sorted tuples, `_sorted_fold_blocks`, which folds
-values over them by suffix copies: in lexicographic order the sorted
+One kernel enumerates sorted tuples, `_sorted_folds`, which folds values
+over them by suffix copies: in lexicographic order the sorted
 (j-1)-tuples whose first entry is at least a form a suffix, so the
 j-tuples starting with a are a's value added to that suffix, one
-contiguous add per a.  It hands out the last level in blocks of rows;
-`_sorted_folds` takes it as one block, and the Vinogradov join streams
-it.  Tuples are one more fold, packed base m; every
-packed code is written and read by numpy's codec, np.ravel_multi_index and
-np.unravel_index, lowest digit first (order="F").  The sorted tuples
-(`_key_rows`), grouped by key (`_parseval_groups`; each key holds one cell
-multiset), carry the Parseval sums of the Q_p norms (`_parseval_sums`),
-which are not translation-invariant.  For p > n they factor over the
+contiguous add per a.  The Vinogradov join folds the power sums of the
+sorted (n-1)-tuples over Z with it.  Tuples are one more fold, packed
+base m; every packed code is written and read by numpy's codec,
+np.ravel_multi_index and np.unravel_index, lowest digit first
+(order="F").  The sorted tuples (`_key_rows`), grouped by key
+(`_parseval_groups`; each key holds one cell multiset), carry the
+Parseval sums of the Q_p norms (`_parseval_sums`), which are not
+translation-invariant.  For p > n they factor over the
 residue classes mod p: by Hensel's lemma a key group is the product of its
 parts in each class, and class r's parts are those of class 0 moved by r,
 so one cached index of the sorted j-tuples of the class-0 residues,
@@ -185,51 +185,27 @@ def _sorted_folds(folds, n: int):
     For (v, radix) pairs with len(v) = m, the list holds, per pair,
     sum_i v[t_i] * radix^i in v's dtype.  The fold (arange(m), m) packs
     the tuples: np.unravel_index(fold, (m,) * n, order="F") are their
-    columns, and `_orbit_sizes` of those gives each row's orbit size.  It is
-    the one block of `_sorted_fold_blocks` that holds every row.
-    """
-    return next(_sorted_fold_blocks(folds, n, math.comb(len(folds[0][0]) + n - 1, n)))
-
-
-def _sorted_fold_blocks(folds, n: int, block: int):
-    """The rows of `_sorted_folds` in order, as lists of value blocks of at
-    most `block` rows.  The next block overwrites the arrays of the last:
-    a caller that keeps a block copies it.
+    columns, and `_orbit_sizes` of those gives each row's orbit size.
 
     In lexicographic order the sorted (j-1)-tuples whose first entry is at
     least a form a suffix, so the j-tuples that start with a fold as
     v[a] + radix * fold(suffix): each level is one loop over a of
     contiguous adds into preallocated rows, with no index columns and no
-    gathers.  Levels below n are built whole; level n is written run by
-    run of the first entry into the block, which is handed out each time
-    it fills, so only its rows and the C(m+n-2, n-1) rows of level n-1 are
-    held.
+    gathers.
     """
     m = len(folds[0][0])
     values = [np.array(v) for v, _ in folds]
-    if n == 1:
-        for lo in range(0, m, block):
-            yield [v[lo:lo + block] for v in values]
-        return
     for j in range(2, n + 1):
-        rows = math.comb(m + j - 1, j)
-        cap = rows if j < n else min(rows, block)
         suffix = [f * radix if radix != 1 else f for f, (_, radix) in zip(values, folds)]
-        values = [np.empty(cap, f.dtype) for f in suffix]
+        values = [np.empty(math.comb(m + j - 1, j), f.dtype) for f in suffix]
         end, dst = suffix[0].size, 0
         for a in range(m):
             lo = end - math.comb(m - a + j - 2, j - 1)  # the suffix starting at a or later
-            while lo < end:  # one piece [lo, hi) of the suffix per block the run reaches
-                hi = min(end, lo + cap - dst)
-                stop = dst + hi - lo
-                for out, f, (v, _) in zip(values, suffix, folds):
-                    np.add(f[lo:hi], v[a], out=out[dst:stop])
-                lo, dst = hi, stop
-                if dst == cap and j == n:
-                    yield values
-                    dst = 0
-    if dst:
-        yield [v[:dst] for v in values]
+            stop = dst + end - lo
+            for out, f, (v, _) in zip(values, suffix, folds):
+                np.add(f[lo:], v[a], out=out[dst:stop])
+            dst = stop
+    return values
 
 
 def _orbit_sizes(cols) -> np.ndarray:

@@ -3,25 +3,17 @@
 J(N) counts the tuples (s_1, t_1, ..., s_n, t_n) in (Z intersect [1, N])^2n
 with sum_i gamma(t_i) = sum_i gamma(s_i).  For the moment curve this is
 sum_v m(v)^2 over the level sets m(v) = #{t : sum_i gamma(t_i) = v}.  The
-power-sum vector is symmetric, so the join enumerates only the C(N+n-1, n)
-nondecreasing tuples, each standing for its orbit of n!/prod(mult!)
-orderings.  If no two sorted tuples share a key v, m(v) is its tuple's
-orbit size, and J(N) is the sum of orbit^2 over the sorted tuples, which
-counts the pairs of reorderings: `permutation_count`.  The first n power
-sums fix a multiset (Girard-Newton), so no two do; the join only checks
-that, and by translation the check needs only the tuples with t_1 = 1 (see
-`_moment_join`).  The keys come from `syzygy._sorted_fold_blocks`, which
-builds each level of sorted tuples from suffix copies of the level below
-(the tuples starting with a read v(a) + key(suffix)) and streams the last
-level in blocks, so the join holds the level below the last, the sorted
-keys of the tuples starting with 1, a bitmap of their low bits and one
-block: at n = 2, N = 5000 that is 0.15 traced bytes per sorted tuple, and
-0.70 at n = 3, N = 563.  A report over many N joins once, at the largest
-N the guards admit: vectors distinct over [1, N] stay distinct over any
-smaller range.  The budget counts the sorted tuples, the bytes are
-checked against `budget.MEMORY_BUDGET`, and keys past 64 bits are
-refused.  The brute-force path compares all pairs of tuples and is the
-oracle the fast paths are checked against.
+power-sum vector is symmetric, so if no two of the C(N+n-1, n)
+nondecreasing tuples share a key v, m(v) is a tuple's orbit size
+n!/prod(mult!), and J(N) = sum orbit^2 counts the pairs of reorderings:
+`permutation_count`.  The first n power sums fix a multiset
+(Girard-Newton), so no two do; the join only checks that, on the tuples
+with t_1 = 1 alone (`_moment_join`, docs/quadrature.md).  A report over
+many N joins once, at the largest N the guards admit: vectors distinct
+over [1, N] stay distinct over any smaller range.  The budget counts the
+sorted tuples, the bytes are checked against `budget.MEMORY_BUDGET`, and
+keys past 64 bits are refused.  The brute-force path compares all pairs
+of tuples and is the oracle the fast paths are checked against.
 """
 from __future__ import annotations
 
@@ -37,7 +29,7 @@ import numpy as np
 from .budget import (DEFAULT_COUNT_BUDGET, BudgetExceededError, check_budget, check_bytes,
                      check_sorted_tuples)
 from .curves import Curve
-from .syzygy import _run_starts, _sorted_fold_blocks, _sorted_folds
+from .syzygy import _sorted_folds
 
 
 class CountMethod(Enum):
@@ -84,59 +76,53 @@ def permutation_count(n: int, N: int) -> int:
     return t[n]
 
 
-_JOIN_BLOCK = 2 ** 16  # rows of sorted tuples per block of the join
-_JOIN_MARKS = 64  # bitmap entries per head key: 1-2% of later keys are marked
-_JOIN_ROW_BYTES = 32  # per head row and per point of [1, N]; 18-25 traced at large N
-_JOIN_BLOCK_BYTES = 24  # per block row; 18.3 traced
+_JOIN_ROW_BYTES = 16  # per head row and tuple entry: 2n + 1 int64 arrays of head rows
+# are live at the peak, 48-91 traced bytes a row at n = 2..5
+
+
+def _centred_sums(sums, n: int) -> np.ndarray:
+    """Rows c_k = sum_i (n t_i - p_1)^k, k = 2..n, from the power sums
+    sums = [p_1, ..., p_n] of n-tuples t: by the binomial theorem, with
+    p_0 = n, c_k = sum_j C(k, j) n^j p_j (-p_1)^(k-j), taken by Horner's
+    rule in -p_1.  int64 arithmetic wraps mod 2^64, so each c_k is exact
+    wherever its value, at most n ((n-1)(N-1))^k in size over [1, N], fits."""
+    lead = -sums[0]
+    centred = np.empty((n - 1, lead.size), np.int64)
+    for k, c in enumerate(centred, 2):
+        c[:] = n
+        for j in range(1, k + 1):
+            c *= lead
+            c += math.comb(k, j) * n ** j * sums[j - 1]
+    return centred
 
 
 def _moment_join(n: int, N: int, budget: int) -> int:
-    """J(N) for the moment curve: `permutation_count`, once the sorted
-    n-tuples over [1, N] are checked to have distinct keys.
+    """J(N) for the moment curve: `permutation_count`, once no two sorted
+    n-tuples over [1, N] share a key (Girard-Newton, checked, not assumed).
 
-    Packing: the k-th component sum is below R_k = n*N^k + 1, so the digits
-    sum without carrying, and a tuple's key, below prefix[n] = R_1 ... R_n,
-    sums phi(t) = sum_k t^k * prefix[k-1] over its points: one radix-1
-    fold of `_sorted_fold_blocks`.
-
-    If no two sorted tuples share a key, J(N) = sum orbit^2, which is
-    `permutation_count` (Girard-Newton).  The join checks that, without
-    assuming it, by translation: p_k(t - c) = sum_j C(k, j) (-c)^(k-j)
-    p_j(t), so shifting two sorted tuples with one key down by
-    c = min(t_1, t'_1) - 1 gives two sorted tuples over [1, N], with one
-    key and the same packing, one of which starts with 1.  So the keys are
-    distinct iff the head keys (the C(N+n-2, n-1) rows (1, s), phi(1) plus
-    the keys of the sorted (n-1)-tuples s) are, and no later key is a head
-    key.  The head is built from the level below, sorted and checked by
-    runs; the head rows also lead the level-n stream, so they are skipped
-    there by position, and each later block looks its keys' low bits up in
-    a bitmap of the head's and confirms the few marked ones by
-    `searchsorted` into the head.  Only the head, the rows of level n-1,
-    the bitmap and one block are held.
+    By translation (docs/quadrature.md) a sorted tuple t and its head
+    t - (t_1 - 1), which starts with 1, have the same centred sums
+    c_k = sum_i (n t_i - p_1)^k, k = 2..n, and two tuples with one key
+    have distinct heads.  So the keys are distinct if the c of the
+    C(N+n-2, n-1) heads (1, s) are: they come from the power sums of the
+    sorted (n-1)-tuples s plus the head's 1, lexsorted and checked for a
+    repeated row.  The guard refuses the (n, N) whose keys, packed with
+    digits R_k = n N^k + 1, reach 2^62, which keeps every c_k exact.
     """
-    prefix = [math.prod(n * N ** j + 1 for j in range(1, k + 1)) for k in range(n + 1)]
-    check_sorted_tuples(N, n, prefix[n], budget, f"[1,{N}]")
-    rows = math.comb(N + n - 2, n - 1)
-    mask = (1 << (_JOIN_MARKS * rows - 1).bit_length()) - 1
-    check_bytes(_JOIN_ROW_BYTES * (rows + N) + mask + 1 + _JOIN_BLOCK_BYTES * _JOIN_BLOCK,
+    check_sorted_tuples(N, n, math.prod(n * N ** k + 1 for k in range(1, n + 1)), budget,
+                        f"[1,{N}]")
+    check_bytes(_JOIN_ROW_BYTES * (n + 1) * math.comb(N + n - 2, n - 1) + 8 * N,
                 f"the moment-curve join over [1,{N}]")
-    phi = sum(prefix[k - 1] * np.arange(1, N + 1, dtype=np.int64) ** k for k in range(1, n + 1))
-    (head,) = _sorted_folds([(phi, 1)], n - 1)  # a fresh array, owned here
-    head += phi[0]
-    head.sort()
-    if not _run_starts(head).all():
-        raise RuntimeError("two sorted tuples starting with 1 share a power-sum key: "
+    t = np.arange(1, N + 1, dtype=np.int64)
+    sums = _sorted_folds([(t ** k, 1) for k in range(1, n + 1)], n - 1)
+    for p in sums:  # the head's 1, added to the fold's fresh arrays
+        p += 1
+    centred = _centred_sums(sums, n)
+    del sums  # the sort holds the centred sums and one sorted copy
+    rows = centred[:, np.lexsort(centred)]
+    if (rows[:, 1:] == rows[:, :-1]).all(axis=0).any():
+        raise RuntimeError("two sorted tuples starting with 1 share their centred power sums: "
                            "Girard-Newton fails")
-    mark = np.zeros(mask + 1, bool)
-    mark[head & mask] = True
-    skip = rows  # the stream hands out the head rows first
-    for (keys,) in _sorted_fold_blocks([(phi, 1)], n, _JOIN_BLOCK):
-        keys, skip = keys[skip:], max(skip - keys.size, 0)
-        marked = keys[mark[keys & mask]]
-        at = np.minimum(np.searchsorted(head, marked), rows - 1)
-        if (head[at] == marked).any():
-            raise RuntimeError("a sorted tuple shares a power-sum key with one starting with 1: "
-                               "Girard-Newton fails")
     return permutation_count(n, N)
 
 

@@ -237,9 +237,9 @@ def test_vino_overflowing_keys_exit_2():
 
 
 def test_engine_invariant_failure_exits_3(monkeypatch, capsys):
-    # a repeated head key makes the join raise: one stderr line, no traceback
+    # a repeated head row makes the join raise: one stderr line, no traceback
     def repeated_keys(folds, n):
-        return [np.array([0, 0, 1, 2], dtype=np.int64)]
+        return [np.array([1, 2, 2, 3], dtype=np.int64) ** k for k in range(1, len(folds) + 1)]
     monkeypatch.setattr(vinogradov, "_sorted_folds", repeated_keys)
     assert cli.main(["vino", "--n", "2", "--N", "4"]) == 3
     out, err = capsys.readouterr()

@@ -341,9 +341,10 @@ def test_weighted_norms_ratio_bound_other_prime():
 
 
 def _assert_cells_match_pointwise(f, scale, axes):
-    from momentsq.extension import _cell_extensions
+    from momentsq.extension import _cell_extensions, _checked_real_grids
     grid = [lo + (np.arange(m) + 0.5) * h for lo, h, m in axes]
-    cells = list(_cell_extensions(f, scale, axes, budget=10 ** 6))
+    stack = _checked_real_grids(f, scale, axes, budget=10 ** 6)[0]
+    cells = list(_cell_extensions(f, scale, stack))
     assert len(cells) == scale.delta.denominator
     for j, ej in enumerate(cells):
         cell = Cell(REAL, scale, j)
@@ -453,6 +454,27 @@ def test_real_byte_charge_covers_its_peak(monkeypatch):
         if n < 4:
             monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * peak)
             weighted_norms(f, scale, n=n)
+
+
+def test_clear_caches_releases_the_real_grid():
+    # the last real grid stays resident after its call (12.5 MB at n = 2,
+    # resolution 8; 411 MB at 16); clear_caches drops it with the Q_p tables
+    import tracemalloc
+    from momentsq import clear_caches, extension, scan_strong_diagonal, syzygy
+    clear_caches()
+    tracemalloc.start()
+    try:
+        weighted_norms(random_locally_constant(REAL, 8, seed=0), real_scale(8), n=2)
+        held = tracemalloc.get_traced_memory()[0]
+        weighted_norms(LocallyConstant(padic(2), 2, (1, 2, 3, 4)), padic_scale(2, 1), n=2)
+        scan_strong_diagonal(2, 2, 1)
+        clear_caches()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held > 12 * 2 ** 20 and left < 2 ** 20, (held, left)
+    caches = (extension._real_grids, syzygy._pair_relation, syzygy._parseval_groups)
+    assert [c.cache_info().currsize for c in caches] == [0, 0, 0]
 
 
 def test_real_ratios_recorded():

@@ -385,22 +385,6 @@ def test_parseval_sums_match_all_rows_grouping(p, n, s):
     assert got == pytest.approx(_all_rows_parseval_sums(h, p, n, s), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (5, 1), (1, 3), (5, 2), (4, 3), (3, 5), (6, 4)])
-def test_sorted_fold_blocks_cut_the_rows_in_order(m, n):
-    rng = np.random.default_rng(10 * m + n)
-    folds = [(rng.integers(-50, 50, m), 1), (np.arange(m, dtype=np.int32), m)]
-    whole = _sorted_folds(folds, n)
-    rows = whole[0].size
-    for block in (1, 2, 3, 7, rows, rows + 1):
-        # a block's arrays are overwritten by the next, so each is copied
-        blocks = [[f.copy() for f in fs] for fs in syzygy._sorted_fold_blocks(folds, n, block)]
-        assert all(1 <= fs[0].size <= block for fs in blocks)
-        assert all(fs[0].size == block for fs in blocks[:-1])
-        for i, f in enumerate(whole):
-            joined = np.concatenate([fs[i] for fs in blocks])
-            assert joined.dtype == f.dtype and np.array_equal(joined, f)
-
-
 BRUTE_CONFIGS = [(p, n, s) for p in (2, 3, 5) for n in (2, 3) for s in (1, 2)
                  if p ** (n * s * n) <= 2 * 10 ** 5]
 

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -30,34 +30,33 @@ def test_examples_against_oracle():
         assert count_solutions(curve, n, N, CountMethod.HASH_JOIN).count == expected
 
 
-def _hand_out(monkeypatch, head, *blocks):
-    """Stand-ins for the join's two seams: `_sorted_folds` gives the head keys
-    (less phi(1), which the join adds back), `_sorted_fold_blocks` the key
-    blocks of level n, whose first head-many rows the join skips."""
+def _hand_out(monkeypatch, *tails):
+    """A stand-in for the join's one seam, `_sorted_folds`: it hands out the
+    power sums of the given (n-1)-tuples in place of those of every sorted
+    (n-1)-tuple over [1, N]; the join adds the head's 1 to each."""
     def folds_below(folds, n):
-        return [np.array(head, dtype=np.int64) - folds[0][0][0]]
-
-    def fold_blocks(folds, n, block):
-        for keys in blocks:
-            yield [np.array(keys, dtype=np.int64)]
+        return [np.array([sum(x ** k for x in s) for s in tails], dtype=np.int64)
+                for k in range(1, len(folds) + 1)]
     monkeypatch.setattr(vinogradov, "_sorted_folds", folds_below)
-    monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", fold_blocks)
 
 
 def test_join_raises_on_a_shared_key(monkeypatch):
-    # Girard-Newton keeps the moment curve's keys distinct, so hand out a repeat.
-    # (2, 4) has 4 head rows (t_1 = 1) among its 10 sorted tuples.
-    _hand_out(monkeypatch, [5, 3, 8, 5], [5, 3, 8], [5, 9, 11])
-    with pytest.raises(RuntimeError, match="starting with 1 share a power-sum key"):
-        count_solutions(Curve.moment(2), 2, 4, CountMethod.HASH_JOIN)
-    # a later row equal to a head key: the first row past the head, and in a later block
-    for blocks in ([[5, 3, 8], [9, 3, 11]], [[5, 3, 8], [9, 11, 12], [13, 14, 9]]):
-        _hand_out(monkeypatch, [5, 3, 8, 9], *blocks)
-        with pytest.raises(RuntimeError, match="shares a power-sum key with one starting with 1"):
+    # Girard-Newton keeps the moment curve's keys distinct, so hand out a repeat:
+    # (2, 4) has the 4 heads (1, s), s = 1..4; a repeated row anywhere raises
+    for tails in ([(1,), (2,), (4,), (2,)], [(3,), (1,), (2,), (3,)], [(1,), (1,), (2,), (4,)]):
+        _hand_out(monkeypatch, *tails)
+        with pytest.raises(RuntimeError, match="starting with 1 share their centred power sums"):
             count_solutions(Curve.moment(2), 2, 4, CountMethod.HASH_JOIN)
-    # distinct keys pass, and J is the permutation count
-    _hand_out(monkeypatch, [5, 3, 8, 9], [5, 3, 8], [9, 11, 12], [13, 14, 10], [4])
+    # (1, 0) and (1, 2) are one translate apart: distinct rows, one centred sum
+    _hand_out(monkeypatch, (0,), (2,), (3,), (4,))
+    with pytest.raises(RuntimeError, match="Girard-Newton fails"):
+        count_solutions(Curve.moment(2), 2, 4, CountMethod.HASH_JOIN)
+    # distinct rows pass, and J is the permutation count; at n = 3 the heads
+    # (1, 1, 3) and (1, 3, 3) share c_2 and differ in c_3
+    _hand_out(monkeypatch, (4,), (2,), (3,), (1,))
     assert vinogradov._moment_join(2, 4, DEFAULT_COUNT_BUDGET) == permutation_count(2, 4) == 28
+    _hand_out(monkeypatch, (1, 3), (3, 3))
+    assert vinogradov._moment_join(3, 3, DEFAULT_COUNT_BUDGET) == permutation_count(3, 3)
 
 
 def _admitted(n_values, N_values):
@@ -77,13 +76,41 @@ def test_level_below_sum_is_sum_orbit_squared():
         assert int(orbit @ orbit) == permutation_count(n, N), (n, N)
 
 
-def test_head_from_the_level_below_leads_the_stream():
-    # the join skips the head rows of the stream by position: they must come first
+def _centred(t):
+    """c_k = sum_i (n t_i - p_1)^k, k = 2..n, of one tuple, in Python ints."""
+    n, p1 = len(t), sum(t)
+    return [sum((n * x - p1) ** k for x in t) for k in range(2, n + 1)]
+
+
+def _power_sums(rows, n):
+    return [np.array([sum(x ** k for x in t) for t in rows], dtype=np.int64)
+            for k in range(1, n + 1)]
+
+
+def test_centred_sums_keep_translates_and_part_heads():
+    # every sorted tuple has its head's centred sums, no two heads share them,
+    # and the join over the heads passes
     for n, N in _admitted(range(2, 6), range(1, 13)):
-        phi = np.arange(1, N + 1, dtype=np.int64) * (N + 1) + 7  # any fold
-        (below,) = syzygy._sorted_folds([(phi, 1)], n - 1)
-        (level,) = syzygy._sorted_folds([(phi, 1)], n)
-        assert np.array_equal(below + phi[0], level[:math.comb(N + n - 2, n - 1)]), (n, N)
+        rows = list(combinations_with_replacement(range(1, N + 1), n))
+        got = [list(map(int, c)) for c in zip(*vinogradov._centred_sums(_power_sums(rows, n), n))]
+        heads = [tuple(x - t[0] + 1 for x in t) for t in rows]
+        assert got == [_centred(t) for t in rows] == [_centred(h) for h in heads], (n, N)
+        assert len({tuple(c) for c in got}) == len(set(heads)) == math.comb(N + n - 2, n - 1)
+        assert vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET) == permutation_count(n, N)
+
+
+def test_centred_sums_exact_at_the_overflow_guard():
+    # at the largest N the overflow guard admits, the int64 centred sums of
+    # head rows equal their Python-int values; the extreme rows bound |c_k|
+    rng = np.random.default_rng(26)
+    for n, N in [(2, 1048575), (3, 744), (4, 42), (5, 10), (6, 4)]:
+        assert _admitted([n], [N, N + 1]) == [(n, N)]
+        assert n * ((n - 1) * (N - 1)) ** n < 2 ** 63
+        heads = [(1,) * n, (1,) + (N,) * (n - 1), (1,) * (n - 1) + (N,)]
+        heads += [(1,) + tuple(sorted(rng.integers(1, N + 1, n - 1).tolist())) for _ in range(200)]
+        got = vinogradov._centred_sums(_power_sums(heads, n), n)
+        for i, h in enumerate(heads):
+            assert [int(c[i]) for c in got] == _centred(h), (n, N, h)
 
 
 def test_join_bytes_per_sorted_tuple():
@@ -114,14 +141,6 @@ def test_join_byte_charge_covers_its_peak(monkeypatch):
         with pytest.raises(BudgetExceededError, match="bytes"):
             vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET)
         monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * peak)
-        assert vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET) == permutation_count(n, N)
-
-
-@pytest.mark.parametrize("block", [1, 2, 3, 7])
-def test_join_blocks_split_anywhere(monkeypatch, block):
-    # blocks smaller than the head, than a run of one first entry, or than both
-    monkeypatch.setattr(vinogradov, "_JOIN_BLOCK", block)
-    for n, N in _admitted(range(2, 6), range(1, 13)):
         assert vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET) == permutation_count(n, N)
 
 
@@ -220,18 +239,18 @@ def test_join_refuses_overflowing_keys():
 
 
 def test_join_guard_runs_before_enumerating(monkeypatch):
-    def enumerate_nothing(folds, n, block):
+    def enumerate_nothing(folds, n):
         raise AssertionError("enumerated before the guard")
-    monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", enumerate_nothing)
+    monkeypatch.setattr(vinogradov, "_sorted_folds", enumerate_nothing)
     with pytest.raises(AssertionError, match="enumerated"):  # the seam the join enumerates by
         count_solutions(Curve.moment(4), 4, 42, CountMethod.HASH_JOIN)
     with pytest.raises(BudgetExceededError, match="enumeration steps"):
         count_solutions(Curve.moment(3), 3, 2000, CountMethod.HASH_JOIN)
     with pytest.raises(BudgetExceededError, match="overflow"):
         count_solutions(Curve.moment(4), 4, 43, CountMethod.HASH_JOIN)
-    monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * 10 ** 6)  # (2, 5000) charges about 2.4 MB
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * 10 ** 6)  # (3, 300) charges about 2.9 MB
     with pytest.raises(BudgetExceededError, match="bytes, over the memory budget"):
-        count_solutions(Curve.moment(2), 2, 5000, CountMethod.HASH_JOIN)
+        count_solutions(Curve.moment(3), 3, 300, CountMethod.HASH_JOIN)
 
 
 def test_asymptotic_report():
@@ -254,10 +273,10 @@ def test_asymptotic_report_falls_back_to_formula():
 def test_asymptotic_report_joins_once(monkeypatch):
     entered = []
 
-    def counted(folds, n, block):
-        entered.append((n, block))
-        return syzygy._sorted_fold_blocks(folds, n, block)
-    monkeypatch.setattr(vinogradov, "_sorted_fold_blocks", counted)
+    def counted(folds, n):
+        entered.append(n)
+        return syzygy._sorted_folds(folds, n)
+    monkeypatch.setattr(vinogradov, "_sorted_folds", counted)
     rows = asymptotic_report(3, (10, 50, 30))
     assert len(entered) == 1
     assert [(r.N, r.count, r.method) for r in rows] == [
@@ -266,7 +285,7 @@ def test_asymptotic_report_joins_once(monkeypatch):
 
 def test_asymptotic_report_raises_on_a_shared_key_at_the_largest_N(monkeypatch):
     # (2, 4) is the largest N and hands out a repeat: no row is labelled hash_join
-    _hand_out(monkeypatch, [5, 3, 8, 9], [5, 3, 8], [9, 11, 3])
+    _hand_out(monkeypatch, (1,), (3,), (2,), (3,))
     with pytest.raises(RuntimeError, match="Girard-Newton fails"):
         asymptotic_report(2, [3, 4, 2])
 
