@@ -17,6 +17,9 @@ name (n-max or n_max); a switch (scan, timing) takes true, yes or 1, or
 false, no or 0.  The flags are spliced in after the subcommand name and
 parsed with the rest, so an unknown key or a bad value is a usage error
 and the command line's own flags win.
+
+Each subcommand imports only the engine it runs, so `bounds` needs no
+numpy and `vino` loads neither the Q_p engine nor the norms.
 """
 from __future__ import annotations
 
@@ -27,15 +30,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from . import bounds as bounds_mod
-from . import verify as verify_mod
 from .budget import BudgetExceededError
-from .curves import Curve
-from .extension import comb_ratio
-from .local_field import REAL, FieldKind, FieldSpec, cell_tuple, padic, padic_scale, real_scale
-from .syzygy import scan_strong_diagonal, syzygy_bound, syzygy_set_nonarch, syzygy_set_real
-from .vinogradov import (CountMethod, asymptotic_report, count_solutions, diagonal_count,
-                         permutation_count)
 
 SCHEMA = "1"
 _FORMATS = {"syzygy": ["json"], "vino": ["json", "csv"], "bounds": ["csv"],  # default first
@@ -60,6 +55,10 @@ def _json_int(v: int):
 
 
 def cmd_syzygy(args: argparse.Namespace) -> int:
+    from .bounds import bezout_syzygy_bound
+    from .curves import Curve
+    from .local_field import REAL, cell_tuple, padic, padic_scale, real_scale
+    from .syzygy import scan_strong_diagonal, syzygy_bound, syzygy_set_nonarch, syzygy_set_real
     if args.field == "padic" and any(
             v is not None for v in (args.epsilon, args.grid_step, args.delta_inv)):
         raise ValueError("--epsilon, --grid-step and --delta-inv apply over R only")
@@ -100,7 +99,7 @@ def cmd_syzygy(args: argparse.Namespace) -> int:
     curve = Curve.moment(args.n)
     report = syzygy_set_real(curve, cell_tuple(REAL, real_scale(delta_inv), indices),
                              epsilon=args.epsilon, grid_step=args.grid_step)
-    _emit(args, _json(_single_doc(report, bounds_mod.bezout_syzygy_bound(curve, REAL),
+    _emit(args, _json(_single_doc(report, bezout_syzygy_bound(curve, REAL),
                                   field="real", n=args.n, delta=f"1/{delta_inv}")))
     return 0
 
@@ -127,6 +126,9 @@ def _n_values(args: argparse.Namespace, default: int) -> tuple[int, ...]:
 
 
 def cmd_vino(args: argparse.Namespace) -> int:
+    from .curves import Curve
+    from .vinogradov import (CountMethod, asymptotic_report, count_solutions, diagonal_count,
+                             permutation_count)
     curve = Curve.moment(args.n)
     n_list = _n_values(args, 10)
     if args.fmt == "csv":
@@ -167,6 +169,8 @@ def _g10(value: float | int) -> str:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .bounds import bounds_table
+    from .local_field import REAL, FieldKind, FieldSpec, padic
     if args.table not in ("theorem1", "bezout") and (args.field or args.p) is not None:
         raise ValueError(f"--field and --p do not apply to the {args.table} table")
     kind = args.field or ("real" if args.table == "bezout" else "padic")  # bezout has no Q_p row
@@ -176,7 +180,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         raise ValueError("--p applies over Q_p only")
     else:
         field = REAL if kind == "real" else FieldSpec(FieldKind.COMPLEX)
-    rows = bounds_mod.bounds_table(args.table, field, args.n_max)
+    rows = bounds_table(args.table, field, args.n_max)
     lines = ["name,n,field,value,formula"]
     for r in rows:
         fld = r.parameters.get("field", "-")
@@ -187,6 +191,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
+    from .extension import comb_ratio
     results = [{"N": N, "ratio": round(comb_ratio(args.n, N), 12)}
                for N in _n_values(args, 40)]
     doc = {
@@ -201,12 +206,13 @@ def cmd_ratio(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = verify_mod.run_suite(args.suite, seed=args.seed, trials=args.trials)
+    from .verify import DEFAULT_SEED, run_suite
+    results = run_suite(args.suite, seed=args.seed, trials=args.trials)
     if args.fmt == "json":
         doc = {
             "schema": SCHEMA, "command": "verify",
             "suite": args.suite,
-            "seed": verify_mod.DEFAULT_SEED if args.seed is None else args.seed,
+            "seed": DEFAULT_SEED if args.seed is None else args.seed,
             "results": [{"suite": r.suite, "name": r.name, "passed": r.passed,
                          "detail": r.detail} for r in results],
             "all_passed": all(r.passed for r in results),
@@ -226,6 +232,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 _SWITCHES = ("scan", "timing")  # flags without a value
+_METHODS = ["hash_join", "brute_force", "permutation_formula"]  # CountMethod's values,
+# written out so that parsing imports no engine
 
 
 def _config_flags(path: str) -> list[str]:
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=None, help="default 10; not with --N-list")
     sp.add_argument("--N-list", type=_parse_int_list, default=(),
                     help="emit the asymptotic CSV table for these N")
-    sp.add_argument("--method", choices=[m.value for m in CountMethod], default=None)
+    sp.add_argument("--method", choices=_METHODS, default=None)
     sp.add_argument("--timing", action="store_true",
                     help="include elapsed seconds (breaks byte reproducibility)")
 

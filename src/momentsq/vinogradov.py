@@ -29,7 +29,7 @@ import numpy as np
 from .budget import (DEFAULT_COUNT_BUDGET, BudgetExceededError, check_budget, check_bytes,
                      check_sorted_tuples)
 from .curves import Curve
-from .syzygy import _sorted_folds
+from .kernel import _sorted_folds
 
 
 class CountMethod(Enum):
@@ -78,6 +78,8 @@ def permutation_count(n: int, N: int) -> int:
 
 _JOIN_ROW_BYTES = 16  # per head row and tuple entry: 2n + 1 int64 arrays of head rows
 # are live at the peak, 48-91 traced bytes a row at n = 2..5
+_JOIN_CALL_BYTES = 2 ** 15  # a call's small arrays and objects: at most 22 KB traced
+# above the row charge over the admitted (n, N), at (8, 2)
 
 
 def _centred_sums(sums, n: int) -> np.ndarray:
@@ -111,7 +113,8 @@ def _moment_join(n: int, N: int, budget: int) -> int:
     """
     check_sorted_tuples(N, n, math.prod(n * N ** k + 1 for k in range(1, n + 1)), budget,
                         f"[1,{N}]")
-    check_bytes(_JOIN_ROW_BYTES * (n + 1) * math.comb(N + n - 2, n - 1) + 8 * N,
+    check_bytes(_JOIN_ROW_BYTES * (n + 1) * math.comb(N + n - 2, n - 1) + 8 * N
+                + _JOIN_CALL_BYTES,
                 f"the moment-curve join over [1,{N}]")
     t = np.arange(1, N + 1, dtype=np.int64)
     sums = _sorted_folds([(t ** k, 1) for k in range(1, n + 1)], n - 1)

@@ -205,6 +205,15 @@ def test_argparse_errors_exit_1(args):
     assert "error: " in proc.stderr
 
 
+def test_method_choices_are_the_count_methods():
+    # written out so that parsing imports no engine; an unknown one is argparse's error
+    assert cli._METHODS == [m.value for m in vinogradov.CountMethod]
+    proc = subprocess.run(CLI + ["vino", "--method", "nope"], capture_output=True, text=True)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr.startswith("usage: ")
+    assert "argument --method: invalid choice: 'nope'" in proc.stderr
+
+
 def test_scan_rejects_negative_s():
     proc = subprocess.run(CLI + ["syzygy", "--scan", "--s", "-1"],
                           capture_output=True, text=True)

@@ -12,7 +12,8 @@ from momentsq import (REAL, BudgetExceededError, Curve, LocallyConstant, cell_tu
                       syzygy_bound, syzygy_set_nonarch, syzygy_set_real)
 from momentsq.bounds import bezout_syzygy_bound
 from momentsq import budget, cli, polys, syzygy
-from momentsq.syzygy import SyzygyMethod, _orbit_sizes, _sorted_folds, _sorted_unique
+from momentsq.kernel import _orbit_sizes, _sorted_folds, _sorted_unique
+from momentsq.syzygy import SyzygyMethod
 
 
 def q5_tuple(*idx, s=1):
