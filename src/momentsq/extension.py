@@ -33,7 +33,6 @@ import numpy as np
 from . import syzygy
 from .budget import DEFAULT_ENUMERATION_BUDGET, check_budget, check_bytes
 from .local_field import Cell, FieldKind, FieldSpec, Scale, _check_scale, padic_valuation
-from .vinogradov import permutation_count
 
 
 @dataclass(frozen=True)
@@ -436,6 +435,7 @@ def comb_ratio(n: int, N: int) -> float:
     the one atom sits in the one cell and that moment is 1.  The quotient
     reaches n! as N grows, and 171! overflows a float: n is at most 170.
     """
+    from .vinogradov import permutation_count
     if not (2 <= n <= 170 and N >= 1):
         raise ValueError("the comb ratio needs 2 <= n <= 170 and N >= 1")
     if N == 1:
@@ -456,6 +456,7 @@ def qp_comb_ratio(p: int, n: int, s: int) -> float:
     reorderings, and each cell tuple holds one atom tuple, so the cell sum
     counts the p^{sn} atom tuples.  As for `comb_ratio`, n is at most 170.
     """
+    from .vinogradov import permutation_count
     FieldSpec(FieldKind.PADIC, p)  # checks that p is prime
     if not (1 <= n <= 170 and s >= 0):
         raise ValueError("the Q_p comb ratio needs 1 <= n <= 170 and s >= 0")

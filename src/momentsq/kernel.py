@@ -10,7 +10,8 @@ packed code is written and read by numpy's codec, np.ravel_multi_index
 and np.unravel_index, lowest digit first (order="F").  The kernel folds
 values only: a row's orbit size is a function of its columns, and
 `_orbit_sizes` is the one orbit rule.  `_sorted_unique`, `_run_starts`
-and `_ranges` group the sorted codes.
+and `_ranges` group the sorted codes, and `_repeated_column` decides
+whether any two columns of an int64 matrix are equal.
 """
 from __future__ import annotations
 
@@ -38,6 +39,37 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     start[:1] = True
     np.not_equal(a[1:], a[:-1], out=start[1:])
     return start
+
+
+# the fingerprint multiplier, floor(2^64 / golden ratio): odd, so each
+# multiply-add is a bijection of uint64 in the running value
+_FINGERPRINT = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _repeated_column(rows: np.ndarray) -> bool:
+    """Whether two columns of a 2-d int64 array with at least one row are equal.
+
+    Each column folds into one uint64 fingerprint, h = h * M + row mod 2^64
+    row by row, in array ops (they wrap; numpy scalar ops would warn).
+    Equal columns have equal fingerprints, so if no two of the sorted
+    fingerprints are equal no column repeats: one plain sort decides it.
+    Otherwise the columns whose fingerprints repeat are gathered (one
+    argsort) and lexsorted, and the answer is their exact compare.
+    """
+    h = rows[0].view(np.uint64).copy()
+    for row in rows[1:]:
+        np.multiply(h, _FINGERPRINT, out=h)
+        np.add(h, row.view(np.uint64), out=h)
+    same = np.sort(h)
+    same = same[1:] == same[:-1]  # adjacent sorted fingerprints that agree
+    if not same.any():
+        return False
+    shared = np.zeros(h.size, dtype=bool)  # in a run of equal fingerprints
+    shared[1:] = same
+    shared[:-1] |= same
+    candidates = rows[:, np.argsort(h)[shared]]
+    candidates = candidates[:, np.lexsort(candidates)]
+    return bool((candidates[:, 1:] == candidates[:, :-1]).all(axis=0).any())
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Each check exercises one documented invariant with seeded inputs and
 returns a deterministic detail string, so identical configurations give
-byte-identical reports regardless of thread count.
+byte-identical reports regardless of thread count.  Each check imports the
+engines it runs, so a suite loads only those (`bounds` loads no numpy).
 """
 from __future__ import annotations
 
@@ -11,9 +12,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import bounds, extension, polys, symmetric, syzygy, vinogradov
 from .curves import Curve
 from .local_field import (REAL, abs_value, cell_representatives, cell_tuple,
                           character, padic, padic_scale, partition, real_scale)
@@ -71,6 +69,7 @@ def _check_partitions(seed: int, trials: int) -> list[CheckResult]:
 
 
 def _check_symmetric(seed: int, trials: int) -> list[CheckResult]:
+    from . import symmetric
     rng = random.Random(seed)
     ok_round = ok_perm = True
     for _ in range(trials):
@@ -123,6 +122,7 @@ def _check_symmetric(seed: int, trials: int) -> list[CheckResult]:
 
 
 def _check_syzygy(seed: int, trials: int) -> list[CheckResult]:
+    from . import bounds, syzygy
     out = []
     for p, n, s in [(5, 2, 1), (7, 2, 1), (5, 3, 1)]:
         scan = syzygy.scan_strong_diagonal(p, n, s)
@@ -155,6 +155,7 @@ def _check_syzygy(seed: int, trials: int) -> list[CheckResult]:
 
 
 def _check_vinogradov() -> list[CheckResult]:
+    from . import vinogradov
     out = []
     ok = True
     details = []
@@ -178,6 +179,9 @@ def _check_vinogradov() -> list[CheckResult]:
 
 
 def _check_extension(seed: int, trials: int) -> list[CheckResult]:
+    import numpy as np
+
+    from . import extension
     out = []
     field = padic(5)
     scale = padic_scale(5, 1)
@@ -207,6 +211,7 @@ def _check_extension(seed: int, trials: int) -> list[CheckResult]:
 
 
 def _check_theorem1(seed: int, trials: int) -> list[CheckResult]:
+    from . import bounds, extension, syzygy
     out = []
     field = padic(5)
     s_gamma = max(syzygy.scan_strong_diagonal(5, 2, s).max_cardinality
@@ -242,6 +247,7 @@ def _check_theorem1(seed: int, trials: int) -> list[CheckResult]:
 
 
 def _check_bounds() -> list[CheckResult]:
+    from . import bounds, polys
     out = []
     ok = all(bounds.theorem1_constant(padic(5), n) ** (2 * n) - n ** n < 1e-6 * n ** n
              for n in range(2, 9))

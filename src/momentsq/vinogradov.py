@@ -29,7 +29,7 @@ import numpy as np
 from .budget import (DEFAULT_COUNT_BUDGET, BudgetExceededError, check_budget, check_bytes,
                      check_sorted_tuples)
 from .curves import Curve
-from .kernel import _sorted_folds
+from .kernel import _repeated_column, _sorted_folds
 
 
 class CountMethod(Enum):
@@ -107,9 +107,11 @@ def _moment_join(n: int, N: int, budget: int) -> int:
     c_k = sum_i (n t_i - p_1)^k, k = 2..n, and two tuples with one key
     have distinct heads.  So the keys are distinct if the c of the
     C(N+n-2, n-1) heads (1, s) are: they come from the power sums of the
-    sorted (n-1)-tuples s plus the head's 1, lexsorted and checked for a
-    repeated row.  The guard refuses the (n, N) whose keys, packed with
-    digits R_k = n N^k + 1, reach 2^62, which keeps every c_k exact.
+    sorted (n-1)-tuples s plus the head's 1, and `_repeated_column` looks
+    for a repeated c with one sort of 64-bit fingerprints, exact on any
+    fingerprint that repeats.  The guard refuses the (n, N) whose keys,
+    packed with digits R_k = n N^k + 1, reach 2^62, which keeps every c_k
+    exact.
     """
     check_sorted_tuples(N, n, math.prod(n * N ** k + 1 for k in range(1, n + 1)), budget,
                         f"[1,{N}]")
@@ -121,9 +123,8 @@ def _moment_join(n: int, N: int, budget: int) -> int:
     for p in sums:  # the head's 1, added to the fold's fresh arrays
         p += 1
     centred = _centred_sums(sums, n)
-    del sums  # the sort holds the centred sums and one sorted copy
-    rows = centred[:, np.lexsort(centred)]
-    if (rows[:, 1:] == rows[:, :-1]).all(axis=0).any():
+    del sums  # the check holds the centred sums and two fingerprint arrays
+    if _repeated_column(centred):
         raise RuntimeError("two sorted tuples starting with 1 share their centred power sums: "
                            "Girard-Newton fails")
     return permutation_count(n, N)

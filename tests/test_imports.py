@@ -94,14 +94,17 @@ COMMAND_MODULES = [
     (["syzygy", "--field", "real", "--n", "2", "--delta-inv", "4", "--tuple", "1,2"],
      SYZYGY, True),
     (["ratio", "--n", "2", "--N", "10"], NORMS, True),
-    (["verify", "--suite", "bounds"], NORMS | {"symmetric", "verify"}, True),
+    (["verify", "--suite", "bounds"], BOUNDS | {"verify"}, False),
+    (["verify", "--suite", "theorem1", "--trials", "1"], SYZYGY | {"extension", "verify"}, True),
 ]
 
 
 @pytest.mark.parametrize("args,modules,numpy", COMMAND_MODULES,
                          ids=[" ".join(args) for args, _, _ in COMMAND_MODULES])
 def test_command_loads_only_its_engine(args, modules, numpy):
-    # vino loads neither the Q_p engine nor the norms, and bounds runs without numpy
+    # vino loads neither the Q_p engine nor the norms, bounds and the verify
+    # suite of the same name run without numpy, and the theorem1 suite loads
+    # neither the symmetric functions nor the Vinogradov count
     loaded = _loaded_after(_cli_run(*args))
     assert {m for m in loaded if m.startswith("momentsq.")} == {
         f"momentsq.{m}" for m in modules | {"cli"}}

@@ -59,6 +59,49 @@ def test_join_raises_on_a_shared_key(monkeypatch):
     assert vinogradov._moment_join(3, 3, DEFAULT_COUNT_BUDGET) == permutation_count(3, 3)
 
 
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def _int64(x):
+    """x mod 2^64, read as a signed 64-bit integer."""
+    return (x + 2 ** 63) % 2 ** 64 - 2 ** 63
+
+
+def _fingerprint(col):
+    h = 0
+    for x in col:
+        h = (h * int(kernel._FINGERPRINT) + x) % 2 ** 64
+    return h
+
+
+def test_repeated_column_compares_colliding_fingerprints_exactly():
+    # (a, b) and (a + 1, b - M mod 2^64) fold to one fingerprint a M + b, yet
+    # differ: only the exact compare of the candidates can tell
+    M = int(kernel._FINGERPRINT)
+    for a, b in [(5, 7), (-1, INT64_MIN), (INT64_MAX, INT64_MAX), (0, 0)]:
+        pair = [(a, b), (_int64(a + 1), _int64(b - M))]
+        assert _fingerprint(pair[0]) == _fingerprint(pair[1]) and pair[0] != pair[1]
+        others = [(3, 4), (9, 9)]
+        rows = np.array(pair + others, dtype=np.int64).T
+        assert not kernel._repeated_column(rows)
+        for dup in pair + others[:1]:
+            rows = np.array(pair + others + [dup], dtype=np.int64).T
+            assert kernel._repeated_column(rows), (a, b, dup)
+
+
+_ENTRIES = st.one_of(st.integers(-2, 2), st.sampled_from([INT64_MIN, INT64_MAX]),
+                     st.integers(INT64_MIN, INT64_MAX))
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(_ENTRIES, min_size=k, max_size=k), min_size=1, max_size=12)))
+@settings(max_examples=300, deadline=None)
+def test_repeated_column_matches_a_set_of_columns(cols):
+    # 1-row and 1-column matrices included; small entries make repeats common
+    rows = np.array(cols, dtype=np.int64).T
+    assert kernel._repeated_column(rows) == (len({tuple(c) for c in cols}) < len(cols))
+
+
 def _admitted(n_values, N_values):
     """The (n, N) whose packed keys the join's overflow guard admits."""
     return [(n, N) for n in n_values for N in N_values
@@ -114,7 +157,7 @@ def test_centred_sums_exact_at_the_overflow_guard():
 
 
 def test_join_bytes_per_sorted_tuple():
-    # the streamed join's traced peak stays at or below 2 bytes per sorted tuple
+    # the head-row join's traced peak stays at or below 2 bytes per sorted tuple
     for n, N in [(2, 5000), (3, 563)]:
         tracemalloc.start()
         try:
