@@ -11,7 +11,6 @@ from .polys import Poly
 @dataclass(frozen=True)
 class Curve:
     coords: tuple[Poly, ...]
-    name: str = ""
 
     def __post_init__(self):
         if len(self.coords) < 2:
@@ -24,7 +23,7 @@ class Curve:
     @classmethod
     def moment(cls, n: int) -> "Curve":
         """gamma(T) = (T, T^2, ..., T^n)."""
-        return cls(tuple(polys.monomial(i) for i in range(1, n + 1)), name="moment")
+        return cls(tuple(polys.monomial(i) for i in range(1, n + 1)))
 
     @property
     def is_moment(self) -> bool:

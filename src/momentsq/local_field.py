@@ -131,32 +131,21 @@ class Cell:
 
 @dataclass(frozen=True)
 class CellTuple:
-    """An ordered n-tuple of cells sharing field and scale, n >= 2."""
+    """An ordered n-tuple of cells of one field and scale, n >= 2, by index."""
 
-    cells: tuple[Cell, ...]
+    field: FieldSpec
+    scale: Scale
+    indices: tuple
 
     def __post_init__(self):
-        if len(self.cells) < 2:
+        if len(self.indices) < 2:
             raise ValueError("cell tuples have length n >= 2")
-        f, sc = self.cells[0].field, self.cells[0].scale
-        if any(c.field != f or c.scale != sc for c in self.cells):
-            raise ValueError("cells must share field and scale")
+        for i in self.indices:
+            Cell(self.field, self.scale, i)  # Cell's checks of the index
 
     @property
     def n(self) -> int:
-        return len(self.cells)
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.cells[0].field
-
-    @property
-    def scale(self) -> Scale:
-        return self.cells[0].scale
-
-    @property
-    def indices(self) -> tuple:
-        return tuple(c.index for c in self.cells)
+        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -282,4 +271,4 @@ def cell_representatives(cell: Cell, target_precision: int) -> list[PAdicApprox]
 
 def cell_tuple(field: FieldSpec, scale: Scale, indices) -> CellTuple:
     """Convenience constructor from raw indices."""
-    return CellTuple(tuple(Cell(field, scale, i) for i in indices))
+    return CellTuple(field, scale, tuple(indices))

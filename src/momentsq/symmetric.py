@@ -50,28 +50,6 @@ def elementary_from_power(power, n: int) -> tuple[Fraction, ...]:
 
 
 @dataclass(frozen=True)
-class SymmetricData:
-    """Consistent power-sum and elementary-symmetric vectors of a tuple."""
-
-    power: tuple[Fraction, ...]
-    elementary: tuple[Fraction, ...]  # (sigma_0, ..., sigma_n), sigma_0 = 1
-
-    def __post_init__(self):
-        if not self.elementary or self.elementary[0] != 1:
-            raise ValueError("sigma_0 must be 1")
-        n = len(self.power)
-        if len(self.elementary) != n + 1:
-            raise ValueError("vector lengths inconsistent")
-        if self.elementary[1:] != elementary_from_power(self.power, n):
-            raise ValueError("vectors do not satisfy the power/elementary recurrence")
-
-    @classmethod
-    def from_points(cls, points) -> "SymmetricData":
-        p = power_sums(points)
-        return cls(p, (Fraction(1),) + elementary_from_power(p, len(p)))
-
-
-@dataclass(frozen=True)
 class MonicPolynomial:
     """A monic polynomial with exact rational coefficients (little-endian)."""
 
@@ -80,10 +58,6 @@ class MonicPolynomial:
     def __post_init__(self):
         if not self.coefficients or self.coefficients[-1] != 1:
             raise ValueError("leading coefficient must be 1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def evaluate(self, x) -> Fraction:
         return polys.evaluate(self.coefficients, x)

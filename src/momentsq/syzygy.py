@@ -32,8 +32,8 @@ the product of its parts in each class, and class r's parts are those of
 class 0 moved by r, so one cached index of the sorted j-tuples of the
 class-0 residues, j = 2..n, serves every class, and a polynomial product
 over the classes gives the sums.  For p <= n every sorted n-tuple is
-grouped, as one class.  `_orderings` is the one place a report expands
-the orderings of multisets.
+grouped, as one class.  A report holds its members as index tuples, and
+`_orderings` is the one place it expands the orderings of multisets.
 The real sampler runs its sorted grid n-tuples against every point tuple
 of the base cells, re-checks one witness per cell multiset hit exactly,
 and reports each ordering of those multisets.
@@ -66,13 +66,15 @@ class SyzygyMethod(Enum):
 
 @dataclass(frozen=True)
 class SyzygyReport:
+    """S(delta, I; epsilon): members are the sorted index tuples of the J."""
+
     base: CellTuple
     epsilon: Fraction
-    members: tuple[CellTuple, ...]
+    members: tuple[tuple, ...]
     method: SyzygyMethod
 
     def __post_init__(self):
-        if self.base not in self.members:
+        if self.base.indices not in self.members:
             raise ValueError("the base tuple must be a member (reflexivity)")
 
     @property
@@ -81,7 +83,7 @@ class SyzygyReport:
 
     @property
     def member_indices(self) -> list[tuple]:
-        return [m.indices for m in self.members]
+        return list(self.members)
 
 
 def syzygy_bound(field: FieldSpec, n: int) -> int:
@@ -98,16 +100,14 @@ def permutation_predicate(base: CellTuple, other: CellTuple) -> bool:
     return sorted(base.indices) == sorted(other.indices)
 
 
-def _orderings(base: CellTuple, multisets) -> list[CellTuple]:
-    """Every distinct ordering of each cell multiset, as tuples over the
-    base's field and scale, sorted by index vector."""
-    seen = sorted({perm for m in multisets for perm in itertools.permutations(m)})
-    return [cell_tuple(base.field, base.scale, idx) for idx in seen]
+def _orderings(multisets) -> list[tuple]:
+    """Every distinct ordering of each cell multiset, as index tuples, sorted."""
+    return sorted({perm for m in multisets for perm in itertools.permutations(m)})
 
 
 def permutation_orbit(base: CellTuple) -> list[CellTuple]:
     """All distinct reorderings of a tuple, sorted by index vector."""
-    return _orderings(base, [base.indices])
+    return [cell_tuple(base.field, base.scale, idx) for idx in _orderings([base.indices])]
 
 
 def syzygy_set_oracle(base: CellTuple) -> SyzygyReport:
@@ -116,7 +116,7 @@ def syzygy_set_oracle(base: CellTuple) -> SyzygyReport:
     return SyzygyReport(
         base=base,
         epsilon=base.scale.delta ** base.n,
-        members=tuple(permutation_orbit(base)),
+        members=tuple(_orderings([base.indices])),
         method=SyzygyMethod.PERMUTATION_ORACLE,
     )
 
@@ -440,16 +440,18 @@ def clear_index_cache():
 def _tuple_keys(indices, p: int, n: int, s: int,
                 budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
     """Sorted distinct packed power-sum vectors of all point tuples in a cell
-    tuple, at precision n*s."""
+    tuple, at precision n*s, from their own powers mod q, not `_power_tables`."""
     q = p ** (n * s)
     per_cell = p ** ((n - 1) * s)
     check_budget(per_cell ** n, budget, "per-tuple representative enumeration")
-    ncells = p ** s
-    _, tables = _power_tables(p, n, s)
+    # traced peak bytes a tuple: 16n + 16 at (3,2,6), (5,2,4) and (7,2,3), 16n + 10 at (2,3,3),
+    # 16n + 8 at (3,4,1) and (2,5,1): the n power sums, their residues, the codes, a sorted copy
+    check_bytes(per_cell ** n * (16 * n + 24), "the oracle's representative tuples")
     comps = None
     for idx in indices:
-        reps = np.arange(idx, q, ncells, dtype=np.int64)
-        cell_comps = [t[reps] for t in tables]
+        cell_comps = [np.arange(idx, q, p ** s, dtype=np.int64)]
+        for _ in range(n - 1):
+            cell_comps.append(cell_comps[-1] * cell_comps[0] % q)
         if comps is None:
             comps = cell_comps
         else:
@@ -495,7 +497,7 @@ def syzygy_set_nonarch(base: CellTuple, curve: Curve | None = None,
     return SyzygyReport(
         base=base,
         epsilon=base.scale.delta ** n,
-        members=tuple(_orderings(base, multisets)),
+        members=tuple(_orderings(multisets)),
         method=SyzygyMethod.CONGRUENCE_EXACT,
     )
 
@@ -650,7 +652,7 @@ def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = No
     return SyzygyReport(
         base=base,
         epsilon=epsilon,
-        members=tuple(_orderings(base, cells.tolist())),
+        members=tuple(_orderings(cells.tolist())),
         method=SyzygyMethod.REAL_SAMPLED,
     )
 

@@ -42,6 +42,11 @@ def test_lipschitz_examples():
         assert lipschitz_norm(Curve.moment(n)) == n
 
 
+def test_lipschitz_exact_at_non_dyadic_critical_point():
+    # gamma_2' = 2 + 6t - 9t^2 peaks at t = 1/3, inside a bisection interval
+    assert lipschitz_norm(Curve((polys.poly([0, 1]), polys.poly([0, 2, 3, -3])))) == 3
+
+
 def test_lipschitz_complex_upper_bound():
     assert lipschitz_norm(Curve.moment(4), COMPLEX) == 4
 
@@ -108,6 +113,11 @@ def derivative_matrix(curve):
             ds.append(polys.derivative(ds[-1]))
         rows.append(ds[1:])
     return rows
+
+
+def test_moment_curve_is_its_coordinates():
+    hand = Curve((polys.poly([0, 1]), polys.poly([0, 0, 1])))
+    assert Curve.moment(2) == hand and hand.is_moment
 
 
 def test_wronskian_moment():
@@ -199,6 +209,13 @@ def test_wronskian_degenerate():
     assert wronskian(flat) == polys.ZERO
     assert not nondegenerate(flat)
     assert nondegenerate(Curve.moment(2))
+
+
+def test_nondegenerate_counts_interior_zeros():
+    # not the moment curve and no zero at 0 or 1, so the Sturm count decides:
+    # (t, t^2 + t^3) has W = 2 + 6t, and (t, t^3 - 3t^2/2) has W = 6t - 3, zero at 1/2
+    assert nondegenerate(Curve((polys.poly([0, 1]), polys.poly([0, 0, 1, 1]))))
+    assert not nondegenerate(Curve((polys.poly([0, 1]), polys.poly([0, 0, Fraction(-3, 2), 1]))))
 
 
 def test_nondegenerate_detects_boundary_zero():

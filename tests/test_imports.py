@@ -15,7 +15,7 @@ EXPORTS = {
     "local_field": ["COMPLEX", "REAL", "Cell", "CellTuple", "FieldKind", "FieldSpec",
                     "PAdicApprox", "Scale", "abs_value", "cell_representatives", "cell_tuple",
                     "character", "padic", "padic_scale", "partition", "real_scale"],
-    "symmetric": ["GNDefect", "MonicPolynomial", "SymmetricData", "elementary_from_power",
+    "symmetric": ["GNDefect", "MonicPolynomial", "elementary_from_power",
                   "gn_defect", "gn_division_loss", "power_sums", "vieta_polynomial"],
     "syzygy": ["StrongDiagonalScan", "SyzygyMethod", "SyzygyReport", "is_syzygy_nonarch",
                "permutation_orbit", "permutation_predicate", "scan_strong_diagonal",

@@ -1,12 +1,13 @@
 import cmath
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentsq import (REAL, Cell, FieldKind, FieldSpec, abs_value,
-                      cell_representatives, character, padic,
+from momentsq import (REAL, Cell, CellTuple, FieldKind, FieldSpec, abs_value,
+                      cell_representatives, cell_tuple, character, padic,
                       padic_scale, partition, real_scale)
 from momentsq.local_field import COMPLEX, padic_fractional_part
 
@@ -47,6 +48,30 @@ def test_partition_disjoint_cover_via_representatives():
         cells = partition(padic(p), padic_scale(p, s))
         reps = [r.residue for c in cells for r in cell_representatives(c, m)]
         assert sorted(reps) == list(range(p ** m))
+
+
+def test_cell_tuple_is_one_field_scale_and_index_vector():
+    t = cell_tuple(padic(5), padic_scale(5, 1), [4, 0, 4])
+    assert [f.name for f in dataclasses.fields(CellTuple)] == ["field", "scale", "indices"]
+    assert (t.field, t.scale, t.indices, t.n) == (padic(5), padic_scale(5, 1), (4, 0, 4), 3)
+    assert t == CellTuple(padic(5), padic_scale(5, 1), (4, 0, 4))
+    assert cell_tuple(COMPLEX, real_scale(2), [(0, 1), (1, 1)]).indices == ((0, 1), (1, 1))
+
+
+def test_cell_tuple_checks_length_and_indices():
+    with pytest.raises(ValueError, match="n >= 2"):
+        cell_tuple(padic(5), padic_scale(5, 1), [3])
+    with pytest.raises(ValueError, match="n >= 2"):
+        cell_tuple(REAL, real_scale(4), [])
+    # each index with Cell's checks and messages
+    with pytest.raises(ValueError, match=r"residue in \[0, 5\)"):
+        cell_tuple(padic(5), padic_scale(5, 1), [0, 5])
+    with pytest.raises(ValueError, match=r"lie in \[0, 4\)"):
+        cell_tuple(REAL, real_scale(4), [-1, 0])
+    with pytest.raises(ValueError, match="index pair"):
+        cell_tuple(COMPLEX, real_scale(2), [(0, 1), 1])
+    with pytest.raises(ValueError, match="does not match"):
+        CellTuple(padic(5), padic_scale(3, 1), (0, 1))
 
 
 def test_scale_field_mismatch():

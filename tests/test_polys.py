@@ -70,6 +70,12 @@ def test_sup_abs_interior_rational_critical_point():
     assert polys.sup_abs_unit_interval(f) == Fraction(1, 4)
 
 
+def test_sup_abs_non_dyadic_rational_critical_point():
+    # 2 + 6t - 9t^2 peaks at t = 1/3, which bisection never hits: the rational
+    # root test finds it, so the sup is exact
+    assert polys.sup_abs_unit_interval(polys.poly([2, 6, -9])) == 3
+
+
 def test_sup_abs_irrational_critical_point_certified():
     # f' = 3t^2 - 1 vanishes at 1/sqrt(3); bound must cover the true sup
     f = polys.poly([0, -1, 0, 1])  # t^3 - t

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentsq import (REAL, SymmetricData, elementary_from_power, gn_defect,
+from momentsq import (REAL, elementary_from_power, gn_defect,
                       gn_division_loss, padic, power_sums, vieta_polynomial)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
@@ -50,14 +50,6 @@ def test_permutation_invariance(pts, rng):
     rng.shuffle(shuffled)
     assert power_sums(pts) == power_sums(shuffled)
     assert vieta_polynomial(pts).coefficients == vieta_polynomial(shuffled).coefficients
-
-
-def test_symmetric_data_consistency():
-    d = SymmetricData.from_points([1, 2, 3])
-    assert d.power == (6, 14, 36)
-    assert d.elementary == (1, 6, 11, 6)
-    with pytest.raises(ValueError):
-        SymmetricData(power=(3, 5), elementary=(Fraction(1), Fraction(3), Fraction(1)))
 
 
 def test_gn_defect_trivial_cases():

@@ -13,7 +13,7 @@ from momentsq import (REAL, BudgetExceededError, Curve, LocallyConstant, cell_tu
 from momentsq.bounds import bezout_syzygy_bound
 from momentsq import budget, cli, polys, syzygy
 from momentsq.kernel import _orbit_sizes, _sorted_folds, _sorted_unique
-from momentsq.syzygy import SyzygyMethod
+from momentsq.syzygy import SyzygyMethod, SyzygyReport
 
 
 def q5_tuple(*idx, s=1):
@@ -42,6 +42,32 @@ def test_set_examples():
 
     rep = syzygy_set_nonarch(q3_tuple(0, 1, 2))
     assert rep.cardinality == 6 <= 27
+
+
+def test_report_members_are_index_tuples():
+    base = q5_tuple(4, 1)
+    for rep in (syzygy_set_nonarch(base), syzygy.syzygy_set_oracle(base)):
+        assert rep.members == ((1, 4), (4, 1))
+        assert rep.member_indices == [(1, 4), (4, 1)]
+    with pytest.raises(ValueError, match="reflexivity"):
+        SyzygyReport(base, Fraction(1, 25), ((1, 4),), SyzygyMethod.CONGRUENCE_EXACT)
+
+
+def test_reports_build_no_cell_tuples(monkeypatch):
+    # `_orderings` expands multisets into index tuples; only `permutation_orbit`
+    # builds cell tuples from them
+    def no_cell_tuple(*args, **kwargs):
+        raise AssertionError("a report built a cell tuple per member")
+    real = cell_tuple(REAL, real_scale(4), (1, 2))
+    monkeypatch.setattr(syzygy, "cell_tuple", no_cell_tuple)
+    monkeypatch.setattr(syzygy, "CellTuple", no_cell_tuple)
+    assert syzygy._orderings([[2, 0, 2], (1, 1, 1)]) == [
+        (0, 2, 2), (1, 1, 1), (2, 0, 2), (2, 2, 0)]
+    assert syzygy_set_nonarch(q3_tuple(2, 0, 2)).member_indices == [
+        (0, 2, 2), (2, 0, 2), (2, 2, 0)]
+    assert syzygy_set_real(Curve.moment(2), real).cardinality == 12
+    with pytest.raises(AssertionError, match="cell tuple"):
+        permutation_orbit(q5_tuple(0, 1))
 
 
 def test_permutation_predicate():
@@ -617,11 +643,57 @@ def test_scan_checks_the_prime_before_enumerating(monkeypatch):
             scan_strong_diagonal(p, n, s)
 
 
+def _oracle_pair(p, n, s):
+    field, scale = padic(p), padic_scale(p, s)
+    idx = tuple(i % p ** s for i in range(n))
+    return cell_tuple(field, scale, idx), cell_tuple(field, scale, idx[::-1])
+
+
+def test_oracle_byte_charge_covers_its_peak(monkeypatch):
+    # refused with the memory budget one byte under the traced peak of the
+    # membership test, admitted at twice it: n = 2 over 3^10 representative
+    # tuples and n = 3 over 2^18
+    peaks = {}
+    for p, n, s in [(3, 2, 5), (2, 3, 3)]:
+        pair = _oracle_pair(p, n, s)
+        tracemalloc.start()
+        try:
+            assert is_syzygy_nonarch(*pair)
+            peaks[pair] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    for (base, other), peak in peaks.items():
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", peak - 1)
+        with pytest.raises(BudgetExceededError, match="bytes"):
+            is_syzygy_nonarch(base, other)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * peak)
+        assert is_syzygy_nonarch(base, other)
+
+
+def test_oracle_byte_guard_refuses_before_allocating():
+    # (2,2,13): 2^26 representative tuples, within the step budget, charged
+    # 56 bytes each, over the 2 GiB memory budget
+    base, other = _oracle_pair(2, 2, 13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="bytes, over the memory budget"):
+            is_syzygy_nonarch(base, other)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         syzygy_set_nonarch(q5_tuple(0, 1, s=9))
     with pytest.raises(BudgetExceededError):
         is_syzygy_nonarch(q5_tuple(0, 1, s=9), q5_tuple(1, 0, s=9))
+
+
+def test_nonarch_engine_rejects_a_real_base():
+    with pytest.raises(ValueError, match="runs over Q_p"):
+        syzygy_set_nonarch(cell_tuple(REAL, real_scale(4), (0, 1)))
 
 
 def test_non_moment_curve_rejected():
@@ -673,6 +745,16 @@ def test_real_sampler_rejects_bad_values(monkeypatch):
             syzygy_set_real(curve, base, grid_step=step)
     with pytest.raises(ValueError, match="nonnegative"):
         syzygy_set_real(curve, base, epsilon=Fraction(-1, 100))
+
+
+def test_real_sampler_refuses_values_past_64_bits(monkeypatch):
+    # (t, t^13) at grid 1/32: the rescaled t^13 values reach 2 * 32^13 = 2^66
+    def enumerate_nothing(folds, n):
+        raise AssertionError("enumerated before the overflow check")
+    monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)
+    curve = Curve((polys.monomial(1), polys.monomial(13)))
+    with pytest.raises(BudgetExceededError, match="overflow 64-bit"):
+        syzygy_set_real(curve, cell_tuple(REAL, real_scale(4), (1, 2)))
 
 
 def _real_members_by_pairs(curve, base, grid):
