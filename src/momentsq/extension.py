@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import syzygy
-from .budget import DEFAULT_ENUMERATION_BUDGET, check_budget, check_bytes
+from .budget import BudgetExceededError, check_budget, check_bytes
 from .local_field import Cell, FieldKind, FieldSpec, Scale, _check_scale, padic_valuation
 
 
@@ -138,7 +138,7 @@ _RESIDUE_BYTES = 56
 def _phase_numerators(x, p: int, m: int) -> np.ndarray:
     """N(a) = sum_k a^k (x_k p^m) mod p^m for every residue a mod p^m: gamma(a) . x
     has p-adic fractional part N(a) / p^m.  The int64 products stay below
-    2 p^2m, far below 2^63 while the byte check holds."""
+    2 p^2m, below 2^63 for the p^m < 2^31 that `_modulated_values` admits."""
     big = p ** m
     a, num = np.arange(big, dtype=np.int64), np.zeros(big, np.int64)
     for v in reversed(x):  # Horner: N = a (c_1 + a (c_2 + ...)), c_k = x_k p^m
@@ -149,15 +149,18 @@ def _phase_numerators(x, p: int, m: int) -> np.ndarray:
     return num
 
 
-def _modulated_values(f: LocallyConstant, x, m_min: int, budget: int):
+def _modulated_values(f: LocallyConstant, x, m_min: int):
     """(m, g) with g[a] = f(a) e(gamma(a) . x) for every residue a mod p^m,
     where m >= m_min is the least precision that holds f and the p-powers
     in the denominators of x.  The p^m residues are checked against the
-    step budget and, at _RESIDUE_BYTES each, the memory budget first."""
+    step budget and, at _RESIDUE_BYTES each, the memory budget first, and
+    refused from 2^31, where the phase products could overflow."""
     p = f.field.prime
     m = max(f.precision, m_min, 1, *(-padic_valuation(v, p) for v in x if v))
-    check_budget(p ** m, budget, f"evaluation at the residues mod {p}^{m}")
+    check_budget(p ** m, f"evaluation at the residues mod {p}^{m}")
     check_bytes(p ** m * _RESIDUE_BYTES, f"evaluation at the residues mod {p}^{m}")
+    if p ** m >= 2 ** 31:  # reached only with both limits raised
+        raise BudgetExceededError("phase products would overflow 64-bit integers")
     g = np.tile(np.asarray(f.values, dtype=complex), p ** (m - f.precision))
     if any(x):
         g *= np.exp(2j * np.pi * (_phase_numerators(x, p, m) / p ** m))
@@ -166,7 +169,7 @@ def _modulated_values(f: LocallyConstant, x, m_min: int, budget: int):
 
 def _extension_padic(f: LocallyConstant, cell: Cell | None, x) -> complex:
     s, index = (0, 0) if cell is None else (cell.scale.exponent, cell.index)
-    m, g = _modulated_values(f, x, s, DEFAULT_ENUMERATION_BUDGET)
+    m, g = _modulated_values(f, x, s)
     return complex(g[index::f.field.prime ** s].sum()) / f.field.prime ** m
 
 
@@ -233,7 +236,7 @@ def square_function(f: TestFunction, scale: Scale, x) -> float:
     """S_delta f(x) = (sum over J in P_delta of |E_J f(x)|^2)^(1/2)."""
     if f.field.kind is FieldKind.PADIC:
         _check_scale(f.field, scale)
-        m, g = _modulated_values(f, x, scale.exponent, DEFAULT_ENUMERATION_BUDGET)
+        m, g = _modulated_values(f, x, scale.exponent)
         cells = g.reshape(-1, f.field.prime ** scale.exponent).sum(axis=0) / f.field.prime ** m
         return math.sqrt(np.sum(np.abs(cells) ** 2))
     return math.sqrt(sum(abs(extension_op(f, Cell(f.field, scale, j), x)) ** 2
@@ -244,8 +247,7 @@ def square_function(f: TestFunction, scale: Scale, x) -> float:
 # Q_p norms: exact, by Parseval over power-sum groups
 # ---------------------------------------------------------------------------
 
-def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
-                          budget: int) -> NormRatio:
+def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int) -> NormRatio:
     """Parseval over the cosets c + j/q of the ball, j in (Z/q)^n:
     sum_j |E f|^{2n} = q^n p^{-2nm} sum_k |B(k)|^2, where B(k) sums
     prod_i g(a_i), g = f e(gamma . c), over the n-tuples a mod p^m with power
@@ -255,14 +257,14 @@ def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int,
     """
     p, s = f.field.prime, scale.exponent
     q = p ** (n * s)
-    m_eval, g = _modulated_values(f, center, n * s, budget)
+    m_eval, g = _modulated_values(f, center, n * s)
     h = g.reshape(-1, q).sum(axis=0)  # g folded mod q
     # E f(c + j/q) = p^-m sum_r h(r) e(gamma(r) . j/q), r -> gamma(r) mod q one-to-one, so
     # E f vanishes on the ball iff h does.  The fold's rounding grew like sqrt(terms) eps of
     # their magnitudes (74 eps at 2^20 terms, at most 2^26 here): 2^12 eps of them is zero.
     if np.all(np.abs(h) <= 2 ** 12 * np.finfo(float).eps * np.abs(g).reshape(-1, q).sum(0)):
         raise ValueError("zero function: the ratio is undefined")
-    key_sum, cell_sum = syzygy._parseval_sums(h, p, n, s, budget)
+    key_sum, cell_sum = syzygy._parseval_sums(h, p, n, s)
     c = q ** n / p ** (2 * n * m_eval)  # each coset: Haar measure 1, weight 1
     return NormRatio(float(c * key_sum) ** (1 / (2 * n)), float(c * cell_sum) ** (1 / (2 * n)))
 
@@ -333,7 +335,7 @@ def _real_grids(count: int, delta: Fraction, axes: tuple):
     return stack, power, weight
 
 
-def _checked_real_grids(f: LocallyConstant, scale: Scale, axes: tuple, budget: int):
+def _checked_real_grids(f: LocallyConstant, scale: Scale, axes: tuple):
     """`_real_grids` for f on the grid of `axes`.  Before any is built, the
     step budget counts the grid points and the phase-factor and Khatri-Rao
     entries of every f-cell, and the memory budget the cached grids, one
@@ -343,9 +345,9 @@ def _checked_real_grids(f: LocallyConstant, scale: Scale, axes: tuple, budget: i
         raise ValueError("f resolution must refine the partition")
     shape = tuple(m for _, _, m in axes)
     points = math.prod(shape)
-    check_budget(points, budget, "real norm grid")
+    check_budget(points, "real norm grid")
     cell_nodes = 16 * _real_panels(f.precision, _real_axes(axes))
-    check_budget(f.precision * cell_nodes * (sum(shape) + math.prod(shape[1:])), budget,
+    check_budget(f.precision * cell_nodes * (sum(shape) + math.prod(shape[1:])),
                  "real factor matrices")
     cached = points * (f.precision * (24 if per == 1 else 16) + 8)  # G, G2 if per == 1, and W
     # one f-cell's build: its factor matrices, each with its phases, and its Khatri-Rao rows
@@ -363,12 +365,11 @@ def _cell_extensions(f: LocallyConstant, scale: Scale, stack: np.ndarray):
         yield np.tensordot(vals[lo:lo + per], stack[lo:lo + per], 1)
 
 
-def _weighted_norms_real(f: LocallyConstant, scale: Scale, center, n: int,
-                         budget: int) -> NormRatio:
+def _weighted_norms_real(f: LocallyConstant, scale: Scale, center, n: int) -> NormRatio:
     radius = float(Fraction(1) / scale.delta ** n)
     step = 1 / max(4, n + 1)  # the midpoint rule aliases no frequency below n + 1
     axes = tuple((float(c), step, int(round(radius / step))) for c in center)
-    stack, power, weight = _checked_real_grids(f, scale, axes, budget)
+    stack, power, weight = _checked_real_grids(f, scale, axes)
     vals = np.asarray(f.values, dtype=complex)
     lhs = np.abs(np.tensordot(vals, stack, 1))
     if power is None:  # a partition cell holds several f-cells
@@ -381,8 +382,7 @@ def _weighted_norms_real(f: LocallyConstant, scale: Scale, center, n: int,
                      float(np.vdot(rhs, weight) * step ** n) ** (1 / (2 * n)))
 
 
-def weighted_norms(f: TestFunction, scale: Scale, center=None, n: int | None = None,
-                   budget: int = DEFAULT_ENUMERATION_BUDGET) -> NormRatio:
+def weighted_norms(f: TestFunction, scale: Scale, center=None, n: int | None = None) -> NormRatio:
     """L^{2n} norms of E_O f and S_delta f against the standard weight.
 
     Q_p: the integrands are locally constant on Z_p^n cosets, so the sum
@@ -406,9 +406,9 @@ def weighted_norms(f: TestFunction, scale: Scale, center=None, n: int | None = N
         raise ValueError("zero function: the ratio is undefined")
     _check_scale(f.field, scale)
     if f.field.kind is FieldKind.PADIC:
-        out = _weighted_norms_padic(f, scale, center, n, budget)
+        out = _weighted_norms_padic(f, scale, center, n)
     elif f.field.kind is FieldKind.REAL:
-        out = _weighted_norms_real(f, scale, center, n, budget)
+        out = _weighted_norms_real(f, scale, center, n)
     else:
         raise ValueError("norms are computed over R and Q_p")
     if out.rhs == 0:

@@ -138,6 +138,7 @@ class CellTuple:
     indices: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "indices", tuple(self.indices))  # hashable, as members are
         if len(self.indices) < 2:
             raise ValueError("cell tuples have length n >= 2")
         for i in self.indices:
@@ -271,4 +272,4 @@ def cell_representatives(cell: Cell, target_precision: int) -> list[PAdicApprox]
 
 def cell_tuple(field: FieldSpec, scale: Scale, indices) -> CellTuple:
     """Convenience constructor from raw indices."""
-    return CellTuple(field, scale, tuple(indices))
+    return CellTuple(field, scale, indices)

@@ -50,8 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import (DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, check_budget,
-                     check_bytes, check_sorted_tuples)
+from .budget import BudgetExceededError, check_budget, check_bytes, check_sorted_tuples
 from .curves import Curve
 from .kernel import _orbit_sizes, _ranges, _run_starts, _sorted_folds, _sorted_unique
 from .local_field import CellTuple, FieldKind, FieldSpec, cell_tuple
@@ -125,13 +124,9 @@ def syzygy_set_oracle(base: CellTuple) -> SyzygyReport:
 # non-Archimedean engine
 # ---------------------------------------------------------------------------
 
-def _require_padic_moment(base: CellTuple, curve: Curve | None):
+def _require_padic(base: CellTuple):
     if base.field.kind is not FieldKind.PADIC:
         raise ValueError("exact enumeration runs over Q_p")
-    if curve is not None and not curve.is_moment:
-        raise ValueError("the exact congruence path supports the moment curve only")
-    if curve is not None and curve.n != base.n:
-        raise ValueError("curve dimension does not match tuple length")
 
 
 def _power_tables(p: int, n: int, s: int):
@@ -305,7 +300,7 @@ def _parseval_level(p: int, n: int, s: int, j: int, classes: int) -> _Level:
     fine -= 1
     keys, multisets = np.unravel_index(codes[new], (q ** j, ncells ** j))
     del codes, new
-    if not _run_starts(keys).all():  # never for p > n (docs/quadrature.md); checked for p <= n
+    if not _run_starts(keys).all():  # never for p > n (docs/quadrature.md); checked at every p
         raise RuntimeError(f"a power-sum key mod {q} holds two cell multisets of {j}-tuples")
     # float: dividing by it then casts nothing, and the quotients are the same
     cell_orbit = _orbit_sizes(np.unravel_index(multisets, (ncells,) * j, order="F")).astype(float)
@@ -338,7 +333,7 @@ def _parseval_groups(p: int, n: int, s: int):
 _GROUP_BYTES, _RESIDUE_BYTES = 24, 8
 
 
-def _check_key_rows(p: int, n: int, s: int, budget: int):
+def _check_key_rows(p: int, n: int, s: int):
     """The guards of `_parseval_groups` and `_parseval_sums`: the sorted
     n-tuples the build folds, over the class-0 residues where the sums
     factor, and the values a call sums, classes times the rows of every
@@ -347,10 +342,10 @@ def _check_key_rows(p: int, n: int, s: int, budget: int):
     q = p ** (n * s)
     classes, sizes = _levels(p, n, s)
     m, ncells = q // classes, p ** s // classes
-    check_sorted_tuples(m, n, ncells ** n * q ** n, budget,
+    check_sorted_tuples(m, n, ncells ** n * q ** n,
                         f"Z/{q}" if classes == 1 else f"the multiples of {p} in Z/{q}")
     rows = {j: math.comb(m + j - 1, j) for j in sizes}
-    check_budget(classes * sum(rows.values()), budget, f"the Parseval sums over Z/{q}")
+    check_budget(classes * sum(rows.values()), f"the Parseval sums over Z/{q}")
     check_bytes(sum(r * (16 * j + _GROUP_BYTES) for j, r in rows.items())
                 + q * (n + 3) * _RESIDUE_BYTES, f"grouping the sorted {n}-tuples over Z/{q}")
 
@@ -364,11 +359,11 @@ _PARSEVAL_BLOCK = 4096  # values a block of `_parseval_sums`: its temporaries st
 _PAIR_ROW_BYTES, _PAIR_CODE_BYTES, _PAIR_TABLE_BYTES = 20, 16, 64
 
 
-def _check_pair_rows(p: int, n: int, s: int, budget: int):
+def _check_pair_rows(p: int, n: int, s: int):
     """The guards of `_pair_relation`: C(q+n-2, n-1) folded rows, codes
     below gcd(n, q) * q^n, and the bytes it holds while it builds."""
     q = p ** (n * s)
-    check_sorted_tuples(q, n - 1, math.gcd(n, q) * q ** n, budget, f"Z/{q}")
+    check_sorted_tuples(q, n - 1, math.gcd(n, q) * q ** n, f"Z/{q}")
     rows = math.comb(q + n - 2, n - 1)
     check_bytes(rows * (4 * (n + 2) + _PAIR_ROW_BYTES) + q * _PAIR_TABLE_BYTES
                 + rows * math.gcd(n, q) // n * _PAIR_CODE_BYTES, f"the pair relation over Z/{q}")
@@ -399,7 +394,7 @@ def _level_sums(values: np.ndarray, level: _Level):
     return key.tolist(), np.add.reduce(square, axis=1).tolist()
 
 
-def _parseval_sums(h: np.ndarray, p: int, n: int, s: int, budget: int):
+def _parseval_sums(h: np.ndarray, p: int, n: int, s: int):
     """(sum_k |B(k)|^2, sum_{(k,C)} |B(k,C)|^2 / orbit(C)), where B(k, C) sums
     orbit(M) prod_i h(M_i) over the sorted n-tuples M of residues mod p^{ns}
     with power-sum key k and cell multiset C, and B(k) sums B(k, C) over C:
@@ -414,7 +409,7 @@ def _parseval_sums(h: np.ndarray, p: int, n: int, s: int, budget: int):
     n! [x^n] prod_r (1 + sum_j Y_r(j) x^j / j!).  Else there is one class,
     whose one level, j = n, gives both sums.
     """
-    _check_key_rows(p, n, s, budget)
+    _check_key_rows(p, n, s)
     classes = _levels(p, n, s)[0]
     levels, steps = _parseval_groups(p, n, s)
     values = np.ascontiguousarray(h.reshape(-1, classes).T)  # values[r, y] = h(classes * y + r)
@@ -437,16 +432,16 @@ def clear_index_cache():
     _parseval_groups.cache_clear()
 
 
-def _tuple_keys(indices, p: int, n: int, s: int,
-                budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
+def _tuple_keys(indices, p: int, n: int, s: int) -> np.ndarray:
     """Sorted distinct packed power-sum vectors of all point tuples in a cell
     tuple, at precision n*s, from their own powers mod q, not `_power_tables`."""
     q = p ** (n * s)
     per_cell = p ** ((n - 1) * s)
-    check_budget(per_cell ** n, budget, "per-tuple representative enumeration")
-    # traced peak bytes a tuple: 16n + 16 at (3,2,6), (5,2,4) and (7,2,3), 16n + 10 at (2,3,3),
-    # 16n + 8 at (3,4,1) and (2,5,1): the n power sums, their residues, the codes, a sorted copy
-    check_bytes(per_cell ** n * (16 * n + 24), "the oracle's representative tuples")
+    check_budget(per_cell ** n, "per-tuple representative enumeration")
+    # traced peak bytes a tuple of `is_syzygy_nonarch`, both sides: 42.0 at (3,2,6), (5,2,4) and
+    # (3,2,5), where the second side's sort and the intersection hold the most; 34.0 at (2,3,3),
+    # 34.7 at (3,3,2), 40.4 at (3,4,1) and 48.0 at (2,5,1), where packing the n sums does
+    check_bytes(per_cell ** n * (8 * n + 32), "the oracle's representative tuples")
     comps = None
     for idx in indices:
         cell_comps = [np.arange(idx, q, p ** s, dtype=np.int64)]
@@ -456,11 +451,14 @@ def _tuple_keys(indices, p: int, n: int, s: int,
             comps = cell_comps
         else:
             comps = [np.add.outer(a, b).ravel() for a, b in zip(cell_comps, comps)]
-    return _sorted_unique(np.ravel_multi_index([c % q for c in comps], (q,) * n, order="F"))
+    for c in comps:
+        np.remainder(c, q, out=c)
+    codes = np.ravel_multi_index(comps, (q,) * n, order="F")
+    del comps  # the sums go before the sort copies the codes
+    return _sorted_unique(codes)
 
 
-def is_syzygy_nonarch(base: CellTuple, other: CellTuple, curve: Curve | None = None,
-                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> bool:
+def is_syzygy_nonarch(base: CellTuple, other: CellTuple) -> bool:
     """Exact membership test: do some s in I, t in J satisfy the congruence
     sum_i t_i^k = sum_i s_i^k mod p^{ns} for k = 1..n?
 
@@ -468,26 +466,25 @@ def is_syzygy_nonarch(base: CellTuple, other: CellTuple, curve: Curve | None = N
     the sorted distinct power-sum vectors of the two sides are intersected.
     It shares no enumeration with `syzygy_set_nonarch`, which tests check against it.
     """
-    _require_padic_moment(base, curve)
+    _require_padic(base)
     if base.field != other.field or base.scale != other.scale or base.n != other.n:
         raise ValueError("tuples must share field, scale and length")
     p, n, s = base.field.prime, base.n, base.scale.exponent
-    kt = _tuple_keys(other.indices, p, n, s, budget=budget)
-    ks = _tuple_keys(base.indices, p, n, s, budget=budget)
+    kt = _tuple_keys(other.indices, p, n, s)
+    ks = _tuple_keys(base.indices, p, n, s)
     return bool(np.intersect1d(kt, ks, assume_unique=True).size)
 
 
-def syzygy_set_nonarch(base: CellTuple, curve: Curve | None = None,
-                       budget: int = DEFAULT_ENUMERATION_BUDGET) -> SyzygyReport:
+def syzygy_set_nonarch(base: CellTuple) -> SyzygyReport:
     """Enumerate S(delta, I; delta^n) exactly over Q_p.
 
     Members are every ordering of the cell multiset of I and of each
     multiset that shares a power-sum key mod p^{ns} with it, read off the
     cached pair relation; sorted by index vector.
     """
-    _require_padic_moment(base, curve)
+    _require_padic(base)
     p, n, s = base.field.prime, base.n, base.scale.exponent
-    _check_pair_rows(p, n, s, budget)
+    _check_pair_rows(p, n, s)
     a, b = _pair_relation(p, n, s)
     dims = (p ** s,) * n
     cells = sorted(base.indices)
@@ -522,8 +519,7 @@ class StrongDiagonalScan:
         return self.max_cardinality <= self.bound
 
 
-def scan_strong_diagonal(p: int, n: int, s: int,
-                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> StrongDiagonalScan:
+def scan_strong_diagonal(p: int, n: int, s: int) -> StrongDiagonalScan:
     """Enumerate S(delta, I; delta^n) for every I in P_delta^n and compare
     with the permutation oracle: |S(I)| is the orbit size of I plus those
     of its partners in the cached pair relation."""
@@ -532,7 +528,7 @@ def scan_strong_diagonal(p: int, n: int, s: int,
         raise ValueError("s must be nonnegative")
     if n < 2:
         raise ValueError("n >= 2")
-    _check_pair_rows(p, n, s, budget)
+    _check_pair_rows(p, n, s)
     a, b = _pair_relation(p, n, s)
     dims = (p ** s,) * n
     q = math.prod(dims)
@@ -562,8 +558,7 @@ _SAMPLER_BLOCK = 2 ** 20  # hit-matrix entries per block of sorted grid tuples
 
 
 def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = None,
-                    grid_step: Fraction | None = None,
-                    budget: int = DEFAULT_ENUMERATION_BUDGET) -> SyzygyReport:
+                    grid_step: Fraction | None = None) -> SyzygyReport:
     """Sampled lower approximation of S(delta, I; eps) over R.
 
     Pairs (s, t) range over a rational grid of pitch grid_step inside the
@@ -595,7 +590,7 @@ def syzygy_set_real(curve: Curve, base: CellTuple, epsilon: Fraction | None = No
     per_cell = int(per_cell)
     G = grid_step.denominator  # grid points are a/G
     npts = ncells * per_cell
-    check_budget(math.comb(npts + n - 1, n) * per_cell ** n, budget, "real grid enumeration")
+    check_budget(math.comb(npts + n - 1, n) * per_cell ** n, "real grid enumeration")
 
     # Clear denominators: coordinate k compares integers
     #   V_k(a) = gamma_k(a/G) * G^{d_k} * L_k   against   eps * G^{d_k} * L_k.

@@ -10,10 +10,11 @@ n!/prod(mult!), and J(N) = sum orbit^2 counts the pairs of reorderings:
 (Girard-Newton), so no two do; the join only checks that, on the tuples
 with t_1 = 1 alone (`_moment_join`, docs/quadrature.md).  A report over
 many N joins once, at the largest N the guards admit: vectors distinct
-over [1, N] stay distinct over any smaller range.  The budget counts the
-sorted tuples, the bytes are checked against `budget.MEMORY_BUDGET`, and
-keys past 64 bits are refused.  The brute-force path compares all pairs
-of tuples and is the oracle the fast paths are checked against.
+over [1, N] stay distinct over any smaller range.  `budget.COUNT_BUDGET`
+counts the sorted tuples, `budget.MEMORY_BUDGET` the bytes, and keys past
+64 bits are refused; both limits are read when the guard runs.  The
+brute-force path compares all pairs of tuples and is the oracle the fast
+paths are checked against.
 """
 from __future__ import annotations
 
@@ -26,8 +27,7 @@ from itertools import product
 
 import numpy as np
 
-from .budget import (DEFAULT_COUNT_BUDGET, BudgetExceededError, check_budget, check_bytes,
-                     check_sorted_tuples)
+from .budget import BudgetExceededError, check_budget, check_bytes, check_sorted_tuples
 from .curves import Curve
 from .kernel import _repeated_column, _sorted_folds
 
@@ -98,7 +98,7 @@ def _centred_sums(sums, n: int) -> np.ndarray:
     return centred
 
 
-def _moment_join(n: int, N: int, budget: int) -> int:
+def _moment_join(n: int, N: int) -> int:
     """J(N) for the moment curve: `permutation_count`, once no two sorted
     n-tuples over [1, N] share a key (Girard-Newton, checked, not assumed).
 
@@ -113,8 +113,8 @@ def _moment_join(n: int, N: int, budget: int) -> int:
     packed with digits R_k = n N^k + 1, reach 2^62, which keeps every c_k
     exact.
     """
-    check_sorted_tuples(N, n, math.prod(n * N ** k + 1 for k in range(1, n + 1)), budget,
-                        f"[1,{N}]")
+    check_sorted_tuples(N, n, math.prod(n * N ** k + 1 for k in range(1, n + 1)), f"[1,{N}]",
+                        count=True)
     check_bytes(_JOIN_ROW_BYTES * (n + 1) * math.comb(N + n - 2, n - 1) + 8 * N
                 + _JOIN_CALL_BYTES,
                 f"the moment-curve join over [1,{N}]")
@@ -130,16 +130,15 @@ def _moment_join(n: int, N: int, budget: int) -> int:
     return permutation_count(n, N)
 
 
-def _brute_force_count(curve: Curve, n: int, N: int, budget: int) -> int:
-    check_budget(N ** (2 * n), budget, f"brute force over [1,{N}]^{2 * n}")
+def _brute_force_count(curve: Curve, n: int, N: int) -> int:
+    check_budget(N ** (2 * n), f"brute force over [1,{N}]^{2 * n}", count=True)
     vectors = [tuple(sum(curve.evaluate(x)[k] for x in t) for k in range(n))
                for t in product(range(1, N + 1), repeat=n)]
     return sum(1 for a in vectors for b in vectors if a == b)
 
 
 def count_solutions(curve: Curve, n: int, N: int,
-                    method: CountMethod | None = None,
-                    budget: int = DEFAULT_COUNT_BUDGET) -> CountResult:
+                    method: CountMethod | None = None) -> CountResult:
     """Count J(N) exactly.  Non-moment curves go through BRUTE_FORCE only."""
     if N < 1:
         raise ValueError("N >= 1")
@@ -151,9 +150,9 @@ def count_solutions(curve: Curve, n: int, N: int,
         raise ValueError(f"{method.value} counts the moment curve only")
     start = time.perf_counter()
     if method is CountMethod.HASH_JOIN:
-        count = _moment_join(n, N, budget)
+        count = _moment_join(n, N)
     elif method is CountMethod.BRUTE_FORCE:
-        count = _brute_force_count(curve, n, N, budget)
+        count = _brute_force_count(curve, n, N)
     else:
         count = permutation_count(n, N)
     return CountResult(n=n, N=N, count=count, method=method,
@@ -170,7 +169,7 @@ class AsymptoticRow:
     method: CountMethod
 
 
-def asymptotic_report(n: int, N_list, budget: int = DEFAULT_COUNT_BUDGET) -> list[AsymptoticRow]:
+def asymptotic_report(n: int, N_list) -> list[AsymptoticRow]:
     """Tabulate J(N) against its leading term n! N^n over a list of N.
 
     Every J(N) is `permutation_count`; the join runs once, at the largest N
@@ -187,7 +186,7 @@ def asymptotic_report(n: int, N_list, budget: int = DEFAULT_COUNT_BUDGET) -> lis
     joined = 0  # the largest N the join admits
     for N in sorted(set(N_list), reverse=True):
         try:
-            count_solutions(curve, n, N, CountMethod.HASH_JOIN, budget=budget)
+            count_solutions(curve, n, N, CountMethod.HASH_JOIN)
         except BudgetExceededError:
             continue
         joined = N

@@ -14,6 +14,7 @@ from momentsq import (COMPLEX, REAL, AtomicComb, BudgetExceededError, Cell, Loca
                       comb_ratio, extension_op, padic, padic_scale, qp_comb_ratio,
                       random_locally_constant, real_scale, square_function,
                       weighted_norms)
+from momentsq import budget
 from momentsq.extension import fejer_weight
 
 
@@ -141,12 +142,14 @@ def test_weighted_norms_budget_checked_before_allocating():
         weighted_norms(f, padic_scale(5, 2), n=3)
 
 
-def test_weighted_norms_budget_counts_sorted_tuples():
+def test_weighted_norms_budget_counts_sorted_tuples(monkeypatch):
     # Q_2, s = 1, n = 2: q = 4 residues give C(4 + 1, 2) = 10 sorted tuples, not 4^2
     f = random_locally_constant(padic(2), 1, seed=0)
-    weighted_norms(f, padic_scale(2, 1), n=2, budget=10)
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 10)
+    weighted_norms(f, padic_scale(2, 1), n=2)
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 9)
     with pytest.raises(BudgetExceededError, match="10 enumeration steps"):
-        weighted_norms(f, padic_scale(2, 1), n=2, budget=9)
+        weighted_norms(f, padic_scale(2, 1), n=2)
 
 
 def test_parseval_budget_counts_bytes():
@@ -154,7 +157,7 @@ def test_parseval_budget_counts_bytes():
     # budget, but grouping them would hold about 4.1 GB (64 bytes a tuple, traced)
     import tracemalloc
     from momentsq import syzygy
-    syzygy._check_key_rows(7, 3, 1, syzygy.DEFAULT_ENUMERATION_BUDGET)  # 22,050 class-0 rows
+    syzygy._check_key_rows(7, 3, 1)  # 22,050 class-0 rows
     f = random_locally_constant(padic(3), 1, seed=0)
     tracemalloc.start()
     try:
@@ -172,7 +175,7 @@ def test_weighted_norms_rejects_scale_of_another_field():
             weighted_norms(f, sc, n=2)
 
 
-def test_qp_residue_enumeration_budget_checked_before_allocating():
+def test_qp_residue_enumeration_budget_checked_before_allocating(monkeypatch):
     # 5^12 residues are over the step budget; 5^11 pass it, but at 48
     # traced bytes each they would hold about 2.3 GB
     import tracemalloc
@@ -190,13 +193,48 @@ def test_qp_residue_enumeration_budget_checked_before_allocating():
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()
-    # weighted_norms hands its own budget on: Q_2 at s = 1 groups 10 sorted
-    # tuples, and the centre 1/16 needs the 16 residues mod 2^4 (in the
-    # second coordinate: (1/16, 0) makes E f vanish on the ball)
+    # the residue guard reads the same limit as the grouping: Q_2 at s = 1 groups
+    # 10 sorted tuples, and the centre 1/16 needs the 16 residues mod 2^4 (in
+    # the second coordinate: (1/16, 0) makes E f vanish on the ball)
     g = random_locally_constant(padic(2), 1, seed=0)
-    weighted_norms(g, padic_scale(2, 1), center=(Fraction(0), Fraction(1, 16)), budget=16)
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 16)
+    weighted_norms(g, padic_scale(2, 1), center=(Fraction(0), Fraction(1, 16)))
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 15)
     with pytest.raises(BudgetExceededError, match="16 enumeration steps"):
-        weighted_norms(g, padic_scale(2, 1), center=(Fraction(0), Fraction(1, 16)), budget=15)
+        weighted_norms(g, padic_scale(2, 1), center=(Fraction(0), Fraction(1, 16)))
+
+
+def test_one_step_limit_bounds_every_qp_evaluation(monkeypatch):
+    # f at precision 3 and x with denominators up to 5^2 take the 125 residues
+    # mod 5^3 in the point evaluation, the square function and the norms (whose
+    # grouping takes 75 steps): one assignment to the limit refuses all three
+    f = random_locally_constant(padic(5), 3, seed=0)
+    x, scale = (Fraction(1, 5), Fraction(2, 25)), padic_scale(5, 1)
+    calls = (lambda: extension_op(f, None, x), lambda: square_function(f, scale, x),
+             lambda: weighted_norms(f, scale, center=x))
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 124)
+    for call in calls:
+        with pytest.raises(BudgetExceededError, match="125 enumeration steps"):
+            call()
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 125)
+    for call in calls:
+        call()
+
+
+def test_qp_phase_overflow_refused_past_raised_limits(monkeypatch):
+    # from 2^31 residues on, the int64 phase products could wrap: with both
+    # limits raised, 5^14 residues are still refused, before allocating
+    import tracemalloc
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 10 ** 12)
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 ** 50)
+    f = random_locally_constant(padic(5), 1, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="overflow 64-bit"):
+            extension_op(f, None, (Fraction(1, 5 ** 14), Fraction(0)))
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 @given(st.data())
@@ -343,7 +381,9 @@ def test_weighted_norms_ratio_bound_other_prime():
 def _assert_cells_match_pointwise(f, scale, axes):
     from momentsq.extension import _cell_extensions, _checked_real_grids
     grid = [lo + (np.arange(m) + 0.5) * h for lo, h, m in axes]
-    stack = _checked_real_grids(f, scale, axes, budget=10 ** 6)[0]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(budget, "ENUMERATION_BUDGET", 10 ** 6)
+        stack = _checked_real_grids(f, scale, axes)[0]
     cells = list(_cell_extensions(f, scale, stack))
     assert len(cells) == scale.delta.denominator
     for j, ej in enumerate(cells):
@@ -435,7 +475,7 @@ def test_real_byte_charge_covers_its_peak(monkeypatch):
     # are the bulk; at n = 3 one f-cell's build is, and n = 4 takes the
     # three f-cells of scale 1
     import tracemalloc
-    from momentsq import budget, extension
+    from momentsq import extension
     weighted_norms(random_locally_constant(REAL, 2, seed=0), real_scale(2), n=2)  # lazy set-up
     limit = budget.MEMORY_BUDGET
     for n, res, cells in ((2, 4, 4), (2, 8, 8), (2, 12, 12), (3, 2, 2), (4, 3, 1)):

@@ -30,6 +30,15 @@ def test_membership_examples():
     assert not is_syzygy_nonarch(q3_tuple(0, 0), q3_tuple(0, 1))  # multiset mismatch
 
 
+def test_cell_tuple_from_a_list_is_the_tuple_one():
+    # the indices are stored as a tuple however they are given, so the record
+    # hashes and is found among the report's index-tuple members
+    field, scale = padic(5), padic_scale(5, 1)
+    listed, built = syzygy.CellTuple(field, scale, [0, 1]), cell_tuple(field, scale, (0, 1))
+    assert listed == built and hash(listed) == hash(built)
+    assert syzygy_set_nonarch(listed).members == syzygy_set_nonarch(built).members
+
+
 def test_set_examples():
     rep = syzygy_set_nonarch(q5_tuple(0, 1))
     assert rep.member_indices == [(0, 1), (1, 0)]
@@ -242,9 +251,9 @@ def test_parseval_byte_charge_covers_its_peak(monkeypatch):
         for (p, n, s), peak in peaks.items():
             monkeypatch.setattr(budget, "MEMORY_BUDGET", peak - 1)
             with pytest.raises(BudgetExceededError, match="bytes"):
-                syzygy._check_key_rows(p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
+                syzygy._check_key_rows(p, n, s)
             monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * peak)
-            syzygy._check_key_rows(p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
+            syzygy._check_key_rows(p, n, s)
     finally:
         syzygy.clear_index_cache()
 
@@ -285,7 +294,7 @@ def test_parseval_sums_match_brute_force(p, n, s):
     h = _folded_values(p, n, s)
     syzygy.clear_index_cache()
     try:
-        got = syzygy._parseval_sums(h, p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
+        got = syzygy._parseval_sums(h, p, n, s)
     finally:
         syzygy.clear_index_cache()
     assert got == pytest.approx(_brute_parseval_sums(h, p, n, s), rel=1e-12, abs=0)
@@ -313,7 +322,7 @@ def test_parseval_groups_refuse_a_key_of_two_multisets(monkeypatch, p, n, s):
         with pytest.raises(RuntimeError, match="holds two cell multisets"):
             syzygy._parseval_groups(p, n, s)
         with pytest.raises(RuntimeError, match="holds two cell multisets"):
-            syzygy._parseval_sums(h, p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
+            syzygy._parseval_sums(h, p, n, s)
     finally:
         syzygy.clear_index_cache()
 
@@ -357,7 +366,7 @@ def _folded_values(p, n, s):
     from momentsq import random_locally_constant
     f = random_locally_constant(padic(p), max(n * s, 1), seed=10 * p + n)
     center = tuple(Fraction((-1) ** k * k, p ** k) for k in range(1, n + 1))
-    _, g = _modulated_values(f, center, n * s, budget.DEFAULT_ENUMERATION_BUDGET)
+    _, g = _modulated_values(f, center, n * s)
     return g.reshape(-1, p ** (n * s)).sum(axis=0)
 
 
@@ -406,7 +415,7 @@ def test_parseval_sums_match_all_rows_grouping(p, n, s):
     h = _folded_values(p, n, s)
     syzygy.clear_index_cache()
     try:
-        got = syzygy._parseval_sums(h, p, n, s, budget.DEFAULT_ENUMERATION_BUDGET)
+        got = syzygy._parseval_sums(h, p, n, s)
     finally:
         syzygy.clear_index_cache()
     assert got == pytest.approx(_all_rows_parseval_sums(h, p, n, s), rel=1e-12, abs=0)
@@ -542,9 +551,12 @@ def test_set_query_needs_no_tuple_keys(monkeypatch):
 def test_scan_budget_counts_sorted_tuples(monkeypatch):
     # (5,2,1) folds C(25 + 0, 1) = 25 sorted 1-tuples, one translate per key
     # class, not the C(25 + 1, 2) = 325 sorted pairs or 25^2 = 625 ordered ones
-    assert scan_strong_diagonal(5, 2, 1, budget=25).bases == 25
-    with pytest.raises(BudgetExceededError, match="25 enumeration steps"):
-        scan_strong_diagonal(5, 2, 1, budget=24)  # checked on a cached table too
+    with monkeypatch.context() as m:
+        m.setattr(budget, "ENUMERATION_BUDGET", 25)
+        assert scan_strong_diagonal(5, 2, 1).bases == 25
+        m.setattr(budget, "ENUMERATION_BUDGET", 24)
+        with pytest.raises(BudgetExceededError, match="25 enumeration steps"):
+            scan_strong_diagonal(5, 2, 1)  # checked on a cached table too
 
     def enumerate_nothing(folds, n):
         raise AssertionError("enumerated before the budget check")
@@ -554,18 +566,20 @@ def test_scan_budget_counts_sorted_tuples(monkeypatch):
         scan_strong_diagonal(7, 3, 2)  # C(7^6 + 1, 2), about 6.9e9 rows
     with pytest.raises(BudgetExceededError, match="enumeration steps"):
         syzygy_set_nonarch(q5_tuple(0, 1, s=9))  # 5^18 rows
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 10 ** 30)
     with pytest.raises(BudgetExceededError, match="overflow"):
-        scan_strong_diagonal(2, 2, 16, budget=10 ** 30)  # codes up to gcd(2, q) * q^2 = 2^65
+        scan_strong_diagonal(2, 2, 16)  # codes up to gcd(2, q) * q^2 = 2^65
 
 
-def test_pair_guard_admits_the_reach():
+def test_pair_guard_admits_the_reach(monkeypatch):
     # (17,3,1) folds C(4914, 2) = 12,071,241 rows, (11,2,3) 11^6 = 1,771,561
     # and (5,4,1) C(627, 3) = 40,885,625, charged about 1.96e9 bytes
-    syzygy._check_pair_rows(17, 3, 1, syzygy.DEFAULT_ENUMERATION_BUDGET)
-    syzygy._check_pair_rows(11, 2, 3, syzygy.DEFAULT_ENUMERATION_BUDGET)
-    syzygy._check_pair_rows(5, 4, 1, syzygy.DEFAULT_ENUMERATION_BUDGET)
+    syzygy._check_pair_rows(17, 3, 1)
+    syzygy._check_pair_rows(11, 2, 3)
+    syzygy._check_pair_rows(5, 4, 1)
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 12071240)
     with pytest.raises(BudgetExceededError, match="12071241 enumeration steps"):
-        syzygy._check_pair_rows(17, 3, 1, 12071240)
+        syzygy._check_pair_rows(17, 3, 1)
 
 
 def test_pair_byte_charge_covers_its_peak(monkeypatch):
@@ -592,6 +606,29 @@ def test_pair_byte_charge_covers_its_peak(monkeypatch):
             assert scan_strong_diagonal(p, n, s).all_match_permutations
     finally:
         syzygy.clear_index_cache()
+
+
+def test_raised_step_limit_leaves_the_byte_guard(monkeypatch):
+    # (7,3,2) folds C(7^6 + 1, 2) = 6,920,702,425 rows: over the step limit,
+    # and once that is raised, over the memory budget, before anything is built
+    with pytest.raises(BudgetExceededError, match="6920702425 enumeration steps"):
+        syzygy._check_pair_rows(7, 3, 2)
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 10 ** 10)
+
+    def enumerate_nothing(folds, n):
+        raise AssertionError("enumerated before the byte guard")
+    monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)
+    syzygy.clear_index_cache()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="bytes, over the memory budget"):
+            syzygy._check_pair_rows(7, 3, 2)
+        with pytest.raises(BudgetExceededError, match="bytes, over the memory budget"):
+            scan_strong_diagonal(7, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_pair_byte_guard_refuses_before_enumerating(monkeypatch):
@@ -672,7 +709,7 @@ def test_oracle_byte_charge_covers_its_peak(monkeypatch):
 
 def test_oracle_byte_guard_refuses_before_allocating():
     # (2,2,13): 2^26 representative tuples, within the step budget, charged
-    # 56 bytes each, over the 2 GiB memory budget
+    # 48 bytes each, over the 2 GiB memory budget
     base, other = _oracle_pair(2, 2, 13)
     tracemalloc.start()
     try:
@@ -694,13 +731,6 @@ def test_budget_guard():
 def test_nonarch_engine_rejects_a_real_base():
     with pytest.raises(ValueError, match="runs over Q_p"):
         syzygy_set_nonarch(cell_tuple(REAL, real_scale(4), (0, 1)))
-
-
-def test_non_moment_curve_rejected():
-    from momentsq import polys
-    bent = Curve((polys.poly([0, 2]), polys.poly([0, 0, 1])))
-    with pytest.raises(ValueError):
-        syzygy_set_nonarch(q5_tuple(0, 1), curve=bent)
 
 
 def test_bound_values():
@@ -797,15 +827,17 @@ def test_real_sampler_budget_counts_hit_matrix(monkeypatch):
     # the 8^2 point pairs of the base cells, not 32^2 ordered pairs
     curve = Curve.moment(2)
     base = cell_tuple(REAL, real_scale(4), (1, 2))
-    assert syzygy_set_real(curve, base, budget=33792).cardinality == 12
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 33792)
+    assert syzygy_set_real(curve, base).cardinality == 12
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 33791)
     with pytest.raises(BudgetExceededError, match="33792 enumeration steps"):
-        syzygy_set_real(curve, base, budget=33791)
+        syzygy_set_real(curve, base)
 
     def enumerate_nothing(folds, n):
         raise AssertionError("enumerated before the budget check")
     monkeypatch.setattr(syzygy, "_sorted_folds", enumerate_nothing)
     with pytest.raises(BudgetExceededError, match="enumeration steps"):
-        syzygy_set_real(curve, base, budget=33791)
+        syzygy_set_real(curve, base)
 
 
 def _skewed_evaluate(monkeypatch):

@@ -12,7 +12,6 @@ from momentsq import (BudgetExceededError, CountMethod, Curve,
                       asymptotic_report, count_solutions, diagonal_count,
                       permutation_count)
 from momentsq import budget, kernel, vinogradov
-from momentsq.budget import DEFAULT_COUNT_BUDGET
 
 
 def oracle(curve, n, N):
@@ -54,9 +53,9 @@ def test_join_raises_on_a_shared_key(monkeypatch):
     # distinct rows pass, and J is the permutation count; at n = 3 the heads
     # (1, 1, 3) and (1, 3, 3) share c_2 and differ in c_3
     _hand_out(monkeypatch, (4,), (2,), (3,), (1,))
-    assert vinogradov._moment_join(2, 4, DEFAULT_COUNT_BUDGET) == permutation_count(2, 4) == 28
+    assert vinogradov._moment_join(2, 4) == permutation_count(2, 4) == 28
     _hand_out(monkeypatch, (1, 3), (3, 3))
-    assert vinogradov._moment_join(3, 3, DEFAULT_COUNT_BUDGET) == permutation_count(3, 3)
+    assert vinogradov._moment_join(3, 3) == permutation_count(3, 3)
 
 
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
@@ -139,7 +138,7 @@ def test_centred_sums_keep_translates_and_part_heads():
         heads = [tuple(x - t[0] + 1 for x in t) for t in rows]
         assert got == [_centred(t) for t in rows] == [_centred(h) for h in heads], (n, N)
         assert len({tuple(c) for c in got}) == len(set(heads)) == math.comb(N + n - 2, n - 1)
-        assert vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET) == permutation_count(n, N)
+        assert vinogradov._moment_join(n, N) == permutation_count(n, N)
 
 
 def test_centred_sums_exact_at_the_overflow_guard():
@@ -161,7 +160,7 @@ def test_join_bytes_per_sorted_tuple():
     for n, N in [(2, 5000), (3, 563)]:
         tracemalloc.start()
         try:
-            count = vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET)
+            count = vinogradov._moment_join(n, N)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -180,17 +179,17 @@ def test_join_byte_charge_covers_its_peak(monkeypatch):
     for n, N in cases:
         tracemalloc.start()
         try:
-            vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET)
+            vinogradov._moment_join(n, N)
             peaks[n, N] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     for (n, N), peak in peaks.items():
         monkeypatch.setattr(budget, "MEMORY_BUDGET", peak - 1)
         with pytest.raises(BudgetExceededError, match="bytes"):
-            vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET)
+            vinogradov._moment_join(n, N)
         if (n, N) in large:
             monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * peak)
-            assert vinogradov._moment_join(n, N, DEFAULT_COUNT_BUDGET) == permutation_count(n, N)
+            assert vinogradov._moment_join(n, N) == permutation_count(n, N)
 
 
 def test_closed_forms_small_n():
@@ -268,15 +267,29 @@ def test_budget_guard():
         count_solutions(Curve.moment(4), 4, 10 ** 5, CountMethod.HASH_JOIN)
 
 
-def test_join_budget_counts_sorted_tuples():
+def test_join_budget_counts_sorted_tuples(monkeypatch):
     # (3, 40) enumerates C(40 + 2, 3) = 11480 sorted tuples, not 40^3 = 64000
-    budget = math.comb(42, 3)
-    res = count_solutions(Curve.moment(3), 3, 40, CountMethod.HASH_JOIN, budget=budget)
+    limit = math.comb(42, 3)
+    monkeypatch.setattr(budget, "COUNT_BUDGET", limit)
+    res = count_solutions(Curve.moment(3), 3, 40, CountMethod.HASH_JOIN)
     assert res.count == permutation_count(3, 40)
-    with pytest.raises(BudgetExceededError, match="11480 enumeration steps"):
-        count_solutions(Curve.moment(3), 3, 40, CountMethod.HASH_JOIN, budget=budget - 1)
-    (row,) = asymptotic_report(3, [40], budget=budget)
+    (row,) = asymptotic_report(3, [40])
     assert row.method is CountMethod.HASH_JOIN
+    monkeypatch.setattr(budget, "COUNT_BUDGET", limit - 1)
+    with pytest.raises(BudgetExceededError, match="11480 enumeration steps"):
+        count_solutions(Curve.moment(3), 3, 40, CountMethod.HASH_JOIN)
+    (row,) = asymptotic_report(3, [40])
+    assert row.method is CountMethod.PERMUTATION_FORMULA
+
+
+def test_brute_force_reads_the_count_limit(monkeypatch):
+    # (2, 6) compares the 6^4 = 1296 pairs of tuples in [1,6]^2
+    monkeypatch.setattr(budget, "COUNT_BUDGET", 1296)
+    res = count_solutions(Curve.moment(2), 2, 6, CountMethod.BRUTE_FORCE)
+    assert res.count == permutation_count(2, 6)
+    monkeypatch.setattr(budget, "COUNT_BUDGET", 1295)
+    with pytest.raises(BudgetExceededError, match="1296 enumeration steps"):
+        count_solutions(Curve.moment(2), 2, 6, CountMethod.BRUTE_FORCE)
 
 
 def test_join_refuses_overflowing_keys():
@@ -313,8 +326,9 @@ def test_asymptotic_report():
     assert all(r.residual >= 0 for r in rows)
 
 
-def test_asymptotic_report_falls_back_to_formula():
-    rows = asymptotic_report(3, [2000], budget=10 ** 6)
+def test_asymptotic_report_falls_back_to_formula(monkeypatch):
+    monkeypatch.setattr(budget, "COUNT_BUDGET", 10 ** 6)
+    rows = asymptotic_report(3, [2000])
     assert rows[0].method is CountMethod.PERMUTATION_FORMULA
     assert rows[0].count == permutation_count(3, 2000)
 
@@ -339,15 +353,15 @@ def test_asymptotic_report_raises_on_a_shared_key_at_the_largest_N(monkeypatch):
         asymptotic_report(2, [3, 4, 2])
 
 
-def test_asymptotic_report_matches_count_solutions_per_N():
+def test_asymptotic_report_matches_count_solutions_per_N(monkeypatch):
     # unsorted, with a repeat and an N the budget refuses
-    budget_ = 10 ** 6
+    monkeypatch.setattr(budget, "COUNT_BUDGET", 10 ** 6)
     N_list = [300, 10, 2000, 10, 100]
-    rows = asymptotic_report(3, N_list, budget=budget_)
+    rows = asymptotic_report(3, N_list)
     expected = []
     for N in N_list:
         try:
-            res = count_solutions(Curve.moment(3), 3, N, CountMethod.HASH_JOIN, budget=budget_)
+            res = count_solutions(Curve.moment(3), 3, N, CountMethod.HASH_JOIN)
         except BudgetExceededError:
             res = count_solutions(Curve.moment(3), 3, N, CountMethod.PERMUTATION_FORMULA)
         expected.append((N, res.count, res.method))
