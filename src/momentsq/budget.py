@@ -35,5 +35,10 @@ def check_sorted_tuples(m: int, n: int, key_bound: int, values: str, *, count: b
     packed int64 keys stay below key_bound, before anything is allocated."""
     check_budget(math.comb(m + n - 1, n), f"enumeration of the sorted {n}-tuples over {values}",
                  count=count)
+    check_key_bound(key_bound)
+
+
+def check_key_bound(key_bound: int):
+    """Refuse packed int64 keys that could reach key_bound >= 2^62."""
     if key_bound >= 2 ** 62:
         raise BudgetExceededError("packed keys would overflow 64-bit integers")

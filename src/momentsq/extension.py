@@ -9,7 +9,8 @@ over p^m, taken in int64 for every residue a mod p^m at once, and the
 integrands are constant on the Z_p^n cosets of the ball |x - c| <= p^{ns},
 so the norm integral is a finite sum over coset representatives, and
 Parseval turns that sum into sum_k |B(k)|^2 over power-sum groups of
-sorted residue n-tuples mod p^{ns}.  Over R the xi-integrals use composite
+sorted residue n-tuples mod p^{ns}, read at the integrand's period p^e,
+e <= ns.  Over R the xi-integrals use composite
 Gauss-Legendre panels sized to the phase bandwidth, and the norm
 quadrature is the midpoint rule on the weighted box.  On that grid
 E_J f = sum over the f-cells j in J of f_j G_j, where G_j, the extension of
@@ -161,7 +162,9 @@ def _modulated_values(f: LocallyConstant, x, m_min: int):
     check_bytes(p ** m * _RESIDUE_BYTES, f"evaluation at the residues mod {p}^{m}")
     if p ** m >= 2 ** 31:  # reached only with both limits raised
         raise BudgetExceededError("phase products would overflow 64-bit integers")
-    g = np.tile(np.asarray(f.values, dtype=complex), p ** (m - f.precision))
+    g = np.asarray(f.values, dtype=complex)  # a new array: the phase multiplies it in place
+    if m > f.precision:
+        g = np.tile(g, p ** (m - f.precision))
     if any(x):
         g *= np.exp(2j * np.pi * (_phase_numerators(x, p, m) / p ** m))
     return m, g
@@ -249,23 +252,29 @@ def square_function(f: TestFunction, scale: Scale, x) -> float:
 
 def _weighted_norms_padic(f: LocallyConstant, scale: Scale, center, n: int) -> NormRatio:
     """Parseval over the cosets c + j/q of the ball, j in (Z/q)^n:
-    sum_j |E f|^{2n} = q^n p^{-2nm} sum_k |B(k)|^2, where B(k) sums
-    prod_i g(a_i), g = f e(gamma . c), over the n-tuples a mod p^m with power
-    sums k mod q; the square function splits each B(k) by cell tuple.  Key
-    and cells depend on a mod q only, so g is first folded mod q, and
-    `syzygy._parseval_sums` sums over the sorted tuples.
+    sum_j |E f|^{2n} = q^n p^{-2nm} sum_k |B(k)|^2, m = max(m_g, ns), where
+    B(k) sums prod_i g(a_i), g = f e(gamma . c), over the n-tuples a mod
+    p^m with power sums k mod q; the square function splits each B(k) by
+    cell tuple.  Key and cells depend on a mod q only.  g has period
+    p^{m_g}, m_g the precision `_modulated_values` takes at scale s: past
+    ns it is folded mod q, and below, its p^{m_g} values are h, so
+    `syzygy._parseval_sums` sums over the residue multisets mod p^e,
+    e = min(ns, m_g) (docs/quadrature.md).
     """
     p, s = f.field.prime, scale.exponent
     q = p ** (n * s)
-    m_eval, g = _modulated_values(f, center, n * s)
-    h = g.reshape(-1, q).sum(axis=0)  # g folded mod q
-    # E f(c + j/q) = p^-m sum_r h(r) e(gamma(r) . j/q), r -> gamma(r) mod q one-to-one, so
-    # E f vanishes on the ball iff h does.  The fold's rounding grew like sqrt(terms) eps of
-    # their magnitudes (74 eps at 2^20 terms, at most 2^26 here): 2^12 eps of them is zero.
-    if np.all(np.abs(h) <= 2 ** 12 * np.finfo(float).eps * np.abs(g).reshape(-1, q).sum(0)):
-        raise ValueError("zero function: the ratio is undefined")
+    m_eval, g = _modulated_values(f, center, s)
+    h = g
+    if m_eval > n * s:
+        h = g.reshape(-1, q).sum(axis=0)  # g folded mod q
+        # E f(c + j/q) = p^-m sum_r h(r) e(gamma(r) . j/q), r -> gamma(r) mod q one-to-one, so
+        # E f vanishes on the ball iff h does.  The fold's rounding grew like sqrt(terms) eps of
+        # their magnitudes (74 eps at 2^20 terms, at most 2^26 here): 2^12 eps of them is zero.
+        # Unfolded, h = g is nonzero wherever f is, and f = 0 is refused before.
+        if np.all(np.abs(h) <= 2 ** 12 * np.finfo(float).eps * np.abs(g).reshape(-1, q).sum(0)):
+            raise ValueError("zero function: the ratio is undefined")
     key_sum, cell_sum = syzygy._parseval_sums(h, p, n, s)
-    c = q ** n / p ** (2 * n * m_eval)  # each coset: Haar measure 1, weight 1
+    c = q ** n / p ** (2 * n * max(m_eval, n * s))  # each coset: Haar measure 1, weight 1
     return NormRatio(float(c * key_sum) ** (1 / (2 * n)), float(c * cell_sum) ** (1 / (2 * n)))
 
 

@@ -5,7 +5,8 @@ Vinogradov join (`vinogradov`).
 folds values over them by suffix copies: in lexicographic order the sorted
 (j-1)-tuples whose first entry is at least a form a suffix, so the
 j-tuples starting with a are a's value added to that suffix, one
-contiguous add per a.  Tuples are one more fold, packed base m; every
+contiguous add per a for all the folds of one dtype.  Tuples are one more
+fold, packed base m; every
 packed code is written and read by numpy's codec, np.ravel_multi_index
 and np.unravel_index, lowest digit first (order="F").  The kernel folds
 values only: a row's orbit size is a function of its columns, and
@@ -91,20 +92,32 @@ def _sorted_folds(folds, n: int):
     least a form a suffix, so the j-tuples that start with a fold as
     v[a] + radix * fold(suffix): each level is one loop over a of
     contiguous adds into preallocated rows, with no index columns and no
-    gathers.
+    gathers.  The folds of one dtype go as the rows of one 2-d array, so a
+    level makes one add per a and dtype; each fold handed out is a row.
     """
     m = len(folds[0][0])
-    values = [np.array(v) for v, _ in folds]
-    for j in range(2, n + 1):
-        suffix = [f * radix if radix != 1 else f for f, (_, radix) in zip(values, folds)]
-        values = [np.empty(math.comb(m + j - 1, j), f.dtype) for f in suffix]
-        end, dst = suffix[0].size, 0
-        for a in range(m):
-            lo = end - math.comb(m - a + j - 2, j - 1)  # the suffix starting at a or later
-            stop = dst + end - lo
-            for out, f, (v, _) in zip(values, suffix, folds):
-                np.add(f[lo:], v[a], out=out[dst:stop])
-            dst = stop
+    by_dtype = {}  # dtype -> the positions of its folds
+    for i, (v, _) in enumerate(folds):
+        by_dtype.setdefault(np.asarray(v).dtype, []).append(i)
+    values = [None] * len(folds)
+    for dtype, at in by_dtype.items():
+        fold = np.array([folds[i][0] for i in at], dtype)  # a row per fold, a column per 1-tuple
+        entry = fold.T.copy()[:, :, None]  # entry[a]: each fold's value at a, as a column
+        scaled = [(r, folds[i][1]) for r, i in enumerate(at) if folds[i][1] != 1]
+        for j in range(2, n + 1):
+            rows = fold.shape[1]  # the sorted (j-1)-tuples
+            for r, radix in scaled:  # the last level's values, read no more
+                fold[r] *= radix
+            out = np.empty((len(at), math.comb(m + j - 1, j)), dtype)
+            dst = 0
+            for a in range(m):
+                lo = rows - math.comb(m - a + j - 2, j - 1)  # the suffix starting at a or later
+                stop = dst + rows - lo
+                np.add(fold[:, lo:], entry[a], out=out[:, dst:stop])
+                dst = stop
+            fold = out
+        for r, i in enumerate(at):
+            values[i] = fold[r]
     return values
 
 

@@ -165,7 +165,8 @@ class PAdicApprox:
 
 def _check_scale(field: FieldSpec, scale: Scale):
     if field.kind is FieldKind.PADIC:
-        if scale.delta != Fraction(1, field.prime ** scale.exponent):
+        delta = scale.delta  # in lowest terms: 1/p^s is numerator 1 over p^s
+        if delta.numerator != 1 or delta.denominator != field.prime ** scale.exponent:
             raise ValueError("scale delta does not match p^{-s} for this field")
     else:
         if scale.delta.numerator != 1:

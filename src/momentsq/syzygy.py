@@ -25,7 +25,8 @@ Sorted tuples come from the kernel in `momentsq.kernel`, which folds
 values over them (`_sorted_folds`) and gives each row's orbit size from
 its columns (`_orbit_sizes`, the one orbit rule).  The sorted tuples
 (`_key_rows`), grouped by key (`_parseval_groups`; each key holds one
-cell multiset), carry the Parseval sums of the Q_p norms
+cell multiset) and merged by residue multiset mod p^e when the integrand
+has period p^e, carry the Parseval sums of the Q_p norms
 (`_parseval_sums`), which are not translation-invariant.  For p > n they
 factor over the residue classes mod p: by Hensel's lemma a key group is
 the product of its parts in each class, and class r's parts are those of
@@ -50,7 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import BudgetExceededError, check_budget, check_bytes, check_sorted_tuples
+from .budget import (BudgetExceededError, check_budget, check_bytes, check_key_bound,
+                     check_sorted_tuples)
 from .curves import Curve
 from .kernel import _orbit_sizes, _ranges, _run_starts, _sorted_folds, _sorted_unique
 from .local_field import CellTuple, FieldKind, FieldSpec, cell_tuple
@@ -140,32 +142,35 @@ def _power_tables(p: int, n: int, s: int):
     return q, tables
 
 
-def _residue_folds(p: int, n: int, s: int, stride: int = 1):
+def _residue_folds(p: int, n: int, s: int, e: int, stride: int = 1):
     """(q, tables, residue, folds) for the residues mod q = p^{ns} that are
-    multiples of stride (1 or p), numbered cell by cell: position x holds
-    residue[x], the residues of the first cell first, so the cells of a
-    sorted position tuple are nondecreasing and need no sort.  folds are the
+    multiples of stride (1 or p), numbered cell by cell, in a cell by the
+    residue mod p^e (s <= e <= ns) and then upward: position x holds
+    residue[x], so the cells of a sorted position tuple are nondecreasing
+    and its residues mod p^e come in one fixed order, with no sort.  At
+    e = ns the residues of a cell are in increasing order.  folds are the
     `_sorted_folds` pairs, by position, of each power table and of the
     cells, numbered cell // stride and packed base p^s / stride."""
     q, tables = _power_tables(p, n, s)
-    ncells = p ** s // stride
-    residue = np.arange(0, q, stride).reshape(-1, ncells).T.ravel()
+    ncells, span = p ** s // stride, p ** e // stride
+    # residue stride * (hi * span + mid * ncells + cell) sits at (cell, mid, hi)
+    residue = np.arange(0, q, stride).reshape(-1, span // ncells, ncells).transpose(2, 1, 0).ravel()
     narrow = np.int32 if n * q < 2 ** 31 else np.int64  # power sums stay below n * q
     cell = np.repeat(np.arange(ncells, dtype=narrow), residue.size // ncells)
     return q, tables, residue, [(t[residue].astype(narrow), 1) for t in tables] + [(cell, ncells)]
 
 
-def _key_rows(p: int, n: int, s: int, j: int, stride: int):
+def _key_rows(p: int, n: int, s: int, e: int, j: int, stride: int):
     """(codes, tuples) over the sorted position j-tuples of the residues
-    mod q = p^{ns} that are multiples of stride (see
-    `_residue_folds`), all folded by one `_sorted_folds` call: each row's
-    code key * c^j + multiset (c = p^s / stride) and its residues / stride
-    packed base q / stride, lowest position first.  key packs the first j
-    power sums mod q (for j < p they fix the rest, by Girard-Newton),
-    multiset the cells in nondecreasing order (digit i the i-th smallest,
-    base c).
+    mod q = p^{ns} that are multiples of stride, numbered for precision
+    p^e (see `_residue_folds`), all folded by one `_sorted_folds` call:
+    each row's code key * c^j + multiset (c = p^s / stride) and its
+    residues / stride packed base q / stride, lowest position first.  key
+    packs the first j power sums mod q (for j < p they fix the rest, by
+    Girard-Newton), multiset the cells in nondecreasing order (digit i the
+    i-th smallest, base c).
     """
-    q, _, residue, folds = _residue_folds(p, n, s, stride)
+    q, _, residue, folds = _residue_folds(p, n, s, e, stride)
     *tables, (cell, ncells) = folds
     *sums, multiset, tuples = _sorted_folds(
         tables[:j] + [(cell, ncells), (residue // stride, residue.size)], j)
@@ -186,7 +191,7 @@ def _translate_codes(p: int, n: int, s: int) -> np.ndarray:
     kept iff that entry's position is at most the first, so each n-tuple
     comes once and its cell opens the multiset, with no sort.
     """
-    q, tables, residue, folds = _residue_folds(p, n, s)
+    q, tables, residue, folds = _residue_folds(p, n, s, n * s)
     ncells, g = p ** s, math.gcd(n, q)
     cell = folds[-1][0]  # by position
     position = np.argsort(residue)  # where each residue sits
@@ -271,24 +276,28 @@ def _levels(p: int, n: int, s: int):
 
 
 class _Level(NamedTuple):
-    """One cached level of `_parseval_groups`: the rows of `_key_rows(p, n,
-    s, j, classes)` sorted by code, that is by key, each adding to its key's
-    sum B(k).  A key holds one cell multiset C, so B(k) = B(k, C) (checked
-    at build, docs/quadrature.md).  A call keeps these sums of every class
-    in one flat array, class r's after class r - 1's."""
-    orbit: np.ndarray       # a row's orbit size
+    """One cached level of `_parseval_groups(p, n, s, e)`: for h of period
+    p^e, one row per distinct (key, residue multiset mod p^e) among the
+    sorted tuples of `_key_rows(p, n, s, e, j, classes)`, in key order, each
+    adding weight * prod h(cols) to its key's sum B(k).  weight counts the
+    ordered tuples mod p^{ns} of that key that reduce to the row's multiset
+    (at e = ns a row is one sorted tuple and weight its orbit size).  A key
+    holds one cell multiset C, so B(k) = B(k, C) (checked at build,
+    docs/quadrature.md).  A call keeps these sums of every class in one flat
+    array, class r's after class r - 1's."""
+    weight: np.ndarray      # a row's count of ordered tuples mod p^{ns}
     fine: np.ndarray        # a row's sum
-    cols: np.ndarray        # (j, rows): a row's y = residue // classes; class r reads h(classes * y + r)
+    cols: np.ndarray        # (j, rows): a row's y mod p^e / classes; class r reads h(classes * y + r)
     cell_orbit: np.ndarray  # a sum's cell-multiset orbit size, float
     at: np.ndarray          # (classes, 1): where class r's sums start
 
 
-def _parseval_level(p: int, n: int, s: int, j: int, classes: int) -> _Level:
-    codes, tuples = _key_rows(p, n, s, j, classes)
+def _parseval_level(p: int, n: int, s: int, e: int, j: int, classes: int) -> _Level:
+    codes, tuples = _key_rows(p, n, s, e, j, classes)
     order = np.argsort(codes)  # rows in key order: add.at then writes in sequence
     codes, tuples = codes[order], tuples[order]
     del order
-    q, ncells = p ** (n * s), p ** s // classes
+    q, ncells, span = p ** (n * s), p ** s // classes, p ** e // classes
     # the rows' residues, each column contiguous: gathers through the strided
     # views np.unravel_index returns fault about 2,400 times per warm call
     cols = np.array(np.unravel_index(tuples, (q // classes,) * j, order="F"))
@@ -304,50 +313,107 @@ def _parseval_level(p: int, n: int, s: int, j: int, classes: int) -> _Level:
         raise RuntimeError(f"a power-sum key mod {q} holds two cell multisets of {j}-tuples")
     # float: dividing by it then casts nothing, and the quotients are the same
     cell_orbit = _orbit_sizes(np.unravel_index(multisets, (ncells,) * j, order="F")).astype(float)
-    level = _Level(orbit, fine, cols, cell_orbit, np.arange(0, classes * keys.size, keys.size)[:, None])
+    del keys, multisets
+    # h reads residues mod p^e: the rows of one pair with one residue multiset
+    # mod p^e become one, in the place of the first of them, with their orbit
+    # sizes summed.  Along the positions the residues mod p^e come in one order
+    # (`_residue_folds`), so equal multisets have equal columns, packed with
+    # the pair's index below the bound `_key_row_charges` checks.
+    np.remainder(cols, span, out=cols)
+    multiset = np.ravel_multi_index(cols, (span,) * j, order="F")
+    del cols
+    group = fine * span ** j
+    group += multiset
+    by = np.argsort(group, kind="stable")  # a group's first row leads it
+    group = group[by]
+    start = _run_starts(group)
+    del group
+    start = np.flatnonzero(start)
+    # each group's weight, put at its first row: the rows that hold one are
+    # the groups in the order of their first rows.  Each temporary goes
+    # before the next is made, so the merge stays within the build's charge.
+    weight = np.add.reduceat(orbit[by], start, dtype=np.int64)
+    first = by[start]
+    del orbit, by, start
+    at_first = np.zeros(fine.size, np.int64)
+    at_first[first] = weight
+    del weight
+    first = np.flatnonzero(at_first)  # a weight is at least 1
+    weight = at_first[first]
+    del at_first
+    fine = fine[first]
+    multiset = multiset[first]
+    del first
+    cols = np.empty((j, multiset.size), np.int64)
+    for c in cols:
+        np.remainder(multiset, span, out=c)
+        multiset //= span
+    level = _Level(weight.astype(np.min_scalar_type(weight.max())), fine, cols, cell_orbit,
+                   np.arange(0, classes * cell_orbit.size, cell_orbit.size)[:, None])
     for a in level:
         a.setflags(write=False)  # shared by every caller through the cache
     return level
 
 
 @functools.lru_cache(maxsize=4)
-def _parseval_groups(p: int, n: int, s: int):
-    """(levels, steps) the Q_p norms sum over.  levels are `_Level`s: with p
-    classes (`_levels`), one per j = 2..n over the sorted j-tuples of the
-    class-0 residues p * y, which class r reuses moved by r; with one, the
-    sorted n-tuples of every residue mod q = p^{ns}.  steps (k, j, C(k, j)^2,
-    C(k, j)) multiply in one class's series (see `_parseval_sums`), highest
-    power first."""
+def _parseval_groups(p: int, n: int, s: int, e: int):
+    """(levels, steps) the Q_p norms sum over for h of period p^e, s <= e
+    <= ns.  levels are `_Level`s: with p classes (`_levels`), one per j =
+    2..n over the sorted j-tuples of the class-0 residues p * y, which class
+    r reuses moved by r; with one, the sorted n-tuples of every residue mod
+    q = p^{ns}.  steps (k, j, C(k, j)^2 t, C(k, j) t) multiply in one
+    class's series (see `_parseval_sums`), highest power first; t is 1, and
+    p^{ns-e} for j = 1, the residues mod q each residue mod p^e of U_r
+    stands for."""
     classes, sizes = _levels(p, n, s)
     powers = {1, *sizes} if classes > 1 else set(sizes)  # the x^j a class's series has
-    steps = tuple((k, j, math.comb(k, j) ** 2, math.comb(k, j))
-                  for k in range(n, 0, -1) for j in range(1, k + 1) if j in powers)
-    return tuple(_parseval_level(p, n, s, j, classes) for j in sizes), steps
+    steps = []
+    for k in range(n, 0, -1):
+        for j in range(1, k + 1):
+            if j in powers:
+                t = p ** (n * s - e) if j == 1 else 1
+                steps.append((k, j, math.comb(k, j) ** 2 * t, math.comb(k, j) * t))
+    return tuple(_parseval_level(p, n, s, e, j, classes) for j in sizes), tuple(steps)
 
 
-# peak bytes of `_parseval_groups`, traced by tracemalloc: grouping a level of j-tuples
-# holds up to 16j + 16 bytes a row (48.0 at (7,2,2), (5,2,3) and (2,2,5), 62.1 at
-# (7,3,1), 63.1 at (11,3,1), 80.0 at (3,4,1), 96.0 at (2,5,1)), and the power tables n + 3
+# peak bytes of `_parseval_groups`, traced by tracemalloc: grouping and merging a level
+# of j-tuples holds up to 16j + 21 bytes a row, most at e = ns, where every row is kept
+# (49.4 at (7,2,2), 51.2 at (5,2,3), 52.6 at (2,2,5), 64.9 at (7,3,1), 64.4 at (11,3,1),
+# 80.0 at (3,4,1), 96.0 at (2,5,1); below ns at most these), and the power tables n + 3
 # int64 a residue mod q while they are built.  Charged 16j + _GROUP_BYTES a row
 # and (n + 3) _RESIDUE_BYTES a residue.
 _GROUP_BYTES, _RESIDUE_BYTES = 24, 8
 
 
-def _check_key_rows(p: int, n: int, s: int):
-    """The guards of `_parseval_groups` and `_parseval_sums`: the sorted
-    n-tuples the build folds, over the class-0 residues where the sums
-    factor, and the values a call sums, classes times the rows of every
-    level, against the step budget; codes below c^n q^n (c = p^s, or
-    p^(s-1) for class 0); and the bytes the build holds."""
+@functools.lru_cache(maxsize=16)
+def _key_row_charges(p: int, n: int, s: int, e: int):
+    """What `_check_key_rows` compares with the limits, each with its label:
+    the sorted n-tuples the build folds, over the class-0 residues where the
+    sums factor; the bound of their codes, c^n q^n (c = p^s, or p^(s-1) for
+    class 0), and of the merge's, rows times (p^e / classes)^n; the values
+    a call sums, classes times the rows every level folds, which bound its
+    merged rows (equal at e = ns); and the bytes the build holds."""
     q = p ** (n * s)
     classes, sizes = _levels(p, n, s)
     m, ncells = q // classes, p ** s // classes
-    check_sorted_tuples(m, n, ncells ** n * q ** n,
-                        f"Z/{q}" if classes == 1 else f"the multiples of {p} in Z/{q}")
+    ring = f"Z/{q}" if classes == 1 else f"the multiples of {p} in Z/{q}"
     rows = {j: math.comb(m + j - 1, j) for j in sizes}
-    check_budget(classes * sum(rows.values()), f"the Parseval sums over Z/{q}")
-    check_bytes(sum(r * (16 * j + _GROUP_BYTES) for j, r in rows.items())
-                + q * (n + 3) * _RESIDUE_BYTES, f"grouping the sorted {n}-tuples over Z/{q}")
+    tuples = math.comb(m + n - 1, n)
+    return ((tuples, f"enumeration of the sorted {n}-tuples over {ring}"),
+            max(ncells ** n * q ** n, tuples * (p ** e // classes) ** n),
+            (classes * sum(rows.values()), f"the Parseval sums over Z/{q}"),
+            (sum(r * (16 * j + _GROUP_BYTES) for j, r in rows.items()) + q * (n + 3) * _RESIDUE_BYTES,
+             f"grouping the sorted {n}-tuples over Z/{q}"))
+
+
+def _check_key_rows(p: int, n: int, s: int, e: int):
+    """The guards of `_parseval_groups` and `_parseval_sums`: the totals of
+    `_key_row_charges`, cached, against the limits as they are now."""
+    folded, key_bound, summed, nbytes = _key_row_charges(p, n, s, e)
+    check_budget(*folded)
+    check_key_bound(key_bound)
+    check_budget(*summed)
+    check_bytes(*nbytes)
 
 
 _PARSEVAL_BLOCK = 4096  # values a block of `_parseval_sums`: its temporaries stay small
@@ -377,41 +443,56 @@ def _level_sums(values: np.ndarray, level: _Level):
     classes = values.shape[0]
     b_fine = np.zeros((classes, level.cell_orbit.size), complex)
     block = max(1, _PARSEVAL_BLOCK // classes)
-    for lo in range(0, level.orbit.size, block):
+    for lo in range(0, level.weight.size, block):
         hi = lo + block
         w = values.take(level.cols[0, lo:hi], axis=1)
-        w *= level.orbit[lo:hi]
+        w *= level.weight[lo:hi]
         for c in level.cols[1:]:
             w *= values.take(c[lo:hi], axis=1)
         # np.add.at adds in row order; reduceat over the run starts is slower and
         # moves the last bits (docs/quadrature.md)
         np.add.at(b_fine.reshape(-1), (level.fine[lo:hi] + level.at).reshape(-1), w.reshape(-1))
-    square = np.abs(b_fine)  # squared, then divided, in place: key-sized arrays fewer a call
-    square *= square
-    # np.add.reduce: np.sum's arithmetic without its dispatch, which small calls feel
-    key = np.add.reduce(square, axis=1)
-    square /= level.cell_orbit
-    return key.tolist(), np.add.reduce(square, axis=1).tolist()
+    # |B|^2, then |B|^2 / orbit(C), each reduced along its contiguous rows by
+    # one np.add.reduce: np.sum's arithmetic without its dispatch, which small calls feel
+    square = np.empty((2, *b_fine.shape))
+    np.abs(b_fine, out=square[0])
+    square[0] *= square[0]
+    np.divide(square[0], level.cell_orbit, out=square[1])
+    return np.add.reduce(square, axis=2).tolist()
+
+
+def _precision(size: int, p: int, n: int, s: int) -> int:
+    """e with p^e = size, s <= e <= ns: the period of the h a call sums."""
+    e = s
+    while p ** e < size:
+        e += 1
+    if p ** e != size or e > n * s:
+        raise ValueError(f"h needs p^e values, {s} <= e <= {n * s}, not {size}")
+    return e
 
 
 def _parseval_sums(h: np.ndarray, p: int, n: int, s: int):
     """(sum_k |B(k)|^2, sum_{(k,C)} |B(k,C)|^2 / orbit(C)), where B(k, C) sums
-    orbit(M) prod_i h(M_i) over the sorted n-tuples M of residues mod p^{ns}
-    with power-sum key k and cell multiset C, and B(k) sums B(k, C) over C:
-    one C, as `_parseval_groups` checks.
+    orbit(M) prod_i h(M_i mod p^e) over the sorted n-tuples M of residues
+    mod p^{ns} with power-sum key k and cell multiset C, and B(k) sums
+    B(k, C) over C: one C, as `_parseval_groups` checks.  h holds the p^e
+    values of one period, s <= e <= ns, so B(k) is a sum over the rows of
+    the level of (p, n, s, e), one per residue multiset mod p^e.
 
     With p classes (`_levels`), a key group is the product of its
     parts in each residue class mod p, and each part is a class-0 group
     moved by r (Girard-Newton and Hensel's lemma, docs/quadrature.md).
     With Z_r(j), Y_r(j) the two sums over the class-r j-tuples and
-    Z_r(1) = Y_r(1) = U_r = sum_{a = r mod p} |h(a)|^2, the key sum is
-    (n!)^2 [x^n] prod_r (1 + sum_j Z_r(j) x^j / (j!)^2) and the cell sum
-    n! [x^n] prod_r (1 + sum_j Y_r(j) x^j / j!).  Else there is one class,
-    whose one level, j = n, gives both sums.
+    Z_r(1) = Y_r(1) = U_r = p^{ns-e} sum_{a = r mod p} |h(a)|^2 (a mod p^e;
+    the steps carry p^{ns-e}), the key sum is (n!)^2 [x^n] prod_r (1 +
+    sum_j Z_r(j) x^j / (j!)^2) and the cell sum n! [x^n] prod_r (1 + sum_j
+    Y_r(j) x^j / j!).  Else there is one class, whose one level, j = n,
+    gives both sums.
     """
-    _check_key_rows(p, n, s)
+    e = _precision(h.size, p, n, s)
+    _check_key_rows(p, n, s, e)
     classes = _levels(p, n, s)[0]
-    levels, steps = _parseval_groups(p, n, s)
+    levels, steps = _parseval_groups(p, n, s, e)
     values = np.ascontiguousarray(h.reshape(-1, classes).T)  # values[r, y] = h(classes * y + r)
     terms = {level.cols.shape[0]: _level_sums(values, level) for level in levels}
     if classes > 1:
@@ -430,6 +511,7 @@ def _parseval_sums(h: np.ndarray, p: int, n: int, s: int):
 def clear_index_cache():
     _pair_relation.cache_clear()
     _parseval_groups.cache_clear()
+    _key_row_charges.cache_clear()
 
 
 def _tuple_keys(indices, p: int, n: int, s: int) -> np.ndarray:

@@ -135,6 +135,39 @@ def test_weighted_norms_match_pointwise_n1(p, s):
     assert fast.rhs == pytest.approx(rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("p,s,precision,center,e", [
+    (2, 2, 2, (Fraction(1, 4), Fraction(0)), 2),       # p <= n: e = v = s < ns = 4
+    (2, 2, 1, (Fraction(1, 8), Fraction(3)), 3),       # s < e < ns
+    (2, 2, 1, (Fraction(0), Fraction(1, 16)), 4),      # v = ns: e = ns
+    (2, 2, 2, (Fraction(1, 2), Fraction(1, 32)), 4),   # v > ns: g folded, e = ns
+    (2, 3, 3, (Fraction(1, 8), Fraction(-1, 16)), 4),  # s < e < ns = 6
+    (3, 1, 1, (Fraction(1, 3), Fraction(0)), 1),       # p > n: e = s < ns = 2
+    (5, 1, 1, (Fraction(1, 5), Fraction(2)), 1),
+    (5, 1, 1, (Fraction(0), Fraction(7, 25)), 2),      # v = ns
+])
+def test_weighted_norms_at_the_carried_precision_match_pointwise(monkeypatch, p, s, precision,
+                                                                  center, e):
+    # f of precision below ns and a centre whose denominators stay below p^{ns}
+    # give h of period p^e, e < ns (from v = ns on, e = ns): the sums over
+    # residue multisets mod p^e against the pointwise sums over every coset
+    # representative
+    from momentsq import syzygy
+    sizes = []
+    sums = syzygy._parseval_sums
+
+    def recorded(h, *args):
+        sizes.append(h.size)
+        return sums(h, *args)
+    monkeypatch.setattr(syzygy, "_parseval_sums", recorded)
+    f = random_locally_constant(padic(p), precision, seed=10 * p + s + precision)
+    sc = padic_scale(p, s)
+    fast = weighted_norms(f, sc, center=center)
+    assert sizes == [p ** e]
+    lhs, rhs = _pointwise_norms(f, sc, center)
+    assert fast.lhs == pytest.approx(lhs, rel=1e-12)
+    assert fast.rhs == pytest.approx(rhs, rel=1e-12)
+
+
 def test_weighted_norms_budget_checked_before_allocating():
     # Q_5, n = 3, s = 2 would group (Z/5^6)^3, about 3.8e12 tuples
     f = random_locally_constant(padic(5), 1, seed=0)
@@ -157,7 +190,7 @@ def test_parseval_budget_counts_bytes():
     # budget, but grouping them would hold about 4.1 GB (64 bytes a tuple, traced)
     import tracemalloc
     from momentsq import syzygy
-    syzygy._check_key_rows(7, 3, 1)  # 22,050 class-0 rows
+    syzygy._check_key_rows(7, 3, 1, 3)  # 22,050 class-0 rows
     f = random_locally_constant(padic(3), 1, seed=0)
     tracemalloc.start()
     try:
@@ -300,8 +333,8 @@ def test_warm_qp_norms_fault_few_pages():
         import resource, sys
         import numpy as np
         from momentsq import padic, padic_scale, random_locally_constant, weighted_norms
-        p, s, live = map(int, sys.argv[1:])
-        fs = [random_locally_constant(padic(p), 2 * s, k) for k in range(21)]
+        p, s, live, precision = map(int, sys.argv[1:])
+        fs = [random_locally_constant(padic(p), precision, k) for k in range(21)]
         weighted_norms(fs[0], padic_scale(p, s), n=2)
         kept = [np.ones(1024) for _ in range(live)]
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -311,7 +344,10 @@ def test_warm_qp_norms_fault_few_pages():
     """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(pathlib.Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
-    for config in (("5", "2", "0"), ("2", "4", "3000")):
+    # f at precision ns sums over every sorted tuple mod p^{ns}; below it, over
+    # the residue multisets mod p^e (e = 2 and 5: 1,375 and 11,392 rows)
+    for config in (("5", "2", "0", "4"), ("2", "4", "3000", "8"), ("5", "2", "0", "2"),
+                   ("2", "4", "3000", "5")):
         out = subprocess.run([sys.executable, "-c", code, *config], capture_output=True,
                              text=True, env=env, check=True)
         assert float(out.stdout) < 100, config
@@ -430,7 +466,9 @@ def test_cached_tables_are_read_only():
     from momentsq.syzygy import _pair_relation, _parseval_groups
     grids = _real_grids(8, Fraction(1, 8), ((0.0, 0.25, 4),) * 2)  # G, |G|^2 and the weight
     assert _real_grids(8, Fraction(1, 4), ((0.0, 0.25, 4),) * 2)[1] is None  # two f-cells a cell
-    levels = [*_parseval_groups(2, 2, 1)[0], *_parseval_groups(5, 3, 1)[0]]  # one class, then five
+    # one class, then five; at e = ns and below it
+    levels = [level for config in ((2, 2, 1, 2), (5, 3, 1, 3), (2, 2, 2, 3), (5, 3, 1, 2))
+              for level in _parseval_groups(*config)[0]]
     arrays = [a for level in levels for a in level] + [*grids, *_gauss_legendre_16()]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):

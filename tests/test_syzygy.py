@@ -168,20 +168,21 @@ def test_sorted_folds_match_combinations(m, n):
 @pytest.mark.parametrize("p,n,s", [(2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 4, 1),  # p <= n
                                    (5, 2, 1), (7, 2, 1), (5, 3, 1)])
 def test_parseval_orbit_column_counts_orderings(p, n, s):
-    # each row's orbit size, taken over its columns, in the smallest unsigned
-    # dtype that holds j!, so the cached column takes one byte a row
+    # at e = ns each row is one sorted tuple, weighted by its orbit size, taken
+    # over its columns, in the smallest unsigned dtype that holds j!, so the
+    # cached column takes one byte a row
     syzygy.clear_index_cache()
     try:
-        levels, _ = syzygy._parseval_groups(p, n, s)
+        levels, _ = syzygy._parseval_groups(p, n, s, n * s)
     finally:
         syzygy.clear_index_cache()
     # p <= n: one level, every sorted n-tuple mod q, C(q+n-1, n) rows; p > n: a
     # level per j = 2..n over the q/p class-0 residues, C(q/p+j-1, j) rows each
     rows = {(2, 2, 1): [10], (2, 3, 1): [120], (3, 3, 1): [3654], (2, 4, 1): [3876],
             (5, 2, 1): [15], (7, 2, 1): [28], (5, 3, 1): [325, 2925]}[p, n, s]
-    assert [level.orbit.size for level in levels] == rows
+    assert [level.weight.size for level in levels] == rows
     for level in levels:
-        orbit = level.orbit
+        orbit = level.weight
         assert orbit.dtype == np.min_scalar_type(math.factorial(len(level.cols)))
         assert orbit.dtype.kind == "u"
         assert orbit.tolist() == [len(set(itertools.permutations(r)))
@@ -195,11 +196,11 @@ def test_key_groups_factor_over_residue_classes(p, n, s):
     # r, the key group of its residues = r mod p moved to class 0, read off the
     # cached class-0 index (a single residue is its own group)
     q, m = p ** (n * s), p ** (n * s - 1)
-    codes, tuples = syzygy._key_rows(p, n, s, n, 1)
+    codes, tuples = syzygy._key_rows(p, n, s, n * s, n, 1)
     residues = np.array(np.unravel_index(tuples, (q,) * n, order="F"))
     syzygy.clear_index_cache()
     try:
-        levels, _ = syzygy._parseval_groups(p, n, s)
+        levels, _ = syzygy._parseval_groups(p, n, s, n * s)
     finally:
         syzygy.clear_index_cache()
 
@@ -236,24 +237,27 @@ def test_key_groups_factor_over_residue_classes(p, n, s):
 def test_parseval_byte_charge_covers_its_peak(monkeypatch):
     # refused with the memory budget one byte under the traced peak of the
     # build, admitted at twice it: p > n, where the fold of every row is the
-    # peak, and p <= n, where grouping every row is
-    configs = [(5, 2, 2), (5, 3, 1), (3, 2, 3), (2, 2, 5), (2, 3, 2), (2, 5, 1)]
+    # peak, and p <= n, where grouping every row is; each at e = ns, where the
+    # merge by residue multiset mod p^e keeps every row, and at e < ns
+    configs = [(5, 2, 2, 4), (5, 2, 2, 2), (5, 3, 1, 3), (5, 3, 1, 1), (3, 2, 3, 6),
+               (3, 2, 3, 4), (2, 2, 5, 10), (2, 2, 5, 7), (2, 3, 2, 6), (2, 3, 2, 3),
+               (2, 5, 1, 5), (2, 5, 1, 2)]
     peaks = {}
     try:
-        for p, n, s in configs:
+        for p, n, s, e in configs:
             syzygy.clear_index_cache()
             tracemalloc.start()
             try:
-                syzygy._parseval_groups(p, n, s)
-                peaks[p, n, s] = tracemalloc.get_traced_memory()[1]
+                syzygy._parseval_groups(p, n, s, e)
+                peaks[p, n, s, e] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        for (p, n, s), peak in peaks.items():
+        for config, peak in peaks.items():
             monkeypatch.setattr(budget, "MEMORY_BUDGET", peak - 1)
             with pytest.raises(BudgetExceededError, match="bytes"):
-                syzygy._check_key_rows(p, n, s)
+                syzygy._check_key_rows(*config)
             monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * peak)
-            syzygy._check_key_rows(p, n, s)
+            syzygy._check_key_rows(*config)
     finally:
         syzygy.clear_index_cache()
 
@@ -300,6 +304,41 @@ def test_parseval_sums_match_brute_force(p, n, s):
     assert got == pytest.approx(_brute_parseval_sums(h, p, n, s), rel=1e-12, abs=0)
 
 
+PERIODIC_CONFIGS = [(3, 2, 1, 1), (5, 2, 1, 1), (3, 2, 2, 2), (3, 2, 2, 3), (5, 2, 2, 3),
+                    (5, 3, 1, 2),  # p > n: factored over the classes
+                    (2, 2, 2, 2), (2, 2, 2, 3), (2, 3, 1, 1), (2, 3, 1, 2), (3, 3, 1, 2),
+                    (2, 4, 1, 2)]  # p <= n: one class
+
+
+@pytest.mark.parametrize("p,n,s,e", PERIODIC_CONFIGS)
+def test_parseval_sums_of_a_periodic_h_match_brute_force(p, n, s, e):
+    # h of period p^e, s <= e < ns, handed over as its p^e values: the sums
+    # over the (key, residue multiset mod p^e) rows equal brute force over
+    # all q^n ordered tuples of h tiled to q = p^{ns} (at (5,3,1), 2M of
+    # them, the grouping of every sorted tuple instead)
+    rng = np.random.default_rng(1000 * p + 100 * n + 10 * s + e)
+    h = rng.normal(size=p ** e) + 1j * rng.normal(size=p ** e)
+    syzygy.clear_index_cache()
+    try:
+        got = syzygy._parseval_sums(h, p, n, s)
+        rows = [level.weight.size for level in syzygy._parseval_groups(p, n, s, e)[0]]
+        full = [level.weight.size for level in syzygy._parseval_groups(p, n, s, n * s)[0]]
+    finally:
+        syzygy.clear_index_cache()
+    oracle = _brute_parseval_sums if p ** (n * s * n) <= 10 ** 5 else _all_rows_parseval_sums
+    want = oracle(np.tile(h, p ** (n * s - e)), p, n, s)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert all(a < b for a, b in zip(rows, full))  # rows of one multiset mod p^e merge
+
+
+def test_parseval_sums_refuse_a_length_that_is_no_period():
+    h = np.ones(5 ** 4, complex)
+    syzygy._parseval_sums(h[:25], 5, 2, 2)  # e = s
+    for size in (5, 24, 5 ** 5):  # e < s, no power of 5, e > ns
+        with pytest.raises(ValueError, match="p\\^e values"):
+            syzygy._parseval_sums(np.ones(size, complex), 5, 2, 2)
+
+
 def _weaken_power_tables(monkeypatch):
     """Key by every power sum but the last: then keys hold several cell
     multisets, for p <= n and p > n alike."""
@@ -320,7 +359,7 @@ def test_parseval_groups_refuse_a_key_of_two_multisets(monkeypatch, p, n, s):
     syzygy.clear_index_cache()
     try:
         with pytest.raises(RuntimeError, match="holds two cell multisets"):
-            syzygy._parseval_groups(p, n, s)
+            syzygy._parseval_groups(p, n, s, n * s)
         with pytest.raises(RuntimeError, match="holds two cell multisets"):
             syzygy._parseval_sums(h, p, n, s)
     finally:
@@ -349,7 +388,7 @@ def test_level_sums_of_several_classes_are_each_class_alone(p, n, s):
     values = rng.normal(size=(p, p ** (n * s - 1))) + 1j * rng.normal(size=(p, p ** (n * s - 1)))
     syzygy.clear_index_cache()
     try:
-        levels, _ = syzygy._parseval_groups(p, n, s)
+        levels, _ = syzygy._parseval_groups(p, n, s, n * s)
     finally:
         syzygy.clear_index_cache()
     (level,) = levels
@@ -476,7 +515,7 @@ def test_key_shared_by_two_multisets(monkeypatch):
 def _full_walk_relation(p, n, s):
     """The pair relation read off every row of `_key_rows`, grouped in a dict."""
     q = p ** (n * s)
-    codes = _sorted_unique(syzygy._key_rows(p, n, s, n, 1)[0])
+    codes = _sorted_unique(syzygy._key_rows(p, n, s, n * s, n, 1)[0])
     key = codes // q
     codes = codes[np.isin(key, key[1:][key[1:] == key[:-1]])]  # keys with two codes
     groups: dict[int, set] = {}
@@ -530,7 +569,7 @@ def test_key_rows_positions_are_sorted_tuples(p, n, s):
     # rows are the sorted position tuples; position x holds residue
     # x // span + p^s * (x % span), span = q / p^s: cell by cell
     q, ncells = p ** (n * s), p ** s
-    tuples = syzygy._key_rows(p, n, s, n, 1)[1]
+    tuples = syzygy._key_rows(p, n, s, n * s, n, 1)[1]
     assert tuples.dtype == np.int64
     decoded = [tuple(int(x) // q ** i % q for i in range(n)) for x in tuples]
     residue = [x // (q // ncells) + ncells * (x % (q // ncells)) for x in range(q)]
