@@ -51,8 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import (BudgetExceededError, check_budget, check_bytes, check_key_bound,
-                     check_sorted_tuples)
+from .budget import BudgetExceededError, check_budget, check_bytes, check_key_bound
 from .curves import Curve
 from .kernel import _orbit_sizes, _ranges, _run_starts, _sorted_folds, _sorted_unique
 from .local_field import CellTuple, FieldKind, FieldSpec, cell_tuple
@@ -247,7 +246,8 @@ def _shift_pairs(pairs: np.ndarray, ncells: int, n: int) -> np.ndarray:
 def _pair_relation(p: int, n: int, s: int) -> np.ndarray:
     """(a, b), sorted: the ordered pairs of distinct cell multisets (coded as
     in `_key_rows`) whose point tuples share a power-sum key mod q = p^{ns}.
-    Empty for p > n (docs/quadrature.md) and at every p <= n config tried.
+    Empty at every p: power sums mod p^{ns} fix the cell multiset (the
+    theorem in docs/quadrature.md), so the scan finds none to report.
 
     Built from one translate per class.  p_k(t + c) = sum_j C(k, j)
     c^(k-j) p_j(t) with p_0 = n, so a shift by c keeps two keys equal or
@@ -309,7 +309,7 @@ def _parseval_level(p: int, n: int, s: int, e: int, j: int, classes: int) -> _Le
     fine -= 1
     keys, multisets = np.unravel_index(codes[new], (q ** j, ncells ** j))
     del codes, new
-    if not _run_starts(keys).all():  # never for p > n (docs/quadrature.md); checked at every p
+    if not _run_starts(keys).all():  # never, at any p: the theorem in docs/quadrature.md
         raise RuntimeError(f"a power-sum key mod {q} holds two cell multisets of {j}-tuples")
     # float: dividing by it then casts nothing, and the quotients are the same
     cell_orbit = _orbit_sizes(np.unravel_index(multisets, (ncells,) * j, order="F")).astype(float)
@@ -429,8 +429,9 @@ def _check_pair_rows(p: int, n: int, s: int):
     """The guards of `_pair_relation`: C(q+n-2, n-1) folded rows, codes
     below gcd(n, q) * q^n, and the bytes it holds while it builds."""
     q = p ** (n * s)
-    check_sorted_tuples(q, n - 1, math.gcd(n, q) * q ** n, f"Z/{q}")
     rows = math.comb(q + n - 2, n - 1)
+    check_budget(rows, f"enumeration of the sorted {n - 1}-tuples over Z/{q}")
+    check_key_bound(math.gcd(n, q) * q ** n)
     check_bytes(rows * (4 * (n + 2) + _PAIR_ROW_BYTES) + q * _PAIR_TABLE_BYTES
                 + rows * math.gcd(n, q) // n * _PAIR_CODE_BYTES, f"the pair relation over Z/{q}")
 

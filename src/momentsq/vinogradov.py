@@ -10,11 +10,12 @@ n!/prod(mult!), and J(N) = sum orbit^2 counts the pairs of reorderings:
 (Girard-Newton), so no two do; the join only checks that, on the tuples
 with t_1 = 1 alone (`_moment_join`, docs/quadrature.md).  A report over
 many N joins once, at the largest N the guards admit: vectors distinct
-over [1, N] stay distinct over any smaller range.  `budget.COUNT_BUDGET`
-counts the sorted tuples, `budget.MEMORY_BUDGET` the bytes, and keys past
-64 bits are refused; both limits are read when the guard runs.  The
-brute-force path compares all pairs of tuples and is the oracle the fast
-paths are checked against.
+over [1, N] stay distinct over any smaller range.  The join charges the
+C(N+n-2, n-1) heads it folds to `budget.ENUMERATION_BUDGET` and their
+bytes to `budget.MEMORY_BUDGET`, and refuses the (n, N) whose centred sums
+could pass 64 bits; both limits are read when the guard runs.  The
+brute-force path compares all N^2n pairs of tuples, charged to the same
+step limit, and is the oracle the fast paths are checked against.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .budget import BudgetExceededError, check_budget, check_bytes, check_sorted_tuples
+from .budget import BudgetExceededError, check_budget, check_bytes
 from .curves import Curve
 from .kernel import _repeated_column, _sorted_folds
 
@@ -78,8 +79,9 @@ def permutation_count(n: int, N: int) -> int:
 
 _JOIN_ROW_BYTES = 16  # per head row and tuple entry: 2n + 1 int64 arrays of head rows
 # are live at the peak, 48-91 traced bytes a row at n = 2..5
-_JOIN_CALL_BYTES = 2 ** 15  # a call's small arrays and objects: at most 22 KB traced
-# above the row charge over the admitted (n, N), at (8, 2)
+_JOIN_CALL_BYTES = 2 ** 17  # numpy's two buffers for the fold's strided adds, at most
+# 64 KB each, and a call's small objects: at most 90 KB traced above the row charge
+# over the admitted (n, N), at (11, 5)
 
 
 def _centred_sums(sums, n: int) -> np.ndarray:
@@ -87,7 +89,9 @@ def _centred_sums(sums, n: int) -> np.ndarray:
     sums = [p_1, ..., p_n] of n-tuples t: by the binomial theorem, with
     p_0 = n, c_k = sum_j C(k, j) n^j p_j (-p_1)^(k-j), taken by Horner's
     rule in -p_1.  int64 arithmetic wraps mod 2^64, so each c_k is exact
-    wherever its value, at most n ((n-1)(N-1))^k in size over [1, N], fits."""
+    wherever its value, at most n ((n-1)(N-1))^k in size over [1, N], fits,
+    and its coefficients C(k, j) n^j, at most (n+1)^n, fit too: below 2^60
+    wherever n (n-1)^n < 2^63, that is n <= 15."""
     lead = -sums[0]
     centred = np.empty((n - 1, lead.size), np.int64)
     for k, c in enumerate(centred, 2):
@@ -109,14 +113,16 @@ def _moment_join(n: int, N: int) -> int:
     C(N+n-2, n-1) heads (1, s) are: they come from the power sums of the
     sorted (n-1)-tuples s plus the head's 1, and `_repeated_column` looks
     for a repeated c with one sort of 64-bit fingerprints, exact on any
-    fingerprint that repeats.  The guard refuses the (n, N) whose keys,
-    packed with digits R_k = n N^k + 1, reach 2^62, which keeps every c_k
-    exact.
+    fingerprint that repeats.  The guard charges the heads to the step
+    budget and their bytes to the memory budget, and refuses the (n, N)
+    with n ((n-1) max(N-1, 1))^n >= 2^63, which keeps every c_k exact in
+    int64 (`_centred_sums`).
     """
-    check_sorted_tuples(N, n, math.prod(n * N ** k + 1 for k in range(1, n + 1)), f"[1,{N}]",
-                        count=True)
-    check_bytes(_JOIN_ROW_BYTES * (n + 1) * math.comb(N + n - 2, n - 1) + 8 * N
-                + _JOIN_CALL_BYTES,
+    heads = math.comb(N + n - 2, n - 1)
+    check_budget(heads, f"enumeration of the sorted {n - 1}-tuples over [1,{N}]")
+    if n * ((n - 1) * max(N - 1, 1)) ** n >= 2 ** 63:
+        raise BudgetExceededError(f"the centred sums over [1,{N}] would overflow 64-bit integers")
+    check_bytes(_JOIN_ROW_BYTES * (n + 1) * heads + 8 * N + _JOIN_CALL_BYTES,
                 f"the moment-curve join over [1,{N}]")
     t = np.arange(1, N + 1, dtype=np.int64)
     sums = _sorted_folds([(t ** k, 1) for k in range(1, n + 1)], n - 1)
@@ -131,7 +137,7 @@ def _moment_join(n: int, N: int) -> int:
 
 
 def _brute_force_count(curve: Curve, n: int, N: int) -> int:
-    check_budget(N ** (2 * n), f"brute force over [1,{N}]^{2 * n}", count=True)
+    check_budget(N ** (2 * n), f"brute force over [1,{N}]^{2 * n}")
     vectors = [tuple(sum(curve.evaluate(x)[k] for x in t) for k in range(n))
                for t in product(range(1, N + 1), repeat=n)]
     return sum(1 for a in vectors for b in vectors if a == b)
@@ -174,10 +180,10 @@ def asymptotic_report(n: int, N_list) -> list[AsymptoticRow]:
 
     Every J(N) is `permutation_count`; the join runs once, at the largest N
     it admits, to check that.  The power-sum vectors over [1, N] are among
-    those over any larger range, and every N packs them without carries,
-    so keys checked distinct there are distinct at every smaller N: those
-    rows are labelled `HASH_JOIN`.  The join's guards grow with N, so the
-    N they refuse are those above it, labelled `PERMUTATION_FORMULA`.
+    those over any larger range, so vectors checked distinct there are
+    distinct at every smaller N: those rows are labelled `HASH_JOIN`.  The
+    join's guards grow with N, so the N they refuse are those above it,
+    labelled `PERMUTATION_FORMULA`.
     """
     N_list = list(N_list)
     if any(N < 1 for N in N_list):

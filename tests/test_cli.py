@@ -238,11 +238,19 @@ def test_real_sampler_rejects_bad_values(flag):
 
 
 def test_vino_overflowing_keys_exit_2():
-    # n = 4 keys overflow from N = 43; the join refuses before enumerating
-    proc = subprocess.run(CLI + ["vino", "--n", "4", "--N", "43"],
+    # n = 8 centred sums overflow from N = 27; the join refuses before enumerating
+    proc = subprocess.run(CLI + ["vino", "--n", "8", "--N", "27"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and not proc.stdout
     assert "overflow" in proc.stderr
+
+
+@pytest.mark.parametrize("n,N", [("4", "160"), ("5", "74")])
+def test_vino_large_joins_exit_0(n, N):
+    # 1.35M heads at (5, 74): the join runs under its step, byte and c_k guards
+    out = run("vino", "--n", n, "--N", N)
+    assert '"method":"hash_join"' in out
+    assert json.loads(out)["count"] == str(vinogradov.permutation_count(int(n), int(N)))
 
 
 def test_engine_invariant_failure_exits_3(monkeypatch, capsys):

@@ -102,9 +102,9 @@ def test_repeated_column_matches_a_set_of_columns(cols):
 
 
 def _admitted(n_values, N_values):
-    """The (n, N) whose packed keys the join's overflow guard admits."""
+    """The (n, N) whose centred sums the join's overflow guard admits."""
     return [(n, N) for n in n_values for N in N_values
-            if math.prod(n * N ** k + 1 for k in range(1, n + 1)) < 2 ** 62]
+            if n * ((n - 1) * max(N - 1, 1)) ** n < 2 ** 63]
 
 
 def test_level_below_sum_is_sum_orbit_squared():
@@ -112,7 +112,7 @@ def test_level_below_sum_is_sum_orbit_squared():
     # at (5, 10) and (6, 4) orbit squares pass 255 and 65535, so the sum
     # holds only while `_orbit_sizes` stays int64 (`_parseval_groups` narrows
     # its cached copy to uint8 and uint16 there)
-    for n, N in _admitted(range(2, 7), range(1, 13)) + [(5, 10), (6, 4)]:
+    for n, N in _admitted(range(2, 7), range(1, 13)):
         (code,) = kernel._sorted_folds([(np.arange(N, dtype=np.int64), N)], n)
         orbit = kernel._orbit_sizes(np.unravel_index(code, (N,) * n, order="F"))
         assert int(orbit @ orbit) == permutation_count(n, N), (n, N)
@@ -145,9 +145,8 @@ def test_centred_sums_exact_at_the_overflow_guard():
     # at the largest N the overflow guard admits, the int64 centred sums of
     # head rows equal their Python-int values; the extreme rows bound |c_k|
     rng = np.random.default_rng(26)
-    for n, N in [(2, 1048575), (3, 744), (4, 42), (5, 10), (6, 4)]:
+    for n, N in [(2, 2 ** 31), (3, 727042), (4, 12990), (5, 1125), (6, 215)]:
         assert _admitted([n], [N, N + 1]) == [(n, N)]
-        assert n * ((n - 1) * (N - 1)) ** n < 2 ** 63
         heads = [(1,) * n, (1,) + (N,) * (n - 1), (1,) * (n - 1) + (N,)]
         heads += [(1,) + tuple(sorted(rng.integers(1, N + 1, n - 1).tolist())) for _ in range(200)]
         got = vinogradov._centred_sums(_power_sums(heads, n), n)
@@ -170,11 +169,12 @@ def test_join_bytes_per_sorted_tuple():
 
 def test_join_byte_charge_covers_its_peak(monkeypatch):
     # refused with the memory budget one byte under the traced peak, and
-    # admitted at twice it where the rows are the bulk; below a few hundred
-    # head rows a call's fixed small arrays and objects are (20 KB at (6, 4))
-    large = [(2, 2000), (3, 300), (4, 42)]
-    cases = _admitted(range(2, 9), range(1, 13)) + large
-    assert (6, 4) in cases and (5, 10) in cases
+    # admitted at twice it where the rows are the bulk; below a few thousand
+    # head rows numpy's buffers for the fold's adds are (90 KB above the rows
+    # at (11, 5)); the guard admits no n past 15
+    large = [(2, 20000), (3, 300), (4, 42), (4, 160), (5, 74)]
+    cases = _admitted(range(2, 17), range(1, 13)) + large
+    assert (11, 5) in cases and (15, 2) in cases and max(cases)[0] == 15
     peaks = {}
     for n, N in cases:
         tracemalloc.start()
@@ -234,8 +234,7 @@ def test_methods_agree(n, N):
 
 
 def test_formula_vs_hash_join_larger():
-    # (5, 10) and (6, 4): the join at n = 5 and 6, whose keys pack the most
-    # power sums, each below n * N^k + 1
+    # the join at n = 2..6 against the closed form
     for n, N in [(2, 200), (3, 60), (4, 25), (5, 10), (6, 4)]:
         hashed = count_solutions(Curve.moment(n), n, N, CountMethod.HASH_JOIN).count
         assert hashed == permutation_count(n, N)
@@ -268,15 +267,16 @@ def test_budget_guard():
 
 
 def test_join_budget_counts_sorted_tuples(monkeypatch):
-    # (3, 40) enumerates C(40 + 2, 3) = 11480 sorted tuples, not 40^3 = 64000
-    limit = math.comb(42, 3)
-    monkeypatch.setattr(budget, "COUNT_BUDGET", limit)
+    # (3, 40) folds its C(40 + 1, 2) = 820 heads (1, s), not the C(42, 3) = 11480
+    # sorted tuples they stand for
+    limit = math.comb(41, 2)
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", limit)
     res = count_solutions(Curve.moment(3), 3, 40, CountMethod.HASH_JOIN)
     assert res.count == permutation_count(3, 40)
     (row,) = asymptotic_report(3, [40])
     assert row.method is CountMethod.HASH_JOIN
-    monkeypatch.setattr(budget, "COUNT_BUDGET", limit - 1)
-    with pytest.raises(BudgetExceededError, match="11480 enumeration steps"):
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", limit - 1)
+    with pytest.raises(BudgetExceededError, match="820 enumeration steps"):
         count_solutions(Curve.moment(3), 3, 40, CountMethod.HASH_JOIN)
     (row,) = asymptotic_report(3, [40])
     assert row.method is CountMethod.PERMUTATION_FORMULA
@@ -284,32 +284,44 @@ def test_join_budget_counts_sorted_tuples(monkeypatch):
 
 def test_brute_force_reads_the_count_limit(monkeypatch):
     # (2, 6) compares the 6^4 = 1296 pairs of tuples in [1,6]^2
-    monkeypatch.setattr(budget, "COUNT_BUDGET", 1296)
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 1296)
     res = count_solutions(Curve.moment(2), 2, 6, CountMethod.BRUTE_FORCE)
     assert res.count == permutation_count(2, 6)
-    monkeypatch.setattr(budget, "COUNT_BUDGET", 1295)
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 1295)
     with pytest.raises(BudgetExceededError, match="1296 enumeration steps"):
         count_solutions(Curve.moment(2), 2, 6, CountMethod.BRUTE_FORCE)
 
 
 def test_join_refuses_overflowing_keys():
-    # n = 4 packs keys below prod_k (4 * 43^k + 1), about 5.6e18 >= 2^62
-    (row,) = asymptotic_report(4, [43])
+    # |c_k| reaches 8 (7 * 26)^8, about 9.6e18 >= 2^63, at (8, 27)
+    (row,) = asymptotic_report(8, [27])
     assert row.method is CountMethod.PERMUTATION_FORMULA
+    assert row.count == permutation_count(8, 27)
+    with pytest.raises(BudgetExceededError, match="overflow"):
+        count_solutions(Curve.moment(8), 8, 27, CountMethod.HASH_JOIN)
+    # at N = 1 every c_k is 0, yet the coefficients C(k, j) n^j pass 2^63 at
+    # n = 16, so N = 1 is charged as N = 2
+    assert count_solutions(Curve.moment(15), 15, 1, CountMethod.HASH_JOIN).count == 1
+    with pytest.raises(BudgetExceededError, match="overflow"):
+        count_solutions(Curve.moment(16), 16, 1, CountMethod.HASH_JOIN)
+    # (4, 43): |c_k| <= 4 (3 * 42)^4, about 1e9
+    (row,) = asymptotic_report(4, [43])
+    assert row.method is CountMethod.HASH_JOIN
     assert row.count == 76476919
-    assert asymptotic_report(4, [42])[0].method is CountMethod.HASH_JOIN
 
 
 def test_join_guard_runs_before_enumerating(monkeypatch):
     def enumerate_nothing(folds, n):
         raise AssertionError("enumerated before the guard")
     monkeypatch.setattr(vinogradov, "_sorted_folds", enumerate_nothing)
-    with pytest.raises(AssertionError, match="enumerated"):  # the seam the join enumerates by
-        count_solutions(Curve.moment(4), 4, 42, CountMethod.HASH_JOIN)
-    with pytest.raises(BudgetExceededError, match="enumeration steps"):
-        count_solutions(Curve.moment(3), 3, 2000, CountMethod.HASH_JOIN)
+    for n, N in [(4, 43), (8, 26), (3, 2000)]:  # admitted: they reach the seam it enumerates by
+        with pytest.raises(AssertionError, match="enumerated"):
+            count_solutions(Curve.moment(n), n, N, CountMethod.HASH_JOIN)
     with pytest.raises(BudgetExceededError, match="overflow"):
-        count_solutions(Curve.moment(4), 4, 43, CountMethod.HASH_JOIN)
+        count_solutions(Curve.moment(8), 8, 27, CountMethod.HASH_JOIN)
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 2 * 10 ** 6)  # (3, 2000) has 2001000 heads
+    with pytest.raises(BudgetExceededError, match="2001000 enumeration steps"):
+        count_solutions(Curve.moment(3), 3, 2000, CountMethod.HASH_JOIN)
     monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * 10 ** 6)  # (3, 300) charges about 2.9 MB
     with pytest.raises(BudgetExceededError, match="bytes, over the memory budget"):
         count_solutions(Curve.moment(3), 3, 300, CountMethod.HASH_JOIN)
@@ -327,7 +339,7 @@ def test_asymptotic_report():
 
 
 def test_asymptotic_report_falls_back_to_formula(monkeypatch):
-    monkeypatch.setattr(budget, "COUNT_BUDGET", 10 ** 6)
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 10 ** 6)  # (3, 2000) has 2001000 heads
     rows = asymptotic_report(3, [2000])
     assert rows[0].method is CountMethod.PERMUTATION_FORMULA
     assert rows[0].count == permutation_count(3, 2000)
@@ -354,8 +366,9 @@ def test_asymptotic_report_raises_on_a_shared_key_at_the_largest_N(monkeypatch):
 
 
 def test_asymptotic_report_matches_count_solutions_per_N(monkeypatch):
-    # unsorted, with a repeat and an N the budget refuses
-    monkeypatch.setattr(budget, "COUNT_BUDGET", 10 ** 6)
+    # unsorted, with a repeat and two N the budget refuses: (3, 100) has 5050
+    # heads, (3, 300) 45150
+    monkeypatch.setattr(budget, "ENUMERATION_BUDGET", 10 ** 4)
     N_list = [300, 10, 2000, 10, 100]
     rows = asymptotic_report(3, N_list)
     expected = []
