@@ -23,10 +23,10 @@ multiset of I and of its partners, so |S(I)| is a sum of orbit sizes.
 
 Sorted tuples come from the kernel in `momentsq.kernel`, which folds
 values over them (`_sorted_folds`) and gives each row's orbit size from
-its columns (`_orbit_sizes`, the one orbit rule).  The sorted tuples
-(`_key_rows`), grouped by key (`_parseval_groups`; each key holds one
-cell multiset) and merged by residue multiset mod p^e when the integrand
-has period p^e, carry the Parseval sums of the Q_p norms
+its columns (`_orbit_sizes`, the one orbit rule).  The sorted tuples and
+their power sums (`_key_rows`), grouped by (key, residue multiset mod p^e)
+in one sort for an integrand of period p^e (`_parseval_groups`; each key
+holds one cell multiset), carry the Parseval sums of the Q_p norms
 (`_parseval_sums`), which are not translation-invariant.  For p > n they
 factor over the residue classes mod p: by Hensel's lemma a key group is
 the product of its parts in each class, and class r's parts are those of
@@ -148,42 +148,38 @@ def _residue_folds(p: int, n: int, s: int, e: int, stride: int = 1):
     residue[x], so the cells of a sorted position tuple are nondecreasing
     and its residues mod p^e come in one fixed order, with no sort.  At
     e = ns the residues of a cell are in increasing order.  folds are the
-    `_sorted_folds` pairs, by position, of each power table and of the
-    cells, numbered cell // stride and packed base p^s / stride."""
+    `_sorted_folds` pairs, by position, of each power table."""
     q, tables = _power_tables(p, n, s)
     ncells, span = p ** s // stride, p ** e // stride
     # residue stride * (hi * span + mid * ncells + cell) sits at (cell, mid, hi)
     residue = np.arange(0, q, stride).reshape(-1, span // ncells, ncells).transpose(2, 1, 0).ravel()
     narrow = np.int32 if n * q < 2 ** 31 else np.int64  # power sums stay below n * q
-    cell = np.repeat(np.arange(ncells, dtype=narrow), residue.size // ncells)
-    return q, tables, residue, [(t[residue].astype(narrow), 1) for t in tables] + [(cell, ncells)]
+    return q, tables, residue, [(t[residue].astype(narrow), 1) for t in tables]
 
 
 def _key_rows(p: int, n: int, s: int, e: int, j: int, stride: int):
-    """(codes, tuples) over the sorted position j-tuples of the residues
+    """(sums, tuples) over the sorted position j-tuples of the residues
     mod q = p^{ns} that are multiples of stride, numbered for precision
     p^e (see `_residue_folds`), all folded by one `_sorted_folds` call:
-    each row's code key * c^j + multiset (c = p^s / stride) and its
-    residues / stride packed base q / stride, lowest position first.  key
-    packs the first j power sums mod q (for j < p they fix the rest, by
-    Girard-Newton), multiset the cells in nondecreasing order (digit i the
-    i-th smallest, base c).
+    sums[k - 1] holds each row's p_k mod q divided by stride^k, k = 1..j
+    (exact: p_k of multiples of stride is a multiple of stride^k; for j < p
+    they fix the rest, by Girard-Newton), and tuples its residues / stride
+    packed base q / stride, lowest position first.
     """
     q, _, residue, folds = _residue_folds(p, n, s, e, stride)
-    *tables, (cell, ncells) = folds
-    *sums, multiset, tuples = _sorted_folds(
-        tables[:j] + [(cell, ncells), (residue // stride, residue.size)], j)
-    for k in sums:
-        np.remainder(k, q, out=k)
-    codes = np.ravel_multi_index((multiset, *sums), (ncells ** j,) + (q,) * len(sums), order="F")
-    return codes, tuples
+    *sums, tuples = _sorted_folds(folds[:j] + [(residue // stride, residue.size)], j)
+    for k, a in enumerate(sums, 1):
+        np.remainder(a, q, out=a)
+        a //= stride ** k
+    return sums, tuples
 
 
 def _translate_codes(p: int, n: int, s: int) -> np.ndarray:
-    """Codes key * q + multiset, as in `_key_rows`, over the sorted residue
-    n-tuples mod q = p^{ns} whose p_1 is r mod q for some r < g = gcd(n, q):
-    one translate of every key class (see `_pair_relation`).  key packs
-    (r, p_2, ..., p_n), so codes stay below g * q^n.
+    """Codes key * q + multiset over the sorted residue n-tuples mod q =
+    p^{ns} whose p_1 is r mod q for some r < g = gcd(n, q): one translate of
+    every key class (see `_pair_relation`).  key packs (r, p_2, ..., p_n),
+    so codes stay below g * q^n, and multiset the cells in nondecreasing
+    order (digit i the i-th smallest, base p^s).
 
     The sorted (n-1)-tuples are folded by `_sorted_folds` (power sums, cells
     and the first position); the new entry is (r - p_1) mod q, and a row is
@@ -192,10 +188,10 @@ def _translate_codes(p: int, n: int, s: int) -> np.ndarray:
     """
     q, tables, residue, folds = _residue_folds(p, n, s, n * s)
     ncells, g = p ** s, math.gcd(n, q)
-    cell = folds[-1][0]  # by position
+    cell = np.repeat(np.arange(ncells, dtype=folds[0][0].dtype), q // ncells)  # by position
     position = np.argsort(residue)  # where each residue sits
     *sums, multiset, first = _sorted_folds(  # first: the first entry's position
-        folds + [(np.arange(q, dtype=cell.dtype), 0)], n - 1)
+        folds + [(cell, ncells), (np.arange(q, dtype=cell.dtype), 0)], n - 1)
     codes = []
     for r in range(g):
         last = np.remainder(r - sums[0], q)  # the new entry's residue
@@ -245,7 +241,7 @@ def _shift_pairs(pairs: np.ndarray, ncells: int, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _pair_relation(p: int, n: int, s: int) -> np.ndarray:
     """(a, b), sorted: the ordered pairs of distinct cell multisets (coded as
-    in `_key_rows`) whose point tuples share a power-sum key mod q = p^{ns}.
+    in `_translate_codes`) whose point tuples share a power-sum key mod q = p^{ns}.
     Empty at every p: power sums mod p^{ns} fix the cell multiset (the
     theorem in docs/quadrature.md), so the scan finds none to report.
 
@@ -278,8 +274,8 @@ def _levels(p: int, n: int, s: int):
 class _Level(NamedTuple):
     """One cached level of `_parseval_groups(p, n, s, e)`: for h of period
     p^e, one row per distinct (key, residue multiset mod p^e) among the
-    sorted tuples of `_key_rows(p, n, s, e, j, classes)`, in key order, each
-    adding weight * prod h(cols) to its key's sum B(k).  weight counts the
+    sorted tuples of `_key_rows(p, n, s, e, j, classes)`, by key, in a key
+    by multiset, each adding weight * prod h(cols) to its key's sum B(k).  weight counts the
     ordered tuples mod p^{ns} of that key that reduce to the row's multiset
     (at e = ns a row is one sorted tuple and weight its orbit size).  A key
     holds one cell multiset C, so B(k) = B(k, C) (checked at build,
@@ -292,63 +288,48 @@ class _Level(NamedTuple):
     at: np.ndarray          # (classes, 1): where class r's sums start
 
 
+def _digits(codes: np.ndarray, base: int, j: int) -> np.ndarray:
+    """(j, rows): codes' j lowest digits base `base`, each row contiguous
+    (gathers through np.unravel_index's strided views fault about 2,400
+    times per warm call); codes keeps what is above them."""
+    cols = np.empty((j, codes.size), np.int64)
+    for c in cols:
+        np.remainder(codes, base, out=c)
+        codes //= base
+    return cols
+
+
 def _parseval_level(p: int, n: int, s: int, e: int, j: int, classes: int) -> _Level:
-    codes, tuples = _key_rows(p, n, s, e, j, classes)
-    order = np.argsort(codes)  # rows in key order: add.at then writes in sequence
-    codes, tuples = codes[order], tuples[order]
-    del order
+    sums, tuples = _key_rows(p, n, s, e, j, classes)
     q, ncells, span = p ** (n * s), p ** s // classes, p ** e // classes
-    # the rows' residues, each column contiguous: gathers through the strided
-    # views np.unravel_index returns fault about 2,400 times per warm call
-    cols = np.array(np.unravel_index(tuples, (q // classes,) * j, order="F"))
+    cols = _digits(tuples, q // classes, j)  # a row's residues / classes
     del tuples
     # a row's equal residues sit at equal, so adjacent, positions
     orbit = _orbit_sizes(cols).astype(np.min_scalar_type(math.factorial(j)))
-    new = _run_starts(codes)  # a row that opens a pair
-    fine = np.cumsum(new)
-    fine -= 1
-    keys, multisets = np.unravel_index(codes[new], (q ** j, ncells ** j))
-    del codes, new
-    if not _run_starts(keys).all():  # never, at any p: the theorem in docs/quadrature.md
-        raise RuntimeError(f"a power-sum key mod {q} holds two cell multisets of {j}-tuples")
-    # float: dividing by it then casts nothing, and the quotients are the same
-    cell_orbit = _orbit_sizes(np.unravel_index(multisets, (ncells,) * j, order="F")).astype(float)
-    del keys, multisets
-    # h reads residues mod p^e: the rows of one pair with one residue multiset
-    # mod p^e become one, in the place of the first of them, with their orbit
-    # sizes summed.  Along the positions the residues mod p^e come in one order
-    # (`_residue_folds`), so equal multisets have equal columns, packed with
-    # the pair's index below the bound `_key_row_charges` checks.
+    # h reads residues mod p^e, in one order along the positions: one code a row
+    # packs (multiset mod p^e, p_1/c, ..., p_j/c^j) below `_key_row_charges`' bound,
+    # so its runs merge, each key's in multiset order whatever the sort does with ties
     np.remainder(cols, span, out=cols)
-    multiset = np.ravel_multi_index(cols, (span,) * j, order="F")
-    del cols
-    group = fine * span ** j
-    group += multiset
-    by = np.argsort(group, kind="stable")  # a group's first row leads it
-    group = group[by]
-    start = _run_starts(group)
-    del group
-    start = np.flatnonzero(start)
-    # each group's weight, put at its first row: the rows that hold one are
-    # the groups in the order of their first rows.  Each temporary goes
-    # before the next is made, so the merge stays within the build's charge.
-    weight = np.add.reduceat(orbit[by], start, dtype=np.int64)
-    first = by[start]
-    del orbit, by, start
-    at_first = np.zeros(fine.size, np.int64)
-    at_first[first] = weight
-    del weight
-    first = np.flatnonzero(at_first)  # a weight is at least 1
-    weight = at_first[first]
-    del at_first
-    fine = fine[first]
-    multiset = multiset[first]
-    del first
-    cols = np.empty((j, multiset.size), np.int64)
-    for c in cols:
-        np.remainder(multiset, span, out=c)
-        multiset //= span
-    level = _Level(weight.astype(np.min_scalar_type(weight.max())), fine, cols, cell_orbit,
+    codes = np.ravel_multi_index((*cols, *sums), (span,) * j + tuple(
+        q // classes ** k for k in range(1, len(sums) + 1)), order="F")
+    del cols, sums
+    order = np.argsort(codes)
+    codes, orbit = codes[order], orbit[order]
+    del order
+    start = np.flatnonzero(_run_starts(codes))
+    weight = np.add.reduceat(orbit, start, dtype=np.int64)  # a merged row's orbit sizes
+    weight = weight.astype(np.min_scalar_type(weight.max()))
+    codes = codes[start]
+    del orbit, start
+    cols = _digits(codes, span, j)  # codes become the keys
+    new = _run_starts(codes)  # a row that opens a key
+    del codes
+    for c in cols:  # never, at any p: the theorem in docs/quadrature.md
+        if (_run_starts(c % ncells) > new).any():
+            raise RuntimeError(f"a power-sum key mod {q} holds two cell multisets of {j}-tuples")
+    # a key's cells, nondecreasing; float: dividing by it then casts nothing
+    cell_orbit = _orbit_sizes(cols[:, new] % ncells).astype(float)
+    level = _Level(weight, np.cumsum(new) - 1, cols, cell_orbit,
                    np.arange(0, classes * cell_orbit.size, cell_orbit.size)[:, None])
     for a in level:
         a.setflags(write=False)  # shared by every caller through the cache
@@ -376,12 +357,10 @@ def _parseval_groups(p: int, n: int, s: int, e: int):
     return tuple(_parseval_level(p, n, s, e, j, classes) for j in sizes), tuple(steps)
 
 
-# peak bytes of `_parseval_groups`, traced by tracemalloc: grouping and merging a level
-# of j-tuples holds up to 16j + 21 bytes a row, most at e = ns, where every row is kept
-# (49.4 at (7,2,2), 51.2 at (5,2,3), 52.6 at (2,2,5), 64.9 at (7,3,1), 64.4 at (11,3,1),
-# 80.0 at (3,4,1), 96.0 at (2,5,1); below ns at most these), and the power tables n + 3
-# int64 a residue mod q while they are built.  Charged 16j + _GROUP_BYTES a row
-# and (n + 3) _RESIDUE_BYTES a residue.
+# peak bytes of `_parseval_groups`, traced by tracemalloc: a level of j-tuples holds up to
+# 12j + 17 bytes a row as it takes the orbit sizes, at every e (41.0 at (7,2,2), (3,2,3) and
+# (2,2,5), 53.1 at (2,3,2), 65.0 at (3,4,1), 77.0 at (2,5,1)), the power tables n + 3 int64 a
+# residue mod q.  Charged 16j + _GROUP_BYTES a row and (n + 3) _RESIDUE_BYTES a residue.
 _GROUP_BYTES, _RESIDUE_BYTES = 24, 8
 
 
@@ -389,18 +368,18 @@ _GROUP_BYTES, _RESIDUE_BYTES = 24, 8
 def _key_row_charges(p: int, n: int, s: int, e: int):
     """What `_check_key_rows` compares with the limits, each with its label:
     the sorted n-tuples the build folds, over the class-0 residues where the
-    sums factor; the bound of their codes, c^n q^n (c = p^s, or p^(s-1) for
-    class 0), and of the merge's, rows times (p^e / classes)^n; the values
-    a call sums, classes times the rows every level folds, which bound its
-    merged rows (equal at e = ns); and the bytes the build holds."""
+    sums factor; the bound of the code `_parseval_level` packs, (p^e / c)^n
+    prod_{k=1..n} q / c^k with c = classes; the values a call sums, classes
+    times the rows every level folds, which bound its merged rows (equal at
+    e = ns); and the bytes the build holds."""
     q = p ** (n * s)
     classes, sizes = _levels(p, n, s)
-    m, ncells = q // classes, p ** s // classes
+    m = q // classes
     ring = f"Z/{q}" if classes == 1 else f"the multiples of {p} in Z/{q}"
     rows = {j: math.comb(m + j - 1, j) for j in sizes}
     tuples = math.comb(m + n - 1, n)
     return ((tuples, f"enumeration of the sorted {n}-tuples over {ring}"),
-            max(ncells ** n * q ** n, tuples * (p ** e // classes) ** n),
+            (p ** e // classes) ** n * math.prod(q // classes ** k for k in range(1, n + 1)),
             (classes * sum(rows.values()), f"the Parseval sums over Z/{q}"),
             (sum(r * (16 * j + _GROUP_BYTES) for j, r in rows.items()) + q * (n + 3) * _RESIDUE_BYTES,
              f"grouping the sorted {n}-tuples over Z/{q}"))

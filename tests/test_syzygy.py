@@ -196,7 +196,8 @@ def test_key_groups_factor_over_residue_classes(p, n, s):
     # r, the key group of its residues = r mod p moved to class 0, read off the
     # cached class-0 index (a single residue is its own group)
     q, m = p ** (n * s), p ** (n * s - 1)
-    codes, tuples = syzygy._key_rows(p, n, s, n * s, n, 1)
+    sums, tuples = syzygy._key_rows(p, n, s, n * s, n, 1)
+    key = np.ravel_multi_index(sums, (q,) * n, order="F")
     residues = np.array(np.unravel_index(tuples, (q,) * n, order="F"))
     syzygy.clear_index_cache()
     try:
@@ -227,9 +228,9 @@ def test_key_groups_factor_over_residue_classes(p, n, s):
         part[j >= 2] = group[at]
         parts.append(part)
     _, vector = np.unique(np.transpose(parts), axis=0, return_inverse=True)
-    keys, counts = np.unique(codes // q, return_counts=True)
+    keys, counts = np.unique(key, return_counts=True)
     # one vector per key group and one key group per vector
-    assert np.unique(codes // q * (vector.max() + 1) + vector.ravel()).size == keys.size
+    assert np.unique(key * (vector.max() + 1) + vector.ravel()).size == keys.size
     assert vector.max() + 1 == keys.size
     assert np.any(counts > 1)  # the keys do collide
 
@@ -260,6 +261,56 @@ def test_parseval_byte_charge_covers_its_peak(monkeypatch):
             syzygy._check_key_rows(*config)
     finally:
         syzygy.clear_index_cache()
+
+
+def test_admitted_parseval_builds_pass_the_key_bound():
+    # pure arithmetic, at the default limits: every (p, n, s, e) with p < 20000,
+    # 2 <= n <= 11, 1 <= s <= 11 and s <= e <= ns that the step and byte guards
+    # admit packs its one code below 2^62.  Those guards do not read e, and
+    # refuse every larger s, and for p > n every larger p, once they refuse
+    primes = [p for p in range(2, 20000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    admitted = {}
+    for n in range(2, 12):
+        for p in primes:
+            for s in range(1, 12):
+                (folded, _), _, (summed, _), (nbytes, _) = syzygy._key_row_charges.__wrapped__(
+                    p, n, s, s)
+                if max(folded, summed) > budget.ENUMERATION_BUDGET or nbytes > budget.MEMORY_BUDGET:
+                    break
+                for e in range(s, n * s + 1):
+                    admitted[p, n, s, e] = syzygy._key_row_charges.__wrapped__(p, n, s, e)[1]
+            if s == 1 and p > n and (p, n, 1, 1) not in admitted:
+                break
+    assert len(admitted) == 315
+    assert max(admitted, key=admitted.get) == (2, 3, 3, 9)
+    assert admitted[2, 3, 3, 9] == 2 ** 54 < 2 ** 62
+
+
+ROW_ORDER_CONFIGS = [(5, 2, 2, 4), (5, 2, 2, 2), (5, 3, 1, 3), (2, 2, 2, 4), (2, 2, 2, 3),
+                     (3, 3, 1, 2), (2, 4, 1, 2)]
+
+
+@pytest.mark.parametrize("p,n,s,e", ROW_ORDER_CONFIGS)
+def test_parseval_level_rows_are_in_key_then_multiset_order(monkeypatch, p, n, s, e):
+    # every level's rows come in (key, residue multiset mod p^e) order, so the
+    # level arrays are the same whatever order the sort leaves ties in
+    classes = syzygy._levels(p, n, s)[0]
+    span = p ** e // classes
+    syzygy.clear_index_cache()
+    try:
+        levels, _ = syzygy._parseval_groups(p, n, s, e)
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **kw: argsort(*a, **{**kw, "kind": "stable"}))
+        syzygy.clear_index_cache()
+        stable, _ = syzygy._parseval_groups(p, n, s, e)
+    finally:
+        syzygy.clear_index_cache()
+    for level, other in zip(levels, stable):
+        packed = np.ravel_multi_index(level.cols, (span,) * len(level.cols), order="F")
+        step, rise = np.diff(level.fine), np.diff(packed)
+        assert np.all((step == 1) | (step == 0) & (rise > 0))  # strictly increasing
+        for a, b in zip(level, other):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _brute_parseval_sums(h, p, n, s):
@@ -295,13 +346,16 @@ def _brute_parseval_sums(h, p, n, s):
                                    (5, 2, 0), (5, 1, 0),  # s = 0: q = 1 < p
                                    (2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 2, 2), (2, 4, 1)])
 def test_parseval_sums_match_brute_force(p, n, s):
+    # brute force over all q^n ordered tuples where there are at most 10^5,
+    # else the grouping of every sorted tuple: both independent of the levels
     h = _folded_values(p, n, s)
     syzygy.clear_index_cache()
     try:
         got = syzygy._parseval_sums(h, p, n, s)
     finally:
         syzygy.clear_index_cache()
-    assert got == pytest.approx(_brute_parseval_sums(h, p, n, s), rel=1e-12, abs=0)
+    oracle = _brute_parseval_sums if p ** (n * s * n) <= 10 ** 5 else _all_rows_parseval_sums
+    assert got == pytest.approx(oracle(h, p, n, s), rel=1e-12, abs=0)
 
 
 PERIODIC_CONFIGS = [(3, 2, 1, 1), (5, 2, 1, 1), (3, 2, 2, 2), (3, 2, 2, 3), (5, 2, 2, 3),
@@ -513,9 +567,14 @@ def test_key_shared_by_two_multisets(monkeypatch):
 
 
 def _full_walk_relation(p, n, s):
-    """The pair relation read off every row of `_key_rows`, grouped in a dict."""
-    q = p ** (n * s)
-    codes = _sorted_unique(syzygy._key_rows(p, n, s, n * s, n, 1)[0])
+    """The pair relation read off every row of `_key_rows`, grouped in a dict:
+    the key packs the returned power sums, the cell multiset sorts the
+    residues mod p^s."""
+    q, ncells = p ** (n * s), p ** s
+    sums, tuples = syzygy._key_rows(p, n, s, n * s, n, 1)
+    cells = np.array(np.unravel_index(tuples, (q,) * n, order="F")) % ncells
+    multiset = np.ravel_multi_index(np.sort(cells, axis=0), (ncells,) * n, order="F")
+    codes = _sorted_unique(np.ravel_multi_index(sums, (q,) * len(sums), order="F") * q + multiset)
     key = codes // q
     codes = codes[np.isin(key, key[1:][key[1:] == key[:-1]])]  # keys with two codes
     groups: dict[int, set] = {}
@@ -564,17 +623,24 @@ def test_relation_needs_no_full_key_rows(monkeypatch):
         syzygy.clear_index_cache()
 
 
-@pytest.mark.parametrize("p,n,s", [(2, 2, 1), (3, 2, 1)])
+@pytest.mark.parametrize("p,n,s", [(2, 2, 1), (3, 2, 1), (3, 2, 2), (5, 3, 1)])
 def test_key_rows_positions_are_sorted_tuples(p, n, s):
-    # rows are the sorted position tuples; position x holds residue
-    # x // span + p^s * (x % span), span = q / p^s: cell by cell
-    q, ncells = p ** (n * s), p ** s
-    tuples = syzygy._key_rows(p, n, s, n * s, n, 1)[1]
-    assert tuples.dtype == np.int64
-    decoded = [tuple(int(x) // q ** i % q for i in range(n)) for x in tuples]
-    residue = [x // (q // ncells) + ncells * (x % (q // ncells)) for x in range(q)]
-    assert decoded == [tuple(residue[x] for x in t)
-                       for t in itertools.combinations_with_replacement(range(q), n)]
+    # rows are the sorted position tuples of the residues that are multiples
+    # of stride (1, and p where the sums factor); position x holds residue
+    # stride * (x // span + c * (x % span)), c = p^s / stride, span = m / c
+    # and m = q / stride: cell by cell.  sums[k - 1] is p_k mod q / stride^k
+    q = p ** (n * s)
+    for stride in {1, syzygy._levels(p, n, s)[0]}:
+        m, c = q // stride, p ** s // stride
+        sums, tuples = syzygy._key_rows(p, n, s, n * s, n, stride)
+        assert tuples.dtype == np.int64
+        decoded = np.array(np.unravel_index(tuples, (m,) * n, order="F")) * stride
+        residue = [stride * (x // (m // c) + c * (x % (m // c))) for x in range(m)]
+        rows = np.array([[residue[x] for x in t]
+                         for t in itertools.combinations_with_replacement(range(m), n)]).T
+        assert np.array_equal(decoded, rows)
+        for k, got in enumerate(sums, 1):
+            assert np.array_equal(got, np.sum(rows ** k % q, axis=0) % q // stride ** k)
 
 
 def test_set_query_needs_no_tuple_keys(monkeypatch):
